@@ -14,11 +14,10 @@
 //!   the gap is modest.
 //! * **elided** (`*_elided_trials_per_sec` reboot /
 //!   `*_elided_forked_trials_per_sec` forked) — the paper configuration
-//!   with `--elide-checks`, where every boot re-runs the whole-program
-//!   static taint analysis before the first instruction. Rebooting pays
-//!   that per trial; a fork inherits the proven-clean set from the
-//!   snapshot, so the analysis is paid once per campaign. This is where
-//!   snapshot/fork turns campaigns from minutes into seconds.
+//!   with `--elide-checks`. A machine runs the whole-program static taint
+//!   analysis once, on its first elided boot, and every later boot, fork
+//!   and clone reuses it; the byte-identity check before timing pays it,
+//!   so both series measure trials (boot or fork plus run), not analysis.
 //!
 //! Besides the criterion groups, the machine-readable summary is written
 //! to `BENCH_campaign.json` at the repository root. Set `BENCH_QUICK=1`
@@ -39,12 +38,6 @@ fn trials() -> u64 {
         32
     }
 }
-
-/// Faulted trials for the elided *reboot* series, where every trial costs
-/// a whole-program analysis: enough runs to average, few enough to keep
-/// the bench finite. (The rate is analysis-dominated, so a short campaign
-/// measures it faithfully.)
-const ELIDED_REBOOT_TRIALS: u64 = 2;
 
 fn quick() -> bool {
     std::env::var_os("BENCH_QUICK").is_some()
@@ -85,15 +78,6 @@ fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> f64 {
         best = best.max(runs / elapsed.as_secs_f64());
     }
     best
-}
-
-/// Trials/sec from a single timed campaign (no warmup, no repetition) —
-/// for the analysis-dominated elided reboot series, where repetition
-/// would cost minutes and the rate is stable anyway.
-fn trials_per_sec_once(machine: &Machine, spec: &CampaignSpec) -> f64 {
-    let start = Instant::now();
-    let report = machine.run_campaign(spec);
-    (report.records.len() as f64 + 1.0) / start.elapsed().as_secs_f64()
 }
 
 fn bench_campaigns(c: &mut Criterion) {
@@ -137,39 +121,36 @@ fn bench_campaigns(c: &mut Criterion) {
             forked_rate / reboot_rate
         ));
     }
-    // The elided (paper) configuration: every reboot re-runs the static
-    // analysis, so its reboot series uses a short campaign (the rate is
-    // analysis-dominated) while the forked series runs the full one.
-    let short = CampaignSpec::new(SEED, ELIDED_REBOOT_TRIALS.min(trials()));
+    // The elided (paper) configuration, same campaign. The byte-identity
+    // check runs each machine's one static analysis, so the timed runs
+    // reuse it.
     for name in WORKLOADS {
         let forked = build(name).elide_checks(true);
         let rebooted = build(name).elide_checks(true).fork_trials(false);
         assert_eq!(
-            forked.run_campaign(&short).to_json(),
-            rebooted.run_campaign(&short).to_json(),
+            forked.run_campaign(&spec).to_json(),
+            rebooted.run_campaign(&spec).to_json(),
             "{name}: elided forked and rebooted campaigns must be byte-identical"
         );
-        let reboot_rate = trials_per_sec_once(&rebooted, &short);
-        let forked_rate = trials_per_sec_once(&forked, &spec);
+        let reboot_rate = trials_per_sec(&rebooted, &spec);
+        let forked_rate = trials_per_sec(&forked, &spec);
         fields.push((format!("{name}_elided_trials_per_sec"), reboot_rate));
         fields.push((format!("{name}_elided_forked_trials_per_sec"), forked_rate));
         lines.push(format!(
-            "{name} elided {reboot_rate:.1} reboot / {forked_rate:.0} forked trials/s ({:.0}x)",
+            "{name} elided {reboot_rate:.0} reboot / {forked_rate:.0} forked trials/s ({:.1}x)",
             forked_rate / reboot_rate
         ));
     }
     // The sharded runner (campaign engine v2) on the elided ghttpd
-    // campaign — the workload where per-trial cost is highest. The series
-    // measures steady-state scheduler throughput: the machine is
-    // `prepare_analysis()`-warmed first, so the one-time static analysis
-    // (whose cost is what the `_elided_trials_per_sec` reboot series pays
-    // on *every* trial) is amortized out, and each worker shard boots
-    // from a snapshot rather than re-analyzing. On multi-core hosts the
-    // work-stealing shards add core-count scaling on top. Byte-identity
-    // with the sequential report is asserted before timing, so the
-    // comparison is apples-to-apples by construction.
+    // campaign — the workload where per-trial cost is highest. The
+    // sequential reference run analyzes the image; every worker's snapshot
+    // then reuses that analysis, so the series measures scheduler
+    // throughput, and on multi-core hosts the work-stealing shards add
+    // core-count scaling on top. Byte-identity with the sequential report
+    // is asserted before timing, so the comparison is apples-to-apples by
+    // construction.
     {
-        let m = build("ghttpd").elide_checks(true).prepare_analysis();
+        let m = build("ghttpd").elide_checks(true);
         let jobs = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         let sequential = m.run_campaign(&spec);
         assert_eq!(

@@ -1,6 +1,7 @@
 //! The top-level machine builder.
 
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ptaint_asm::Image;
@@ -44,10 +45,9 @@ pub struct Machine {
     fork_trials: bool,
     analysis_cache: Option<std::path::PathBuf>,
     analysis_jobs: Option<usize>,
-    /// Memoized `(analysis, cached)` result shared across clones — populated
-    /// by the sharded campaign runner so per-worker boots don't each re-run
-    /// the static analysis.
-    prepared_analysis: Option<std::sync::Arc<(ptaint_analyze::Analysis, bool)>>,
+    /// The image's `(analysis, cached)` pair, filled by the first elided
+    /// boot and shared by every later boot and every clone.
+    analysis_memo: Arc<OnceLock<(ptaint_analyze::Analysis, bool)>>,
 }
 
 impl Machine {
@@ -100,7 +100,7 @@ impl Machine {
             fork_trials: true,
             analysis_cache: None,
             analysis_jobs: None,
-            prepared_analysis: None,
+            analysis_memo: Arc::default(),
         }
     }
 
@@ -137,10 +137,16 @@ impl Machine {
         self
     }
 
-    /// Enables static check elision: each boot runs the
-    /// [`ptaint_analyze`] taint dataflow over the image and hands the
-    /// proven-clean sites to the cached engine, which then skips the
-    /// pointer-taintedness probe at those sites.
+    /// Enables static check elision: boots hand the proven-clean sites of
+    /// the [`ptaint_analyze`] taint dataflow to the cached engine, which
+    /// then skips the pointer-taintedness probe at those sites.
+    ///
+    /// The image is analyzed once per machine, on its first elided boot;
+    /// every later boot, snapshot, campaign trial and worker — and every
+    /// clone — reuses that result. Only a new
+    /// [`Machine::analysis_cache`] directory or a
+    /// [`FaultKind::ProofCache`] trial (which must load its corrupted entry)
+    /// analyzes again. [`Machine::analysis`] itself never memoizes.
     ///
     /// Elision is armed only under the exact configuration the analysis
     /// models — [`DetectionPolicy::PointerTaintedness`] with the paper's
@@ -164,6 +170,7 @@ impl Machine {
     #[must_use]
     pub fn analysis_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Machine {
         self.analysis_cache = Some(dir.into());
+        self.analysis_memo = Arc::default();
         self
     }
 
@@ -259,14 +266,14 @@ impl Machine {
             cpu.add_taint_watch(*addr, *len, label.clone());
         }
         if self.elision_armed() {
-            let (analysis, cached) = self.analysis();
+            let (analysis, cached) = self.analysis_memo.get_or_init(|| self.analysis());
             if cpu.has_observer() {
                 cpu.emit_event(&Event::StaticAnalysis {
                     functions: analysis.stats.functions as u64,
                     blocks: analysis.stats.blocks as u64,
                     proven: analysis.proven.len() as u64,
                     flagged: analysis.stats.flagged_sites as u64,
-                    cached,
+                    cached: *cached,
                 });
             }
             // Watch the whole analyzed program — text *plus* the loader's
@@ -285,19 +292,6 @@ impl Machine {
         (cpu, os)
     }
 
-    /// Eagerly runs (and memoizes) the static analysis this machine's
-    /// boots would perform, so every subsequent boot — including each
-    /// campaign shard worker's snapshot — reuses the result instead of
-    /// re-analyzing. Clones share the memo. A no-op when elision is not
-    /// armed (plain boots never consult the analysis).
-    #[must_use]
-    pub fn prepare_analysis(mut self) -> Machine {
-        if self.elision_armed() && self.prepared_analysis.is_none() {
-            self.prepared_analysis = Some(std::sync::Arc::new(self.analysis()));
-        }
-        self
-    }
-
     /// Whether boots of this machine arm static check elision — the exact
     /// configuration the analysis models (pointer-taintedness policy under
     /// the paper's taint rules).
@@ -311,11 +305,9 @@ impl Machine {
     /// worker settings, reporting whether it was served from the proof
     /// cache. A cold run stores its result when a cache directory is set;
     /// a corrupt entry warns on stderr and falls back to cold analysis.
+    /// Unlike boots, this never consults or fills the machine's memo.
     #[must_use]
     pub fn analysis(&self) -> (ptaint_analyze::Analysis, bool) {
-        if let Some(prepared) = &self.prepared_analysis {
-            return (prepared.0.clone(), prepared.1);
-        }
         if let Some(dir) = &self.analysis_cache {
             match ptaint_analyze::cache::load(dir, &self.image) {
                 Ok(Some(a)) => return (a, true),
@@ -342,6 +334,17 @@ impl Machine {
     pub fn run(&self) -> RunOutcome {
         let (mut cpu, mut os) = self.boot();
         run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ())
+    }
+
+    /// Boots a fresh instance and runs it fault-free, as a campaign trial.
+    fn run_fault_free(&self) -> TrialRun {
+        let (mut cpu, mut os) = self.boot();
+        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
+        TrialRun {
+            outcome,
+            io_calls: os.io_call_count(),
+            applied: None,
+        }
     }
 
     /// Boots a fresh instance and runs it under one injected [`Fault`]:
@@ -383,14 +386,8 @@ impl Machine {
             std::fs::read(path).ok()
         });
         let (Some(mut bytes), true) = (entry, self.elision_armed()) else {
-            // Inert: nothing persistent to corrupt. Run fault-free.
-            let (mut cpu, mut os) = self.boot();
-            let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-            return TrialRun {
-                outcome,
-                io_calls: os.io_call_count(),
-                applied: None,
-            };
+            // Inert: nothing persistent to corrupt.
+            return self.run_fault_free();
         };
 
         let total = (bytes.len() as u64) * 8;
@@ -406,9 +403,9 @@ impl Machine {
         std::fs::write(ptaint_analyze::cache::path_for(&tmp, &self.image), bytes)
             .expect("proof-cache fault entry copy");
 
-        let mut victim = self.clone();
-        victim.analysis_cache = Some(tmp.clone());
-        victim.prepared_analysis = None;
+        // A new cache directory starts a new memo, so this boot loads the
+        // corrupted entry instead of borrowing the shared analysis.
+        let victim = self.clone().analysis_cache(&tmp);
         let (mut cpu, mut os) = victim.boot();
         cpu.note_injected_fault();
         let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
@@ -492,67 +489,31 @@ impl Machine {
     /// against the baseline's verdict. Trials fork copy-on-write from a
     /// single post-boot snapshot by default; [`Machine::fork_trials`]`(false)`
     /// reboots each trial from `_start` instead. The report is byte-
-    /// identical either way.
+    /// identical either way. Same as [`Machine::run_campaign_jobs`] with
+    /// one job.
     #[must_use]
     pub fn run_campaign(&self, spec: &CampaignSpec) -> CampaignReport {
-        if self.fork_trials {
-            let snap = self.snapshot();
-            return ptaint_inject::run_campaign(spec, |fault| match fault {
-                // Proof-cache corruption happens *before* boot, so it can
-                // never ride a post-boot fork — reboot that trial instead.
-                Some(f) if f.kind == FaultKind::ProofCache => self.run_injected(f),
-                Some(f) => snap.run_injected(f),
-                None => snap.run(),
-            });
-        }
-        ptaint_inject::run_campaign(spec, |fault| match fault {
-            Some(f) => self.run_injected(f),
-            None => {
-                let (mut cpu, mut os) = self.boot();
-                let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-                TrialRun {
-                    outcome,
-                    io_calls: os.io_call_count(),
-                    applied: None,
-                }
-            }
-        })
+        self.run_campaign_jobs(spec, 1)
     }
 
-    /// The sharded counterpart of [`Machine::run_campaign`]: trials are
-    /// distributed across `jobs` worker threads, each of which boots its
-    /// own post-boot baseline (boots are deterministic, so every worker's
-    /// snapshot is bit-identical) and steals trial indices from a shared
-    /// counter. Records merge in trial order, so the report is
-    /// **byte-identical** to the single-threaded one for the same spec —
-    /// `jobs <= 1` simply delegates to [`Machine::run_campaign`].
-    ///
-    /// When elision is armed the static analysis is memoized once up
-    /// front and shared read-only with every worker, so the per-worker
-    /// boot cost is a snapshot, not a re-analysis.
+    /// Runs the campaign of [`Machine::run_campaign`] on `jobs` worker
+    /// threads: each worker takes its own post-boot snapshot (boots are
+    /// deterministic, so every worker's snapshot is bit-identical) and
+    /// steals trial indices from a shared counter. Records merge in trial
+    /// order, so the report is **byte-identical** for every `jobs` value;
+    /// `jobs <= 1` runs on the calling thread. Workers borrow the machine's
+    /// one static analysis (see [`Machine::elide_checks`]).
     #[must_use]
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
-        if jobs <= 1 {
-            return self.run_campaign(spec);
-        }
-        let prepared = self.clone().prepare_analysis();
-        let m = &prepared;
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
-            let snap = m.fork_trials.then(|| m.snapshot());
+            let snap = self.fork_trials.then(|| self.snapshot());
             move |fault: Option<&Fault>| match (fault, &snap) {
-                (Some(f), _) if f.kind == FaultKind::ProofCache => m.run_injected(f),
-                (Some(f), Some(snap)) => snap.run_injected(f),
-                (Some(f), None) => m.run_injected(f),
+                // Proof-cache corruption happens *before* boot, so it can
+                // never ride a post-boot fork — reboot that trial instead.
+                (Some(f), Some(snap)) if f.kind != FaultKind::ProofCache => snap.run_injected(f),
+                (Some(f), _) => self.run_injected(f),
                 (None, Some(snap)) => snap.run(),
-                (None, None) => {
-                    let (mut cpu, mut os) = m.boot();
-                    let outcome = run_to_exit_with(&mut cpu, &mut os, m.limits(), &mut ());
-                    TrialRun {
-                        outcome,
-                        io_calls: os.io_call_count(),
-                        applied: None,
-                    }
-                }
+                (None, None) => self.run_fault_free(),
             }
         })
     }

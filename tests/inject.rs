@@ -199,6 +199,58 @@ fn proof_cache_corruption_falls_back_to_cold_analysis() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An elided machine analyzes its image once. Only a cold analysis writes
+/// the proof-cache entry, so the cache directory is the oracle: once the
+/// entry is deleted, later boots, campaigns (reboot trials included) and
+/// clones must not re-create it, while a clone pointed at a new directory
+/// analyzes again. The shared analysis carries no per-run state: repeated
+/// campaigns match a fresh machine's byte for byte.
+#[test]
+fn elided_machine_analyzes_its_image_once() {
+    let root = std::env::temp_dir().join(format!("ptaint-memo-it-{}", std::process::id()));
+    let (dir, dir2) = (root.join("a"), root.join("b"));
+    let entries = |d: &std::path::Path| std::fs::read_dir(d).map_or(0, Iterator::count);
+    let build = || {
+        Machine::from_c(synthetic::EXP1_SOURCE)
+            .unwrap()
+            .world(synthetic::exp1_attack_world())
+            .elide_checks(true)
+    };
+    let m = build().analysis_cache(&dir);
+
+    assert!(m.run().reason.is_detected());
+    assert_eq!(
+        entries(&dir),
+        1,
+        "the first elided boot stores its analysis"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let spec = CampaignSpec::new(7, 32);
+    let first = m.run_campaign(&spec);
+    assert!(
+        first
+            .records
+            .iter()
+            .any(|r| r.fault.kind == FaultKind::ProofCache),
+        "the spec must exercise the proof-cache reboot path"
+    );
+    assert!(m.clone().run().reason.is_detected());
+    assert_eq!(entries(&dir), 0, "a later boot re-ran the analysis");
+
+    assert!(m.clone().analysis_cache(&dir2).run().reason.is_detected());
+    assert_eq!(
+        entries(&dir2),
+        1,
+        "a new cache directory must analyze again"
+    );
+
+    let first = first.to_json();
+    assert_eq!(m.run_campaign(&spec).to_json(), first);
+    assert_eq!(build().run_campaign(&spec).to_json(), first);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 fn fuzz_corpus() -> Vec<Machine> {
     vec![
         Machine::from_c(synthetic::EXP1_SOURCE).unwrap(),
@@ -232,23 +284,27 @@ proptest! {
         }
     }
 
-    /// The sharded-determinism contract on a real machine: for any seed,
-    /// trial count, and worker count, `run_campaign_jobs` produces a report
-    /// byte-identical to the single-threaded runner's.
+    /// The sharded-determinism contract on a real machine, plain or in the
+    /// elided paper configuration: for any seed, trial count, and worker
+    /// count, `run_campaign_jobs` produces a report byte-identical to the
+    /// single-threaded runner's.
     #[test]
     fn sharded_campaign_reports_are_byte_identical(
         seed in any::<u64>(),
         trials in 1u64..8,
         jobs in 2usize..6,
     ) {
-        let m = Machine::from_c(synthetic::EXP1_SOURCE)
+        let plain = Machine::from_c(synthetic::EXP1_SOURCE)
             .unwrap()
             .world(synthetic::exp1_attack_world())
             .step_limit(2_000_000);
         let spec = CampaignSpec::new(seed, trials);
-        let seq = m.run_campaign_jobs(&spec, 1).to_json();
-        let sharded = m.run_campaign_jobs(&spec, jobs).to_json();
-        prop_assert_eq!(seq, sharded);
+        for elide in [false, true] {
+            let m = plain.clone().elide_checks(elide);
+            let seq = m.run_campaign_jobs(&spec, 1).to_json();
+            let sharded = m.run_campaign_jobs(&spec, jobs).to_json();
+            prop_assert_eq!(seq, sharded);
+        }
     }
 
     /// Arbitrary faults — any kind, any trigger point, any salt — injected
