@@ -1,16 +1,19 @@
-//! Execution-engine microbenchmark: steps/sec for the legacy interpreter
-//! vs. the predecoded/cached engine on a tight counted loop — the workload
-//! where decode cost dominates and the decode cache pays off most.
+//! Execution-engine benchmark: steps/sec for the legacy interpreter vs.
+//! the predecoded/cached engine on a tight counted loop — the workload
+//! where decode cost dominates and the decode cache pays off most — plus
+//! the cached engine on the six Table 3 guests under full detection, where
+//! taint memory traffic, syscalls and real control flow weigh in too.
 //!
 //! Besides the criterion groups, a machine-readable summary is written to
 //! `BENCH_engine.json` at the repository root (guest steps, steps/sec per
-//! engine, speedup). Set `BENCH_QUICK=1` to shrink the loop for CI smoke
-//! runs.
+//! engine, speedup, Table 3 steps/sec). Set `BENCH_QUICK=1` to shrink the
+//! loop and run the guests at input scale 1 for CI smoke runs.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ptaint::{Engine, ExitReason, Machine};
+use ptaint_guest::workloads;
 
 /// Loop iterations: full runs measure a stable hot loop; quick mode keeps
 /// CI smoke runs under a second.
@@ -54,6 +57,53 @@ fn steps_per_sec(machine: &Machine) -> f64 {
         best = best.max(out.stats.instructions as f64 / elapsed.as_secs_f64());
     }
     best
+}
+
+/// Input scale of the Table 3 series: the suite's scale 10 for full runs,
+/// scale 1 in quick mode.
+fn table3_scale() -> u32 {
+    if quick() {
+        1
+    } else {
+        10
+    }
+}
+
+/// The six Table 3 guests on the cached engine under full detection
+/// (the [`Machine`] defaults), each with its generated input.
+fn table3_machines() -> Vec<Machine> {
+    workloads::all()
+        .iter()
+        .map(|w| {
+            let image = ptaint_guest::build(w.source).expect("guest builds");
+            Machine::from_image(image)
+                .world(w.world(table3_scale()))
+                .engine(Engine::Cached)
+        })
+        .collect()
+}
+
+/// Guest steps and best-of-5 steps/sec for one pass over all six guests
+/// (after one warmup pass); every guest must exit 0 without an alert.
+fn table3_steps_per_sec(machines: &[Machine]) -> (u64, f64) {
+    let pass = || -> u64 {
+        machines
+            .iter()
+            .map(|m| {
+                let out = m.run();
+                assert_eq!(out.reason, ExitReason::Exited(0));
+                out.stats.instructions
+            })
+            .sum()
+    };
+    let steps = pass();
+    let mut best = f64::MIN;
+    for _ in 0..5 {
+        let start = Instant::now();
+        assert_eq!(pass(), steps, "guest runs are deterministic");
+        best = best.max(steps as f64 / start.elapsed().as_secs_f64());
+    }
+    (steps, best)
 }
 
 /// Quick-mode micro-assert: the chunked `write_bytes`/`set_taint_range`
@@ -119,24 +169,31 @@ fn bench_engines(c: &mut Criterion) {
     // Machine-readable summary for the roadmap's before/after record.
     let interp = steps_per_sec(&machine.clone().engine(Engine::Interp));
     let cached = steps_per_sec(&machine.clone().engine(Engine::Cached));
+    let (table3_steps, table3) = table3_steps_per_sec(&table3_machines());
     let json = format!(
         concat!(
             "{{\"bench\":\"engine\",\"guest_steps\":{},",
             "\"interp_steps_per_sec\":{:.0},\"cached_steps_per_sec\":{:.0},",
-            "\"speedup\":{:.3},\"quick\":{}}}\n"
+            "\"speedup\":{:.3},\"table3_scale\":{},\"table3_guest_steps\":{},",
+            "\"table3_steps_per_sec\":{:.0},\"quick\":{}}}\n"
         ),
         steps,
         interp,
         cached,
         cached / interp,
+        table3_scale(),
+        table3_steps,
+        table3,
         quick()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, &json).expect("writes BENCH_engine.json");
     println!(
         "engine: {steps} guest steps; interp {interp:.0} steps/s, \
-         cached {cached:.0} steps/s, speedup {:.2}x -> {path}",
-        cached / interp
+         cached {cached:.0} steps/s, speedup {:.2}x; Table 3 (scale {}) \
+         {table3_steps} guest steps, {table3:.0} steps/s -> {path}",
+        cached / interp,
+        table3_scale()
     );
 }
 

@@ -424,8 +424,10 @@ impl Cpu {
 
     /// Emits a [`Event::TaintPropagate`] when taint is actually in motion:
     /// the destination ends up tainted, or a tainted source got overwritten
-    /// clean (provenance needs the clearing too). No-op without an observer.
+    /// clean (provenance needs the clearing too). No-op without an observer:
+    /// that test is inlined into every step, the rest is out of line.
     #[allow(clippy::too_many_arguments)] // mirrors the Transfer field list
+    #[inline]
     fn emit_transfer(
         &self,
         pc: u32,
@@ -436,9 +438,23 @@ impl Cpu {
         dst_taint: WordTaint,
         src_taints: &[WordTaint],
     ) {
-        if self.observer.is_none() {
-            return;
+        if self.observer.is_some() {
+            self.emit_transfer_observed(pc, instr, rule, dst, srcs, dst_taint, src_taints);
         }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[cold]
+    fn emit_transfer_observed(
+        &self,
+        pc: u32,
+        instr: Instr,
+        rule: &'static str,
+        dst: Loc,
+        srcs: [Option<Loc>; 2],
+        dst_taint: WordTaint,
+        src_taints: &[WordTaint],
+    ) {
         if !dst_taint.any() && !src_taints.iter().any(|t| t.any()) {
             return;
         }
@@ -452,69 +468,67 @@ impl Cpu {
         }));
     }
 
-    /// Builds the load/store detector's alert (paper §4.3: OR the taint bits
-    /// of the address word; placed after EX/MEM).
+    /// The load/store detector (paper §4.3: OR the taint bits of the
+    /// address word; placed after EX/MEM). A clean base register — the
+    /// common case — costs one inlined test.
+    #[inline]
     fn check_data_pointer(&mut self, pc: u32, instr: Instr, base: Reg) -> Result<(), CpuException> {
-        let (value, taint) = self.regs.get(base);
-        if taint.any() {
-            self.stats.tainted_pointer_dereferences += 1;
+        if self.regs.taint(base).any() {
             let flagged = self.policy.checks_data_pointers();
-            self.emit_event(&Event::PointerCheck {
-                pc,
-                instr,
-                reg: base,
-                value,
-                taint_bits: taint.bits(),
-                flagged,
-            });
-            if flagged {
-                self.emit_alert_event(pc, instr, AlertKind::DataPointer, base, value, taint);
-                return Err(CpuException::Security(SecurityAlert {
-                    pc,
-                    instr,
-                    kind: AlertKind::DataPointer,
-                    pointer_reg: base,
-                    pointer: value,
-                    taint,
-                }));
-            }
+            return self.tainted_pointer(pc, instr, base, AlertKind::DataPointer, flagged);
         }
         Ok(())
     }
 
-    /// Builds the jump detector's alert (paper §4.3: OR the taint bits of the
-    /// target register; placed after ID/EX).
+    /// The jump detector (paper §4.3: OR the taint bits of the target
+    /// register; placed after ID/EX).
+    #[inline]
     fn check_jump_pointer(
         &mut self,
         pc: u32,
         instr: Instr,
         target: Reg,
     ) -> Result<(), CpuException> {
-        let (value, taint) = self.regs.get(target);
-        if taint.any() {
-            self.stats.tainted_pointer_dereferences += 1;
+        if self.regs.taint(target).any() {
             let flagged = self.policy.checks_jump_pointers();
-            self.emit_event(&Event::PointerCheck {
-                pc,
-                instr,
-                reg: target,
-                value,
-                taint_bits: taint.bits(),
-                flagged,
-            });
-            if flagged {
-                self.emit_alert_event(pc, instr, AlertKind::JumpPointer, target, value, taint);
-                return Err(CpuException::Security(SecurityAlert {
-                    pc,
-                    instr,
-                    kind: AlertKind::JumpPointer,
-                    pointer_reg: target,
-                    pointer: value,
-                    taint,
-                }));
-            }
+            return self.tainted_pointer(pc, instr, target, AlertKind::JumpPointer, flagged);
         }
         Ok(())
+    }
+
+    /// A tainted pointer reached a detector: counts it, reports the check,
+    /// and builds the alert when the policy `flagged` this detector.
+    #[cold]
+    fn tainted_pointer(
+        &mut self,
+        pc: u32,
+        instr: Instr,
+        reg: Reg,
+        kind: AlertKind,
+        flagged: bool,
+    ) -> Result<(), CpuException> {
+        let (value, taint) = self.regs.get(reg);
+        self.stats.tainted_pointer_dereferences += 1;
+        self.emit_event(&Event::PointerCheck {
+            pc,
+            instr,
+            reg,
+            value,
+            taint_bits: taint.bits(),
+            flagged,
+        });
+        if !flagged {
+            return Ok(());
+        }
+        self.emit_alert_event(pc, instr, kind, reg, value, taint);
+        Err(CpuException::Security(SecurityAlert {
+            pc,
+            instr,
+            kind,
+            pointer_reg: reg,
+            pointer: value,
+            taint,
+        }))
     }
 
     fn emit_alert_event(
@@ -678,7 +692,8 @@ impl Cpu {
     /// the decode cache; on a miss it falls back to the interpreter's
     /// fetch+decode (reproducing its exact faults), predecodes the
     /// straight-line block, and registers a code-page watch so later
-    /// stores into the page invalidate it.
+    /// stores into the page invalidate it. Either way the decode resolves
+    /// first and the execute stage runs from one call site, inlined here.
     ///
     /// # Errors
     ///
@@ -688,42 +703,60 @@ impl Cpu {
     /// * [`CpuException::Decode`] — the PC reached an undecodable word.
     pub fn step(&mut self) -> Result<StepEvent, CpuException> {
         let pc = self.pc;
-        if self.engine == Engine::Cached {
-            if self.mem.has_dirty_code_pages() {
-                self.invalidate_dirty_pages();
-            }
-            // Periodic integrity sweep: ProvenClean bitmaps (full, against
-            // the replica) plus one page's slot checksum per sweep. On a
-            // mismatch the cache degrades — proofs dropped, pages refilled
-            // from authoritative memory — and execution continues with
-            // every check in force.
-            if self.stats.instructions & (INTEGRITY_STRIDE - 1) == 0 && self.stats.instructions != 0
-            {
-                if let Some(reason) = self.dcache.verify_sweep() {
-                    self.degrade(&reason);
-                }
-            }
-            if let Some((d, proven)) = self.dcache.lookup(pc) {
-                if let Some(reason) = self.dcache.take_compromised() {
-                    // A proven-bit replica mismatch at lookup: degrade now
-                    // (dropping this page with the rest) and fall through
-                    // to the authoritative fetch+decode path.
-                    self.degrade(&reason);
-                } else {
-                    self.stats.decode_cache_hits += 1;
-                    if self.observer.is_some() {
-                        self.emit_event(&Event::DecodeCache {
-                            page: pc / PAGE_SIZE,
-                            kind: "hit",
-                        });
-                    }
-                    return self.exec(pc, d, proven);
-                }
+        let hit = if self.engine == Engine::Cached {
+            self.cached_decode(pc)
+        } else {
+            None
+        };
+        let (d, elide) = match hit {
+            Some(hit) => hit,
+            None => (self.fetch_decode(pc)?, false),
+        };
+        self.exec(pc, d, elide)
+    }
+
+    /// The cached engine's front end: drains pending code-page
+    /// invalidations, runs the periodic integrity sweep, then looks `pc` up
+    /// in the decode cache. `None` sends the step down the authoritative
+    /// path: a miss, or a hit whose proven-bit replica mismatched.
+    #[inline]
+    fn cached_decode(&mut self, pc: u32) -> Option<(DecodedInsn, bool)> {
+        if self.mem.has_dirty_code_pages() {
+            self.invalidate_dirty_pages();
+        }
+        // Periodic integrity sweep: ProvenClean bitmaps (full, against
+        // the replica) plus one page's slot checksum per sweep. On a
+        // mismatch the cache degrades — proofs dropped, pages refilled
+        // from authoritative memory — and execution continues with
+        // every check in force.
+        if self.stats.instructions & (INTEGRITY_STRIDE - 1) == 0 && self.stats.instructions != 0 {
+            if let Some(reason) = self.dcache.verify_sweep() {
+                self.degrade(&reason);
             }
         }
-        // Authoritative path: always for the interpreter, on a miss for the
-        // cached engine. Checks are never elided here — elision bits live in
-        // the decode cache, so the interpreter stays the unelided oracle.
+        let hit = self.dcache.lookup(pc)?;
+        if let Some(reason) = self.dcache.take_compromised() {
+            // A proven-bit replica mismatch at lookup: degrade now
+            // (dropping this page with the rest) and fall through to the
+            // authoritative fetch+decode path.
+            self.degrade(&reason);
+            return None;
+        }
+        self.stats.decode_cache_hits += 1;
+        if self.observer.is_some() {
+            self.emit_event(&Event::DecodeCache {
+                page: pc / PAGE_SIZE,
+                kind: "hit",
+            });
+        }
+        Some(hit)
+    }
+
+    /// The authoritative fetch+decode path: every step of the interpreter,
+    /// a miss of the cached engine (which then fills the block and watches
+    /// its page). Checks are never elided here — elision bits live in the
+    /// decode cache, so the interpreter stays the unelided oracle.
+    fn fetch_decode(&mut self, pc: u32) -> Result<DecodedInsn, CpuException> {
         let word = self.mem.fetch_u32(pc)?;
         let d = DecodedInsn::predecode(pc, word).map_err(|err| CpuException::Decode { pc, err })?;
         if self.engine == Engine::Cached {
@@ -735,7 +768,7 @@ impl Cpu {
             self.dcache.fill_block(pc, self.mem.memory());
             self.mem.watch_code_page(pc / PAGE_SIZE);
         }
-        self.exec(pc, d, false)
+        Ok(d)
     }
 
     /// Invalidates every decode-cache page the memory system reports as
@@ -758,6 +791,7 @@ impl Cpu {
     /// skipped; taint *propagation* always runs in full — elision only
     /// removes the detector probe, never the Table 1 dataflow.
     #[allow(clippy::too_many_lines)]
+    #[inline(always)]
     fn exec(&mut self, pc: u32, d: DecodedInsn, elide: bool) -> Result<StepEvent, CpuException> {
         let instr = d.instr;
         let mut next_pc = pc.wrapping_add(4);

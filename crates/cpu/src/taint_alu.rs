@@ -24,6 +24,7 @@ use crate::TaintRules;
 
 /// Generic two-source propagation: bytewise OR (Table 1, row 1).
 #[must_use]
+#[inline]
 pub fn generic(a: WordTaint, b: WordTaint) -> WordTaint {
     a | b
 }
@@ -41,6 +42,7 @@ pub fn generic(a: WordTaint, b: WordTaint) -> WordTaint {
 ///   untainting is applied separately, see [`compare_operand_taint`]);
 /// * everything else is the generic bytewise OR.
 #[must_use]
+#[inline]
 pub fn ralu_result(
     op: RAluOp,
     a_val: u32,
@@ -62,6 +64,7 @@ pub fn ralu_result(
 
 /// [`ralu_result`] under an explicit (possibly ablated) rule set.
 #[must_use]
+#[inline]
 pub fn ralu_result_with(
     rules: TaintRules,
     op: RAluOp,
@@ -82,6 +85,7 @@ pub fn ralu_result_with(
 /// Result taint of an AND: start from the generic OR, then untaint each byte
 /// AND-ed with an untainted zero (Table 1, row 3).
 #[must_use]
+#[inline]
 pub fn and_result(a_val: u32, a_taint: WordTaint, b_val: u32, b_taint: WordTaint) -> WordTaint {
     let mut taint = generic(a_taint, b_taint);
     let (a, b) = (a_val.to_le_bytes(), b_val.to_le_bytes());
@@ -100,12 +104,14 @@ pub fn and_result(a_val: u32, a_taint: WordTaint, b_val: u32, b_taint: WordTaint
 /// untainted-zero rule against the extended immediate (its zero-extension
 /// bytes are constant zeroes, so result bytes 2 and 3 are always untainted).
 #[must_use]
+#[inline]
 pub fn ialu_result(op: IAluOp, src_val: u32, src_taint: WordTaint, imm_ext: u32) -> WordTaint {
     ialu_result_with(TaintRules::PAPER, op, src_val, src_taint, imm_ext)
 }
 
 /// [`ialu_result`] under an explicit (possibly ablated) rule set.
 #[must_use]
+#[inline]
 pub fn ialu_result_with(
     rules: TaintRules,
     op: IAluOp,
@@ -126,12 +132,14 @@ pub fn ialu_result_with(
 /// byte along the shift direction. For register-variable shifts the amount
 /// register's taint is OR-ed in first (the result depends on it).
 #[must_use]
+#[inline]
 pub fn shift_result(op: ShiftOp, operand_taint: WordTaint, amount_taint: WordTaint) -> WordTaint {
     shift_result_with(TaintRules::PAPER, op, operand_taint, amount_taint)
 }
 
 /// [`shift_result`] under an explicit (possibly ablated) rule set.
 #[must_use]
+#[inline]
 pub fn shift_result_with(
     rules: TaintRules,
     op: ShiftOp,
@@ -153,6 +161,7 @@ pub fn shift_result_with(
 /// Compare instructions model input-validation code, so validated data is
 /// trusted afterwards.
 #[must_use]
+#[inline]
 pub fn compare_operand_taint() -> WordTaint {
     WordTaint::CLEAN
 }
@@ -160,6 +169,7 @@ pub fn compare_operand_taint() -> WordTaint {
 /// Name of the Table 1 rule [`ralu_result_with`] applies for this operation,
 /// for labeling trace events. Mirrors that function's dispatch exactly.
 #[must_use]
+#[inline]
 pub fn ralu_rule(rules: TaintRules, op: RAluOp, same_source_reg: bool) -> &'static str {
     match op {
         RAluOp::Xor if same_source_reg && rules.xor_idiom_untaints => "xor-idiom",
@@ -171,6 +181,7 @@ pub fn ralu_rule(rules: TaintRules, op: RAluOp, same_source_reg: bool) -> &'stat
 
 /// Name of the rule [`ialu_result_with`] applies, for labeling trace events.
 #[must_use]
+#[inline]
 pub fn ialu_rule(rules: TaintRules, op: IAluOp) -> &'static str {
     match op {
         IAluOp::Andi if rules.and_untaints => "and-mask",
@@ -181,6 +192,7 @@ pub fn ialu_rule(rules: TaintRules, op: IAluOp) -> &'static str {
 
 /// Name of the rule [`shift_result_with`] applies, for labeling trace events.
 #[must_use]
+#[inline]
 pub fn shift_rule(rules: TaintRules, op: ShiftOp) -> &'static str {
     if !rules.shift_smear {
         "generic"
@@ -198,6 +210,7 @@ pub fn shift_rule(rules: TaintRules, op: ShiftOp) -> &'static str {
 ///   the taint of the byte they were derived from, while **zero-extension**
 ///   bytes are untainted constants.
 #[must_use]
+#[inline]
 pub fn load_result(width: ptaint_isa::MemWidth, signed: bool, mem_taint: WordTaint) -> WordTaint {
     use ptaint_isa::MemWidth;
     match width {

@@ -1,11 +1,16 @@
 //! Sparse paged memory with a shadow taintedness bit per byte.
 //!
+//! Pages live in a two-level radix table indexed by address bits: 1024
+//! top-level entries (one per 4 MiB of address space), each an optional
+//! leaf of 1024 page slots allocated on first touch. A lookup is two
+//! indexed loads with no hashing, and iteration visits pages in address
+//! order.
+//!
 //! Pages are reference-counted ([`Arc`]) so a whole address space can be
-//! forked in O(pages) pointer copies: [`TaintedMemory::fork`] shares every
-//! page between parent and child, and the first write to a shared page
-//! copies it (copy-on-write). Read paths never unshare.
+//! forked by copying the table: [`TaintedMemory::fork`] shares every page
+//! between parent and child, and the first write to a shared page copies
+//! it (copy-on-write). Read paths never unshare.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,6 +20,11 @@ use crate::WordTaint;
 
 const PAGE_BYTES: usize = PAGE_SIZE as usize;
 const TAINT_WORDS: usize = PAGE_BYTES / 64;
+const PAGE_BITS: u32 = PAGE_SIZE.trailing_zeros();
+/// Address bits consumed by a leaf: one leaf maps 1024 pages (4 MiB).
+const LEAF_BITS: u32 = 10;
+const LEAF_SLOTS: usize = 1 << LEAF_BITS;
+const TOP_SLOTS: usize = 1 << (32 - PAGE_BITS - LEAF_BITS);
 
 /// A memory access fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +93,63 @@ impl Page {
     }
 }
 
+type Leaf = [Option<Arc<Page>>; LEAF_SLOTS];
+
+/// The two-level page table: `top[addr >> 22]` is the leaf for a 4 MiB
+/// region and `leaf[(addr >> 12) & 1023]` the page. Both indices are
+/// bounded by construction, so lookups compile to two indexed loads.
+/// Cloning copies the top level and every touched leaf; the pages
+/// themselves are shared by reference count.
+#[derive(Clone)]
+struct PageTable {
+    top: Box<[Option<Box<Leaf>>; TOP_SLOTS]>,
+    len: usize,
+}
+
+impl PageTable {
+    fn new() -> PageTable {
+        PageTable {
+            top: Box::new([const { None }; TOP_SLOTS]),
+            len: 0,
+        }
+    }
+
+    fn indices(addr: u32) -> (usize, usize) {
+        let page = (addr >> PAGE_BITS) as usize;
+        (page >> LEAF_BITS, page & (LEAF_SLOTS - 1))
+    }
+
+    #[inline]
+    fn get(&self, addr: u32) -> Option<&Page> {
+        let (hi, lo) = PageTable::indices(addr);
+        self.top[hi].as_ref()?[lo].as_deref()
+    }
+
+    /// The slot for `addr`'s page, materializing a zeroed page (and its
+    /// leaf) on first touch.
+    #[inline]
+    fn get_or_insert(&mut self, addr: u32) -> &mut Arc<Page> {
+        let (hi, lo) = PageTable::indices(addr);
+        let leaf = self.top[hi].get_or_insert_with(|| Box::new([const { None }; LEAF_SLOTS]));
+        let slot = &mut leaf[lo];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(|| Arc::new(Page::new()))
+    }
+
+    /// Every materialized page with its page number, in address order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Arc<Page>)> {
+        self.top.iter().enumerate().flat_map(|(hi, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter().enumerate().filter_map(move |(lo, page)| {
+                    Some((((hi << LEAF_BITS) | lo) as u32, page.as_ref()?))
+                })
+            })
+        })
+    }
+}
+
 /// A sparse, little-endian, byte-addressable memory in which **every byte has
 /// a taintedness bit**, implementing the extended memory model of paper §4.1.
 ///
@@ -100,20 +167,25 @@ impl Page {
 /// assert!(t.byte(1) && !t.byte(0));
 /// # Ok::<(), ptaint_mem::MemFault>(())
 /// ```
-#[derive(Default)]
 pub struct TaintedMemory {
-    pages: HashMap<u32, Arc<Page>>,
+    pages: PageTable,
     null_guard: bool,
-    tainted_writes: u64,
     cow_faults: u64,
+}
+
+impl Default for TaintedMemory {
+    /// An empty memory *without* the null-page guard, like
+    /// [`TaintedMemory::without_null_guard`].
+    fn default() -> TaintedMemory {
+        TaintedMemory::without_null_guard()
+    }
 }
 
 impl fmt::Debug for TaintedMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaintedMemory")
-            .field("pages", &self.pages.len())
+            .field("pages", &self.pages.len)
             .field("null_guard", &self.null_guard)
-            .field("tainted_writes", &self.tainted_writes)
             .field("cow_faults", &self.cow_faults)
             .finish()
     }
@@ -124,9 +196,8 @@ impl TaintedMemory {
     #[must_use]
     pub fn new() -> TaintedMemory {
         TaintedMemory {
-            pages: HashMap::new(),
+            pages: PageTable::new(),
             null_guard: true,
-            tainted_writes: 0,
             cow_faults: 0,
         }
     }
@@ -136,28 +207,24 @@ impl TaintedMemory {
     #[must_use]
     pub fn without_null_guard() -> TaintedMemory {
         TaintedMemory {
-            pages: HashMap::new(),
+            pages: PageTable::new(),
             null_guard: false,
-            tainted_writes: 0,
             cow_faults: 0,
         }
     }
 
     /// A copy-on-write fork of this memory: the child shares every page
     /// (data *and* shadow taint) with the parent by reference count, so the
-    /// fork costs O(pages) pointer copies instead of O(bytes). The first
-    /// write either side makes to a shared page unshares just that page (a
-    /// "COW fault", counted per instance by
-    /// [`TaintedMemory::cow_fault_count`]). The cumulative
-    /// [`TaintedMemory::tainted_write_count`] is inherited so a forked run
-    /// reports the same traffic statistics as a fresh one; the child's COW
-    /// fault counter starts at zero.
+    /// fork copies the page table (its top level and touched leaves) instead
+    /// of any page bytes. The first write either side makes to a shared
+    /// page unshares just that page (a "COW fault", counted per instance by
+    /// [`TaintedMemory::cow_fault_count`]); the child's COW fault counter
+    /// starts at zero.
     #[must_use]
     pub fn fork(&self) -> TaintedMemory {
         TaintedMemory {
             pages: self.pages.clone(),
             null_guard: self.null_guard,
-            tainted_writes: self.tainted_writes,
             cow_faults: 0,
         }
     }
@@ -167,8 +234,8 @@ impl TaintedMemory {
     #[must_use]
     pub fn pages_shared(&self) -> usize {
         self.pages
-            .values()
-            .filter(|p| Arc::strong_count(p) > 1)
+            .iter()
+            .filter(|(_, p)| Arc::strong_count(p) > 1)
             .count()
     }
 
@@ -195,11 +262,9 @@ impl TaintedMemory {
         Ok(())
     }
 
+    #[inline]
     fn page(&mut self, addr: u32) -> &mut Page {
-        let arc = self
-            .pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| Arc::new(Page::new()));
+        let arc = self.pages.get_or_insert(addr);
         if Arc::strong_count(arc) > 1 {
             self.cow_faults += 1;
         }
@@ -214,7 +279,7 @@ impl TaintedMemory {
     pub fn read_u8(&self, addr: u32) -> Result<(u8, bool), MemFault> {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
-        Ok(match self.pages.get(&(addr / PAGE_SIZE)) {
+        Ok(match self.pages.get(addr) {
             Some(p) => (p.data[off], p.taint_bit(off)),
             None => (0, false),
         })
@@ -227,9 +292,6 @@ impl TaintedMemory {
     /// Faults on a null-page access.
     pub fn write_u8(&mut self, addr: u32, value: u8, tainted: bool) -> Result<(), MemFault> {
         self.check(addr, 1)?;
-        if tainted {
-            self.tainted_writes += 1;
-        }
         let off = (addr % PAGE_SIZE) as usize;
         let page = self.page(addr);
         page.data[off] = value;
@@ -276,7 +338,7 @@ impl TaintedMemory {
     pub fn read_u32(&self, addr: u32) -> Result<(u32, WordTaint), MemFault> {
         self.check(addr, 4)?;
         let off = (addr % PAGE_SIZE) as usize;
-        Ok(match self.pages.get(&(addr / PAGE_SIZE)) {
+        Ok(match self.pages.get(addr) {
             Some(p) => {
                 let bytes: [u8; 4] = p.data[off..off + 4].try_into().unwrap();
                 let bits = ((p.taint[off / 64] >> (off % 64)) & 0xF) as u8;
@@ -296,7 +358,6 @@ impl TaintedMemory {
     /// Faults when `addr` is not 4-aligned or inside the null page.
     pub fn write_u32(&mut self, addr: u32, value: u32, taint: WordTaint) -> Result<(), MemFault> {
         self.check(addr, 4)?;
-        self.tainted_writes += u64::from(taint.bits().count_ones());
         let off = (addr % PAGE_SIZE) as usize;
         let page = self.page(addr);
         page.data[off..off + 4].copy_from_slice(&value.to_le_bytes());
@@ -326,9 +387,6 @@ impl TaintedMemory {
             self.check(a, 1)?;
             let off = (a % PAGE_SIZE) as usize;
             let run = (data.len() - i).min(PAGE_BYTES - off);
-            if tainted {
-                self.tainted_writes += run as u64;
-            }
             let page = self.page(a);
             page.data[off..off + run].copy_from_slice(&data[i..i + run]);
             for o in off..off + run {
@@ -406,22 +464,13 @@ impl TaintedMemory {
     /// Maximal contiguous runs of tainted bytes, as `(base, len)` pairs in
     /// ascending address order.
     ///
-    /// The scan visits materialized pages in sorted order (the underlying
-    /// map is unordered), so the result is deterministic for a given memory
-    /// state — the fault-injection harness relies on that to pick corruption
-    /// targets reproducibly from a seed.
+    /// The page table iterates in address order, so the result is
+    /// deterministic for a given memory state — the fault-injection harness
+    /// relies on that to pick corruption targets reproducibly from a seed.
     #[must_use]
     pub fn tainted_ranges(&self) -> Vec<(u32, u32)> {
-        let mut pages: Vec<u32> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.tainted_bytes() > 0)
-            .map(|(&i, _)| i)
-            .collect();
-        pages.sort_unstable();
         let mut ranges: Vec<(u32, u32)> = Vec::new();
-        for pi in pages {
-            let page = &self.pages[&pi];
+        for (pi, page) in self.pages.iter() {
             let base = pi * PAGE_SIZE;
             for (wi, &word) in page.taint.iter().enumerate() {
                 if word == 0 {
@@ -445,23 +494,14 @@ impl TaintedMemory {
     /// Number of pages currently materialized.
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.pages.len
     }
 
     /// Total number of tainted bytes across all pages — the quantity behind
     /// the paper's space-overhead discussion (§5.4).
     #[must_use]
     pub fn tainted_byte_count(&self) -> u64 {
-        self.pages.values().map(|p| p.tainted_bytes()).sum()
-    }
-
-    /// Cumulative count of byte writes that carried taint, over the whole
-    /// run. Unlike [`TaintedMemory::tainted_byte_count`] this never
-    /// decreases when bytes are overwritten clean, so it measures taint
-    /// *traffic* rather than taint *residency*.
-    #[must_use]
-    pub fn tainted_write_count(&self) -> u64 {
-        self.tainted_writes
+        self.pages.iter().map(|(_, p)| p.tainted_bytes()).sum()
     }
 }
 
@@ -534,15 +574,6 @@ mod tests {
                 assert_eq!(bt, taint.byte(b as usize), "byte {b} of {addr:#x}");
             }
         }
-        // Word writes count taint traffic per tainted byte, like byte writes.
-        let mut a = TaintedMemory::new();
-        a.write_u32(0x3000, 0, WordTaint::from_bits(0b1011))
-            .unwrap();
-        let mut b = TaintedMemory::new();
-        for i in 0..4u32 {
-            b.write_u8(0x3000 + i, 0, 0b1011 & (1 << i) != 0).unwrap();
-        }
-        assert_eq!(a.tainted_write_count(), b.tainted_write_count());
     }
 
     #[test]
@@ -646,7 +677,6 @@ mod tests {
         assert_eq!(parent.pages_shared(), 2);
         assert_eq!(child.pages_shared(), 2);
         assert_eq!(child.read_bytes(0x2000, 4).unwrap(), b"seed");
-        assert_eq!(child.tainted_write_count(), parent.tainted_write_count());
         assert_eq!(child.cow_fault_count(), 0);
 
         // Reads never unshare.

@@ -63,6 +63,12 @@ pub struct MemorySystem {
     /// Pages registered by a decode cache: a store into one of these moves
     /// it to `dirty_code_pages` (self-modifying-code coherence).
     code_watches: HashSet<u32>,
+    /// Lowest and highest page ever watched (`lo > hi` until the first
+    /// watch). Stores outside this range skip the `code_watches` probe. The
+    /// bounds never shrink, so the filter only ever lets extra stores
+    /// through to the set, never fewer.
+    watched_lo: u32,
+    watched_hi: u32,
     dirty_code_pages: Vec<u32>,
 }
 
@@ -94,6 +100,8 @@ impl MemorySystem {
             l2: cfg.l2.map(Cache::new),
             observer: None,
             code_watches: HashSet::new(),
+            watched_lo: u32::MAX,
+            watched_hi: 0,
             dirty_code_pages: Vec::new(),
         }
     }
@@ -126,6 +134,8 @@ impl MemorySystem {
             l2: self.l2.clone(),
             observer: None,
             code_watches: self.code_watches.clone(),
+            watched_lo: self.watched_lo,
+            watched_hi: self.watched_hi,
             dirty_code_pages: self.dirty_code_pages.clone(),
         }
     }
@@ -176,6 +186,8 @@ impl MemorySystem {
     /// The decode cache re-registers when it re-predecodes the page.
     pub fn watch_code_page(&mut self, page: u32) {
         self.code_watches.insert(page);
+        self.watched_lo = self.watched_lo.min(page);
+        self.watched_hi = self.watched_hi.max(page);
     }
 
     /// Watches every page overlapping the byte range `[base, base + len)`.
@@ -191,7 +203,7 @@ impl MemorySystem {
         let first = base / PAGE_SIZE;
         let last = base.saturating_add(len - 1) / PAGE_SIZE;
         for page in first..=last {
-            self.code_watches.insert(page);
+            self.watch_code_page(page);
         }
     }
 
@@ -209,14 +221,15 @@ impl MemorySystem {
     }
 
     /// Write-path hook: if `addr` falls in a watched code page, mark the
-    /// page dirty. The common case (nothing watched, or the page already
-    /// reported) is a `HashSet` emptiness check.
+    /// page dirty. Data, heap and stack stores land outside the watched
+    /// page range and cost two compares; only stores into that range probe
+    /// the `HashSet`.
     #[inline]
     fn note_code_write(&mut self, addr: u32) {
-        if self.code_watches.is_empty() {
+        let page = addr / PAGE_SIZE;
+        if page < self.watched_lo || page > self.watched_hi {
             return;
         }
-        let page = addr / PAGE_SIZE;
         if self.code_watches.remove(&page) {
             self.dirty_code_pages.push(page);
         }
@@ -687,6 +700,35 @@ mod tests {
         cached.watch_code_page(page);
         cached.write_u16(0x0040_0002, 9, WordTaint::CLEAN).unwrap();
         assert_eq!(cached.take_dirty_code_pages(), vec![page]);
+    }
+
+    #[test]
+    fn watch_filter_widens_below_and_above_earlier_watches() {
+        let mut sys = MemorySystem::flat();
+        let text = 0x0040_0000 / PAGE_SIZE;
+        sys.watch_code_page(text + 8);
+        // A later watch *below* the first widens the range downwards, one
+        // *above* it widens it upwards; stores into either still report.
+        sys.watch_code_page(text);
+        sys.write_u32(0x0040_0000, 1, WordTaint::CLEAN).unwrap();
+        assert_eq!(sys.take_dirty_code_pages(), vec![text]);
+        sys.watch_code_page(text + 20);
+        sys.write_u8((text + 20) * PAGE_SIZE + 5, 1, false).unwrap();
+        assert_eq!(sys.take_dirty_code_pages(), vec![text + 20]);
+        // An unwatched page inside the range and stores outside it report
+        // nothing; the remaining watch still fires.
+        sys.write_u8((text + 9) * PAGE_SIZE, 1, false).unwrap();
+        sys.write_u32(0x1000_0000, 1, WordTaint::CLEAN).unwrap();
+        sys.write_bytes(0x0030_0000, &[1, 2], false).unwrap();
+        assert!(!sys.has_dirty_code_pages());
+        sys.write_u16((text + 8) * PAGE_SIZE, 1, WordTaint::CLEAN)
+            .unwrap();
+        assert_eq!(sys.take_dirty_code_pages(), vec![text + 8]);
+        // The range carries over into a fork.
+        sys.watch_code_page(text + 30);
+        let mut child = sys.fork();
+        child.write_u8((text + 30) * PAGE_SIZE, 1, false).unwrap();
+        assert_eq!(child.take_dirty_code_pages(), vec![text + 30]);
     }
 
     #[test]

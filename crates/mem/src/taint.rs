@@ -31,12 +31,14 @@ impl WordTaint {
 
     /// Builds from the low four bits of `bits` (bit *i* = byte *i*).
     #[must_use]
+    #[inline]
     pub const fn from_bits(bits: u8) -> WordTaint {
         WordTaint(bits & 0b1111)
     }
 
     /// Uniform taint: every byte tainted when `tainted` is true.
     #[must_use]
+    #[inline]
     pub const fn splat(tainted: bool) -> WordTaint {
         if tainted {
             WordTaint::ALL
@@ -47,6 +49,7 @@ impl WordTaint {
 
     /// The raw four-bit mask.
     #[must_use]
+    #[inline]
     pub const fn bits(self) -> u8 {
         self.0
     }
@@ -57,6 +60,7 @@ impl WordTaint {
     ///
     /// Panics if `i >= 4`.
     #[must_use]
+    #[inline]
     pub const fn byte(self, i: usize) -> bool {
         assert!(i < 4, "word byte index out of range");
         self.0 & (1 << i) != 0
@@ -68,6 +72,7 @@ impl WordTaint {
     ///
     /// Panics if `i >= 4`.
     #[must_use]
+    #[inline]
     pub const fn with_byte(self, i: usize, tainted: bool) -> WordTaint {
         assert!(i < 4, "word byte index out of range");
         if tainted {
@@ -82,12 +87,14 @@ impl WordTaint {
     /// This is exactly the check the paper performs on an address word before
     /// a load/store and on the target register of `jr`/`jalr`.
     #[must_use]
+    #[inline]
     pub const fn any(self) -> bool {
         self.0 != 0
     }
 
     /// Number of tainted bytes in the word.
     #[must_use]
+    #[inline]
     pub const fn count(self) -> u32 {
         self.0.count_ones()
     }
@@ -95,6 +102,7 @@ impl WordTaint {
     /// Taint of the low halfword (bytes 0..2) splatted into a fresh word
     /// taint, used by halfword loads.
     #[must_use]
+    #[inline]
     pub const fn low_half(self) -> WordTaint {
         WordTaint(self.0 & 0b0011)
     }
@@ -102,6 +110,7 @@ impl WordTaint {
     /// Shift-left smear (Table 1): a tainted byte also taints its
     /// more-significant neighbour.
     #[must_use]
+    #[inline]
     pub const fn smear_left(self) -> WordTaint {
         WordTaint((self.0 | (self.0 << 1)) & 0b1111)
     }
@@ -109,6 +118,7 @@ impl WordTaint {
     /// Shift-right smear (Table 1): a tainted byte also taints its
     /// less-significant neighbour.
     #[must_use]
+    #[inline]
     pub const fn smear_right(self) -> WordTaint {
         WordTaint(self.0 | (self.0 >> 1))
     }
@@ -121,6 +131,7 @@ impl WordTaint {
     ///
     /// Panics if `i >= 4`.
     #[must_use]
+    #[inline]
     pub const fn toggle_byte(self, i: usize) -> WordTaint {
         assert!(i < 4, "word byte index out of range");
         WordTaint(self.0 ^ (1 << i))
@@ -130,6 +141,7 @@ impl WordTaint {
     /// Forensic output uses this to name the first attacker-controlled byte
     /// of a flagged pointer.
     #[must_use]
+    #[inline]
     pub const fn first_tainted_byte(self) -> Option<usize> {
         if self.0 == 0 {
             None
@@ -148,12 +160,14 @@ impl BitOr for WordTaint {
     type Output = WordTaint;
 
     /// Bytewise OR — the generic ALU propagation rule of Table 1.
+    #[inline]
     fn bitor(self, rhs: WordTaint) -> WordTaint {
         WordTaint(self.0 | rhs.0)
     }
 }
 
 impl BitOrAssign for WordTaint {
+    #[inline]
     fn bitor_assign(&mut self, rhs: WordTaint) {
         self.0 |= rhs.0;
     }
@@ -162,6 +176,7 @@ impl BitOrAssign for WordTaint {
 impl BitAnd for WordTaint {
     type Output = WordTaint;
 
+    #[inline]
     fn bitand(self, rhs: WordTaint) -> WordTaint {
         WordTaint(self.0 & rhs.0)
     }
