@@ -1,11 +1,19 @@
 //! The two-pass assembler.
+//!
+//! Pass 1 scans each line once, left to right, and borrows every token from
+//! the source. It binds labels, writes `.byte`/`.half`/`.ascii`/`.asciiz`
+//! bytes straight into the data segment, and resolves each mnemonic to an
+//! `Op` so it knows how many words the statement takes. The statements
+//! that may name a later label (instructions and `.word` expressions) are
+//! kept, in source order, for pass 2, which encodes them directly into the
+//! image. Errors therefore come pass 1 first, then pass 2 in source order.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use ptaint_isa::{
     BranchCond, BranchZCond, IAluOp, Instr, MemWidth, MulDivOp, RAluOp, Reg, ShiftOp, DATA_BASE,
-    TEXT_BASE,
+    STACK_TOP, TEXT_BASE,
 };
 
 use crate::Image;
@@ -42,108 +50,254 @@ enum Section {
     Data,
 }
 
-/// A parsed statement awaiting encoding in pass 2.
+/// A mnemonic, resolved once in pass 1.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    RAlu(RAluOp),
+    IAlu(IAluOp),
+    Shift(ShiftOp),
+    ShiftV(ShiftOp),
+    Load(MemWidth, bool),
+    Store(MemWidth),
+    MulDiv(MulDivOp),
+    MoveFromHi,
+    MoveFromLo,
+    MoveToHi,
+    MoveToLo,
+    Lui,
+    Branch(BranchCond),
+    BranchZ(BranchZCond),
+    Jump {
+        link: bool,
+    },
+    JumpReg,
+    JumpAndLinkReg,
+    Syscall,
+    Break,
+    Nop,
+    // ---- pseudo-instructions ----
+    Move,
+    Not,
+    Neg,
+    Li,
+    La,
+    B,
+    /// `beqz` / `bnez`.
+    BranchZero(BranchCond),
+    /// `blt`/`bge`/`bgt`/`ble` and their `u` forms: `slt[u] $at` then a
+    /// branch on `$at`; `swap` compares `rt, rs` instead of `rs, rt`.
+    CompareBranch {
+        unsigned: bool,
+        swap: bool,
+        cond: BranchCond,
+    },
+    /// Reported in pass 2, so a later pass-1 error still wins.
+    Unknown,
+}
+
+impl Op {
+    /// Resolves a mnemonic case-insensitively; it is lowercased only when it
+    /// has an uppercase letter.
+    fn resolve(mnemonic: &str) -> Op {
+        let mut lower = [0u8; 8];
+        let mut m = mnemonic.as_bytes();
+        if m.iter().any(u8::is_ascii_uppercase) {
+            let Some(buf) = lower.get_mut(..m.len()) else {
+                return Op::Unknown;
+            };
+            buf.copy_from_slice(m);
+            buf.make_ascii_lowercase();
+            m = buf;
+        }
+        let cmp = |unsigned, swap, cond| Op::CompareBranch {
+            unsigned,
+            swap,
+            cond,
+        };
+        match m {
+            b"add" => Op::RAlu(RAluOp::Add),
+            b"addu" => Op::RAlu(RAluOp::Addu),
+            b"sub" => Op::RAlu(RAluOp::Sub),
+            b"subu" => Op::RAlu(RAluOp::Subu),
+            b"and" => Op::RAlu(RAluOp::And),
+            b"or" => Op::RAlu(RAluOp::Or),
+            b"xor" => Op::RAlu(RAluOp::Xor),
+            b"nor" => Op::RAlu(RAluOp::Nor),
+            b"slt" => Op::RAlu(RAluOp::Slt),
+            b"sltu" => Op::RAlu(RAluOp::Sltu),
+            b"addi" => Op::IAlu(IAluOp::Addi),
+            b"addiu" => Op::IAlu(IAluOp::Addiu),
+            b"slti" => Op::IAlu(IAluOp::Slti),
+            b"sltiu" => Op::IAlu(IAluOp::Sltiu),
+            b"andi" => Op::IAlu(IAluOp::Andi),
+            b"ori" => Op::IAlu(IAluOp::Ori),
+            b"xori" => Op::IAlu(IAluOp::Xori),
+            b"sll" => Op::Shift(ShiftOp::Sll),
+            b"srl" => Op::Shift(ShiftOp::Srl),
+            b"sra" => Op::Shift(ShiftOp::Sra),
+            b"sllv" => Op::ShiftV(ShiftOp::Sll),
+            b"srlv" => Op::ShiftV(ShiftOp::Srl),
+            b"srav" => Op::ShiftV(ShiftOp::Sra),
+            b"lb" => Op::Load(MemWidth::Byte, true),
+            b"lbu" => Op::Load(MemWidth::Byte, false),
+            b"lh" => Op::Load(MemWidth::Half, true),
+            b"lhu" => Op::Load(MemWidth::Half, false),
+            b"lw" => Op::Load(MemWidth::Word, true),
+            b"sb" => Op::Store(MemWidth::Byte),
+            b"sh" => Op::Store(MemWidth::Half),
+            b"sw" => Op::Store(MemWidth::Word),
+            b"mult" => Op::MulDiv(MulDivOp::Mult),
+            b"multu" => Op::MulDiv(MulDivOp::Multu),
+            b"div" => Op::MulDiv(MulDivOp::Div),
+            b"divu" => Op::MulDiv(MulDivOp::Divu),
+            b"mfhi" => Op::MoveFromHi,
+            b"mflo" => Op::MoveFromLo,
+            b"mthi" => Op::MoveToHi,
+            b"mtlo" => Op::MoveToLo,
+            b"lui" => Op::Lui,
+            b"beq" => Op::Branch(BranchCond::Eq),
+            b"bne" => Op::Branch(BranchCond::Ne),
+            b"blez" => Op::BranchZ(BranchZCond::Lez),
+            b"bgtz" => Op::BranchZ(BranchZCond::Gtz),
+            b"bltz" => Op::BranchZ(BranchZCond::Ltz),
+            b"bgez" => Op::BranchZ(BranchZCond::Gez),
+            b"j" => Op::Jump { link: false },
+            b"jal" => Op::Jump { link: true },
+            b"jr" => Op::JumpReg,
+            b"jalr" => Op::JumpAndLinkReg,
+            b"syscall" => Op::Syscall,
+            b"break" => Op::Break,
+            b"nop" => Op::Nop,
+            b"move" => Op::Move,
+            b"not" => Op::Not,
+            b"neg" => Op::Neg,
+            b"li" => Op::Li,
+            b"la" => Op::La,
+            b"b" => Op::B,
+            b"beqz" => Op::BranchZero(BranchCond::Eq),
+            b"bnez" => Op::BranchZero(BranchCond::Ne),
+            // blt rs,rt: slt $at,rs,rt ; bne $at,$0
+            // bge rs,rt: slt $at,rs,rt ; beq $at,$0
+            // bgt rs,rt: slt $at,rt,rs ; bne $at,$0
+            // ble rs,rt: slt $at,rt,rs ; beq $at,$0
+            b"blt" => cmp(false, false, BranchCond::Ne),
+            b"bge" => cmp(false, false, BranchCond::Eq),
+            b"bgt" => cmp(false, true, BranchCond::Ne),
+            b"ble" => cmp(false, true, BranchCond::Eq),
+            b"bltu" => cmp(true, false, BranchCond::Ne),
+            b"bgeu" => cmp(true, false, BranchCond::Eq),
+            _ => Op::Unknown,
+        }
+    }
+}
+
+/// Up to three trimmed operand slices plus the true operand count.
+#[derive(Debug, Clone, Copy)]
+struct Operands<'a> {
+    slots: [&'a str; 3],
+    count: usize,
+}
+
+/// A slice of the source as `u32` byte offsets, half the size of a `&str`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+/// A statement kept for pass 2 because it may name a later label. The
+/// queue holds one per instruction and is the assembler's largest
+/// allocation, so it stores [`Span`]s rather than `&str`s: 48 bytes an
+/// entry instead of 88.
 #[derive(Debug)]
-enum Item {
-    /// An instruction (possibly a pseudo) at a text address.
+enum Deferred {
     Insn {
         addr: u32,
         line: u32,
-        mnemonic: String,
-        operands: Vec<String>,
+        op: Op,
+        mnemonic: Span,
+        ops: [Span; 3],
+        count: u32,
     },
-    /// Data bytes at a data address; `reloc` words get patched in pass 2.
-    Bytes { addr: u32, bytes: Vec<u8> },
-    /// A `.word expr` whose expression may reference labels.
-    WordExpr { addr: u32, line: u32, expr: String },
+    Word {
+        addr: u32,
+        line: u32,
+        expr: Span,
+    },
 }
+
+const _: () = assert!(std::mem::size_of::<Deferred>() <= 48);
+
+/// One or two machine instructions, the most any statement expands to.
+type Encoded = (Instr, Option<Instr>);
 
 /// Assembles a complete source file into an [`Image`].
 ///
 /// # Errors
 ///
 /// Returns an [`AsmError`] naming the offending line for syntax errors,
-/// unknown mnemonics or registers, undefined or duplicate labels, and
-/// out-of-range immediates or branch targets.
+/// unknown mnemonics or registers, undefined or duplicate labels,
+/// out-of-range immediates or branch targets, and segments that outgrow
+/// the address space.
 pub fn assemble(source: &str) -> Result<Image, AsmError> {
-    Assembler::new().run(source)
+    if u32::try_from(source.len()).is_err() {
+        return Err(AsmError::new(0, "source is larger than 4 GiB"));
+    }
+    let mut asm = Assembler::new(source);
+    // Lines end at `\n`, found by the line scan itself; a `\r` before it
+    // is trailing whitespace like any other.
+    let (mut start, mut line) = (0, 0);
+    while start < source.len() {
+        line += 1;
+        start = asm.parse_line(start, line)? + 1;
+    }
+    asm.bind_pending(asm.cursor());
+    asm.encode_deferred()
 }
 
-struct Assembler {
+struct Assembler<'a> {
+    source: &'a str,
     section: Section,
     text_cursor: u32,
     data_cursor: u32,
-    symbols: HashMap<String, u32>,
-    pending_labels: Vec<(String, u32)>, // (name, defining line)
-    items: Vec<Item>,
+    symbols: HashMap<&'a str, u32>,
+    pending_labels: Vec<&'a str>,
+    /// Data bytes laid out so far; `.space`, `.align` and `.word` only move
+    /// `data_cursor`, and the gap is zero-filled on the next write.
+    data: Vec<u8>,
+    /// Reused buffer for decoding `.ascii`/`.asciiz` literals.
+    literal: Vec<u8>,
+    deferred: Vec<Deferred>,
 }
 
-impl Assembler {
-    fn new() -> Assembler {
+impl<'a> Assembler<'a> {
+    fn new(source: &'a str) -> Assembler<'a> {
         Assembler {
+            source,
             section: Section::Text,
             text_cursor: TEXT_BASE,
             data_cursor: DATA_BASE,
             symbols: HashMap::new(),
             pending_labels: Vec::new(),
-            items: Vec::new(),
+            data: Vec::new(),
+            literal: Vec::new(),
+            deferred: Vec::new(),
         }
     }
 
-    fn run(mut self, source: &str) -> Result<Image, AsmError> {
-        // Pass 1: parse lines, lay out addresses, collect symbols.
-        for (idx, raw) in source.lines().enumerate() {
-            let line_no = (idx + 1) as u32;
-            self.parse_line(raw, line_no)?;
+    /// The span of `part`, a slice of the source.
+    fn span(&self, part: &str) -> Span {
+        let start = part.as_ptr().addr() - self.source.as_ptr().addr();
+        debug_assert!(start + part.len() <= self.source.len());
+        // `assemble` checked that the source fits in `u32`.
+        Span {
+            start: start as u32,
+            end: (start + part.len()) as u32,
         }
-        self.bind_pending(self.cursor());
+    }
 
-        // Pass 2: encode.
-        let mut image = Image::new();
-        image.symbols = self.symbols.clone();
-        image.entry = image
-            .symbol("_start")
-            .or_else(|| image.symbol("main"))
-            .unwrap_or(TEXT_BASE);
-        // Data image sized to the final cursor.
-        image.data = vec![0; (self.data_cursor - DATA_BASE) as usize];
-        let mut text: Vec<(u32, u32, u32)> = Vec::new(); // (addr, word, line)
-
-        for item in &self.items {
-            match item {
-                Item::Bytes { addr, bytes } => {
-                    let off = (*addr - DATA_BASE) as usize;
-                    image.data[off..off + bytes.len()].copy_from_slice(bytes);
-                }
-                Item::WordExpr { addr, line, expr } => {
-                    let v = self.eval(expr, *line)?;
-                    let off = (*addr - DATA_BASE) as usize;
-                    image.data[off..off + 4].copy_from_slice(&to_u32(v, *line)?.to_le_bytes());
-                }
-                Item::Insn {
-                    addr,
-                    line,
-                    mnemonic,
-                    operands,
-                } => {
-                    let encoded = self.encode(*addr, *line, mnemonic, operands)?;
-                    for (i, insn) in encoded.iter().enumerate() {
-                        text.push((*addr + 4 * i as u32, insn.encode(), *line));
-                    }
-                }
-            }
-        }
-
-        text.sort_by_key(|&(addr, _, _)| addr);
-        let text_len = self.text_cursor - TEXT_BASE;
-        image.text = vec![0; (text_len / 4) as usize];
-        image.lines = vec![0; (text_len / 4) as usize];
-        for (addr, word, line) in text {
-            let i = ((addr - TEXT_BASE) / 4) as usize;
-            image.text[i] = word;
-            image.lines[i] = line;
-        }
-        Ok(image)
+    fn text(&self, span: Span) -> &'a str {
+        &self.source[span.start as usize..span.end as usize]
     }
 
     fn cursor(&self) -> u32 {
@@ -154,74 +308,123 @@ impl Assembler {
     }
 
     fn bind_pending(&mut self, addr: u32) {
-        for (name, _) in self.pending_labels.drain(..) {
+        for name in self.pending_labels.drain(..) {
             self.symbols.insert(name, addr);
         }
     }
 
+    fn define_label(&mut self, name: &'a str, line: u32) -> Result<(), AsmError> {
+        if !is_ident(name) {
+            return Err(AsmError::new(line, format!("invalid label name `{name}`")));
+        }
+        if self.symbols.contains_key(name) || self.pending_labels.contains(&name) {
+            return Err(AsmError::new(line, format!("duplicate label `{name}`")));
+        }
+        self.pending_labels.push(name);
+        Ok(())
+    }
+
     fn align_data(&mut self, align: u32) {
+        // `data_cursor <= STACK_TOP`, which is page aligned, so this cannot
+        // pass it.
         let rem = self.data_cursor % align;
         if rem != 0 {
             self.data_cursor += align - rem;
         }
     }
 
-    fn parse_line(&mut self, raw: &str, line: u32) -> Result<(), AsmError> {
-        let stripped = strip_comment(raw);
-        let mut rest = stripped.trim();
+    /// Reserves `len` data bytes and returns their address.
+    fn advance_data(&mut self, len: u32, line: u32) -> Result<u32, AsmError> {
+        let addr = self.data_cursor;
+        self.data_cursor = addr
+            .checked_add(len)
+            .filter(|&end| end <= STACK_TOP)
+            .ok_or_else(|| {
+                AsmError::new(
+                    line,
+                    format!("data segment would pass the stack top {STACK_TOP:#x}"),
+                )
+            })?;
+        Ok(addr)
+    }
 
-        // Peel off any leading labels.
-        while let Some(colon) = find_label_colon(rest) {
-            let name = rest[..colon].trim();
-            if !is_ident(name) {
-                return Err(AsmError::new(line, format!("invalid label name `{name}`")));
-            }
-            if self.symbols.contains_key(name) || self.pending_labels.iter().any(|(n, _)| n == name)
-            {
-                return Err(AsmError::new(line, format!("duplicate label `{name}`")));
-            }
-            self.pending_labels.push((name.to_owned(), line));
-            rest = rest[colon + 1..].trim();
-        }
-        if rest.is_empty() {
-            return Ok(());
-        }
-
-        if let Some(directive) = rest.strip_prefix('.') {
-            return self.parse_directive(directive, line);
-        }
-
-        // Instruction: mnemonic then comma-separated operands.
-        let (mnemonic, ops) = match rest.find(char::is_whitespace) {
-            Some(sp) => (&rest[..sp], rest[sp..].trim()),
-            None => (rest, ""),
-        };
-        let mnemonic = mnemonic.to_ascii_lowercase();
-        let operands: Vec<String> = if ops.is_empty() {
-            Vec::new()
-        } else {
-            ops.split(',').map(|s| s.trim().to_owned()).collect()
-        };
-        if self.section != Section::Text {
-            return Err(AsmError::new(line, "instruction outside .text section"));
-        }
-        let words = instruction_words(&mnemonic, &operands, line)?;
-        self.bind_pending(self.text_cursor);
-        self.items.push(Item::Insn {
-            addr: self.text_cursor,
-            line,
-            mnemonic,
-            operands,
-        });
-        self.text_cursor += 4 * words;
+    /// Writes `bytes` at the cursor, zero-filling any gap before them.
+    fn emit_data(&mut self, bytes: &[u8], line: u32) -> Result<(), AsmError> {
+        let addr = self.advance_data(bytes.len() as u32, line)?;
+        self.data.resize((addr - DATA_BASE) as usize, 0);
+        self.data.extend_from_slice(bytes);
         Ok(())
     }
 
-    fn parse_directive(&mut self, directive: &str, line: u32) -> Result<(), AsmError> {
-        let (name, args) = match directive.find(char::is_whitespace) {
-            Some(sp) => (&directive[..sp], directive[sp..].trim()),
-            None => (directive, ""),
-        };
+    /// Parses the line starting at byte `start` of the source and returns
+    /// the index of the newline that ends it (or the source length).
+    fn parse_line(&mut self, start: usize, line: u32) -> Result<usize, AsmError> {
+        let source = self.source;
+        let bytes = source.as_bytes();
+        // Leading labels: `name:` where the name holds no quote, dot,
+        // comment or whitespace before the colon.
+        let mut start = skip_ws(source, start);
+        let mut i = start;
+        loop {
+            i += run_len(
+                &bytes[i..],
+                COLON | QUOTE | DOT | COMMENT | WS | WIDE | NEWLINE,
+            );
+            match bytes.get(i) {
+                Some(b':') => {
+                    self.define_label(&source[start..i], line)?;
+                    start = skip_ws(source, i + 1);
+                    i = start;
+                }
+                Some(&c) if !c.is_ascii() => {
+                    let ch = char_at(source, i);
+                    if ch.is_whitespace() {
+                        break;
+                    }
+                    i += ch.len_utf8();
+                }
+                _ => break,
+            }
+        }
+        match bytes.get(start) {
+            None | Some(b'\n') => return Ok(start),
+            Some(b'#' | b';') => return Ok(start + run_len(&bytes[start..], NEWLINE)),
+            _ => {}
+        }
+
+        let stmt = Statement::scan(source, start, i);
+        if let Some(directive) = stmt.word.strip_prefix('.') {
+            self.parse_directive(directive, trim(stmt.tail), line)?;
+            return Ok(stmt.end);
+        }
+        if self.section != Section::Text {
+            return Err(AsmError::new(line, "instruction outside .text section"));
+        }
+        let op = Op::resolve(stmt.word);
+        let words = instruction_words(op, &stmt.ops, line)?;
+        self.bind_pending(self.text_cursor);
+        self.deferred.push(Deferred::Insn {
+            addr: self.text_cursor,
+            line,
+            op,
+            mnemonic: self.span(stmt.word),
+            ops: stmt.ops.slots.map(|op| self.span(op)),
+            count: stmt.ops.count as u32,
+        });
+        self.text_cursor = self
+            .text_cursor
+            .checked_add(4 * words)
+            .filter(|&end| end <= DATA_BASE)
+            .ok_or_else(|| {
+                AsmError::new(
+                    line,
+                    format!("text segment would pass the data base {DATA_BASE:#x}"),
+                )
+            })?;
+        Ok(stmt.end)
+    }
+
+    fn parse_directive(&mut self, name: &str, args: &'a str, line: u32) -> Result<(), AsmError> {
         match name {
             "text" => {
                 self.bind_pending(self.cursor());
@@ -234,7 +437,6 @@ impl Assembler {
             "globl" | "global" | "ent" | "end" => { /* accepted, no effect */ }
             "align" => {
                 let n: u32 = args
-                    .trim()
                     .parse()
                     .map_err(|_| AsmError::new(line, ".align expects a small integer"))?;
                 if n > 12 {
@@ -246,29 +448,25 @@ impl Assembler {
             }
             "space" => {
                 self.require_data(line)?;
-                let n = parse_int(args.trim())
+                let n = parse_int(args)
                     .ok_or_else(|| AsmError::new(line, ".space expects an integer"))?;
                 if !(0..=16 * 1024 * 1024).contains(&n) {
                     return Err(AsmError::new(line, ".space size out of range"));
                 }
                 self.bind_pending(self.data_cursor);
-                self.items.push(Item::Bytes {
-                    addr: self.data_cursor,
-                    bytes: vec![0; n as usize],
-                });
-                self.data_cursor += n as u32;
+                self.advance_data(n as u32, line)?;
             }
             "word" => {
                 self.require_data(line)?;
                 self.align_data(4);
                 self.bind_pending(self.data_cursor);
                 for expr in split_top(args) {
-                    self.items.push(Item::WordExpr {
-                        addr: self.data_cursor,
+                    let addr = self.advance_data(4, line)?;
+                    self.deferred.push(Deferred::Word {
+                        addr,
                         line,
-                        expr: expr.trim().to_owned(),
+                        expr: self.span(trim(expr)),
                     });
-                    self.data_cursor += 4;
                 }
             }
             "half" => {
@@ -276,42 +474,32 @@ impl Assembler {
                 self.align_data(2);
                 self.bind_pending(self.data_cursor);
                 for expr in split_top(args) {
-                    let v = parse_int(expr.trim())
+                    let v = parse_int(expr)
                         .ok_or_else(|| AsmError::new(line, ".half expects integers"))?;
-                    self.items.push(Item::Bytes {
-                        addr: self.data_cursor,
-                        bytes: (v as u16).to_le_bytes().to_vec(),
-                    });
-                    self.data_cursor += 2;
+                    self.emit_data(&(v as u16).to_le_bytes(), line)?;
                 }
             }
             "byte" => {
                 self.require_data(line)?;
                 self.bind_pending(self.data_cursor);
                 for expr in split_top(args) {
-                    let v = parse_int(expr.trim())
+                    let v = parse_int(expr)
                         .ok_or_else(|| AsmError::new(line, ".byte expects integers"))?;
-                    self.items.push(Item::Bytes {
-                        addr: self.data_cursor,
-                        bytes: vec![v as u8],
-                    });
-                    self.data_cursor += 1;
+                    self.emit_data(&[v as u8], line)?;
                 }
             }
             "ascii" | "asciiz" => {
                 self.require_data(line)?;
-                let mut bytes = parse_string_literal(args.trim())
+                let mut bytes = std::mem::take(&mut self.literal);
+                bytes.clear();
+                parse_string_literal(args, &mut bytes)
                     .ok_or_else(|| AsmError::new(line, "expected a string literal"))?;
                 if name == "asciiz" {
                     bytes.push(0);
                 }
                 self.bind_pending(self.data_cursor);
-                let len = bytes.len() as u32;
-                self.items.push(Item::Bytes {
-                    addr: self.data_cursor,
-                    bytes,
-                });
-                self.data_cursor += len;
+                self.emit_data(&bytes, line)?;
+                self.literal = bytes;
             }
             other => {
                 return Err(AsmError::new(line, format!("unknown directive `.{other}`")));
@@ -327,10 +515,67 @@ impl Assembler {
         Ok(())
     }
 
+    /// Pass 2: encodes the deferred statements in source order, straight
+    /// into the image.
+    fn encode_deferred(mut self) -> Result<Image, AsmError> {
+        let words = ((self.text_cursor - TEXT_BASE) / 4) as usize;
+        let mut text = vec![0; words];
+        let mut lines = vec![0; words];
+        let mut data = std::mem::take(&mut self.data);
+        data.resize((self.data_cursor - DATA_BASE) as usize, 0);
+        for item in &self.deferred {
+            match *item {
+                Deferred::Word { addr, line, expr } => {
+                    let v = to_u32(self.eval(self.text(expr), line)?, line)?;
+                    let off = (addr - DATA_BASE) as usize;
+                    data[off..off + 4].copy_from_slice(&v.to_le_bytes());
+                }
+                Deferred::Insn {
+                    addr,
+                    line,
+                    op,
+                    mnemonic,
+                    ops,
+                    count,
+                } => {
+                    let ops = Operands {
+                        slots: ops.map(|op| self.text(op)),
+                        count: count as usize,
+                    };
+                    let (first, second) = self.encode(addr, line, op, self.text(mnemonic), &ops)?;
+                    let i = ((addr - TEXT_BASE) / 4) as usize;
+                    text[i] = first.encode();
+                    lines[i] = line;
+                    if let Some(second) = second {
+                        text[i + 1] = second.encode();
+                        lines[i + 1] = line;
+                    }
+                }
+            }
+        }
+        let symbols: HashMap<String, u32> = self
+            .symbols
+            .iter()
+            .map(|(&name, &addr)| (name.to_owned(), addr))
+            .collect();
+        let entry = ["_start", "main"]
+            .iter()
+            .find_map(|name| self.symbols.get(name).copied())
+            .unwrap_or(TEXT_BASE);
+        Ok(Image {
+            text,
+            data,
+            entry,
+            symbols,
+            lines,
+            ..Image::new()
+        })
+    }
+
     /// Evaluates an operand expression: integer/char literal, `sym`,
     /// `sym+off`, `sym-off`, `%hi(expr)`, `%lo(expr)`.
     fn eval(&self, expr: &str, line: u32) -> Result<i64, AsmError> {
-        let expr = expr.trim();
+        let expr = trim(expr);
         if let Some(inner) = expr.strip_prefix("%hi(").and_then(|s| s.strip_suffix(')')) {
             let v = self.eval(inner, line)?;
             return Ok((to_u32(v, line)? >> 16) as i64);
@@ -343,26 +588,19 @@ impl Assembler {
             return Ok(v);
         }
         // sym, sym+off, sym-off  (split at the last +/- that is not leading)
-        for (i, c) in expr.char_indices().rev() {
-            if (c == '+' || c == '-') && i > 0 {
-                let (sym, off) = (expr[..i].trim(), &expr[i..]);
+        for (i, &c) in expr.as_bytes().iter().enumerate().skip(1).rev() {
+            if c == b'+' || c == b'-' {
+                let (sym, off) = (trim(&expr[..i]), &expr[i..]);
                 if is_ident(sym) {
-                    let base =
-                        self.symbols.get(sym).copied().ok_or_else(|| {
-                            AsmError::new(line, format!("undefined symbol `{sym}`"))
-                        })?;
+                    let base = self.symbol(sym, line)?;
                     let delta = parse_int(off)
                         .ok_or_else(|| AsmError::new(line, format!("bad offset `{off}`")))?;
-                    return Ok(i64::from(base) + delta);
+                    return Ok(i64::from(base).wrapping_add(delta));
                 }
             }
         }
         if is_ident(expr) {
-            return self
-                .symbols
-                .get(expr)
-                .map(|&a| i64::from(a))
-                .ok_or_else(|| AsmError::new(line, format!("undefined symbol `{expr}`")));
+            return self.symbol(expr, line).map(i64::from);
         }
         Err(AsmError::new(
             line,
@@ -370,18 +608,21 @@ impl Assembler {
         ))
     }
 
+    fn symbol(&self, name: &str, line: u32) -> Result<u32, AsmError> {
+        self.symbols
+            .get(name)
+            .copied()
+            .ok_or_else(|| AsmError::new(line, format!("undefined symbol `{name}`")))
+    }
+
     fn reg(op: &str, line: u32) -> Result<Reg, AsmError> {
         Reg::parse(op).ok_or_else(|| AsmError::new(line, format!("unknown register `{op}`")))
     }
 
-    fn imm16(&self, expr: &str, line: u32, zero_ext: bool) -> Result<i16, AsmError> {
+    /// A 16-bit immediate, signed or zero-extended: `-32768..=0xffff`.
+    fn imm16(&self, expr: &str, line: u32) -> Result<i16, AsmError> {
         let v = self.eval(expr, line)?;
-        let ok = if zero_ext {
-            (0..=0xffff).contains(&v) || (-32768..0).contains(&v)
-        } else {
-            (-32768..=0xffff).contains(&v)
-        };
-        if !ok {
+        if !(-32768..=0xffff).contains(&v) {
             return Err(AsmError::new(
                 line,
                 format!("immediate {v} does not fit in 16 bits"),
@@ -411,13 +652,14 @@ impl Assembler {
             .ok_or_else(|| AsmError::new(line, format!("expected `offset(reg)`, got `{op}`")))?;
         let close = op
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| AsmError::new(line, "missing `)` in memory operand"))?;
-        let off_str = op[..open].trim();
-        let reg = Self::reg(op[open + 1..close].trim(), line)?;
+        let off_str = trim(&op[..open]);
+        let reg = Self::reg(trim(&op[open + 1..close]), line)?;
         let offset = if off_str.is_empty() {
             0
         } else {
-            self.imm16(off_str, line, false)?
+            self.imm16(off_str, line)?
         };
         Ok((offset, reg))
     }
@@ -427,327 +669,306 @@ impl Assembler {
         &self,
         addr: u32,
         line: u32,
+        op: Op,
         mnemonic: &str,
-        ops: &[String],
-    ) -> Result<Vec<Instr>, AsmError> {
-        let argc = ops.len();
+        ops: &Operands<'_>,
+    ) -> Result<Encoded, AsmError> {
+        let argc = ops.count;
         let arity = |n: usize| -> Result<(), AsmError> {
             if argc != n {
                 Err(AsmError::new(
                     line,
-                    format!("`{mnemonic}` expects {n} operands, got {argc}"),
+                    format!(
+                        "`{}` expects {n} operands, got {argc}",
+                        mnemonic.to_ascii_lowercase()
+                    ),
                 ))
             } else {
                 Ok(())
             }
         };
+        let [a, b, c] = ops.slots;
+        let reg = |s: &str| Self::reg(s, line);
+        let one = |insn: Instr| Ok((insn, None));
 
-        if let Some(op) = ralu_op(mnemonic) {
-            arity(3)?;
-            return Ok(vec![Instr::RAlu {
-                op,
-                rd: Self::reg(&ops[0], line)?,
-                rs: Self::reg(&ops[1], line)?,
-                rt: Self::reg(&ops[2], line)?,
-            }]);
-        }
-        if let Some(op) = ialu_op(mnemonic) {
-            arity(3)?;
-            return Ok(vec![Instr::IAlu {
-                op,
-                rt: Self::reg(&ops[0], line)?,
-                rs: Self::reg(&ops[1], line)?,
-                imm: self.imm16(&ops[2], line, op.zero_extends())?,
-            }]);
-        }
-        if let Some((op, variable)) = shift_op(mnemonic) {
-            arity(3)?;
-            let rd = Self::reg(&ops[0], line)?;
-            let rt = Self::reg(&ops[1], line)?;
-            if variable {
-                return Ok(vec![Instr::ShiftV {
+        match op {
+            Op::RAlu(op) => {
+                arity(3)?;
+                one(Instr::RAlu {
+                    op,
+                    rd: reg(a)?,
+                    rs: reg(b)?,
+                    rt: reg(c)?,
+                })
+            }
+            Op::IAlu(op) => {
+                arity(3)?;
+                one(Instr::IAlu {
+                    op,
+                    rt: reg(a)?,
+                    rs: reg(b)?,
+                    imm: self.imm16(c, line)?,
+                })
+            }
+            Op::Shift(op) => {
+                arity(3)?;
+                let rd = reg(a)?;
+                let rt = reg(b)?;
+                let sh = self.eval(c, line)?;
+                if !(0..32).contains(&sh) {
+                    return Err(AsmError::new(line, "shift amount must be in 0..32"));
+                }
+                one(Instr::Shift {
                     op,
                     rd,
                     rt,
-                    rs: Self::reg(&ops[2], line)?,
-                }]);
+                    shamt: sh as u8,
+                })
             }
-            let sh = self.eval(&ops[2], line)?;
-            if !(0..32).contains(&sh) {
-                return Err(AsmError::new(line, "shift amount must be in 0..32"));
+            Op::ShiftV(op) => {
+                arity(3)?;
+                one(Instr::ShiftV {
+                    op,
+                    rd: reg(a)?,
+                    rt: reg(b)?,
+                    rs: reg(c)?,
+                })
             }
-            return Ok(vec![Instr::Shift {
-                op,
-                rd,
-                rt,
-                shamt: sh as u8,
-            }]);
-        }
-        if let Some((width, signed, load)) = mem_op(mnemonic) {
-            arity(2)?;
-            let rt = Self::reg(&ops[0], line)?;
-            let (offset, base) = self.memop(&ops[1], line)?;
-            return Ok(vec![if load {
-                Instr::Load {
+            Op::Load(width, signed) => {
+                arity(2)?;
+                let rt = reg(a)?;
+                let (offset, base) = self.memop(b, line)?;
+                one(Instr::Load {
                     width,
                     signed,
                     rt,
                     base,
                     offset,
-                }
-            } else {
-                Instr::Store {
+                })
+            }
+            Op::Store(width) => {
+                arity(2)?;
+                let rt = reg(a)?;
+                let (offset, base) = self.memop(b, line)?;
+                one(Instr::Store {
                     width,
                     rt,
                     base,
                     offset,
-                }
-            }]);
-        }
-        if let Some(op) = muldiv_op(mnemonic) {
-            arity(2)?;
-            return Ok(vec![Instr::MulDiv {
-                op,
-                rs: Self::reg(&ops[0], line)?,
-                rt: Self::reg(&ops[1], line)?,
-            }]);
-        }
-
-        match mnemonic {
-            "mfhi" => {
-                arity(1)?;
-                Ok(vec![Instr::MoveFromHi {
-                    rd: Self::reg(&ops[0], line)?,
-                }])
+                })
             }
-            "mflo" => {
-                arity(1)?;
-                Ok(vec![Instr::MoveFromLo {
-                    rd: Self::reg(&ops[0], line)?,
-                }])
-            }
-            "mthi" => {
-                arity(1)?;
-                Ok(vec![Instr::MoveToHi {
-                    rs: Self::reg(&ops[0], line)?,
-                }])
-            }
-            "mtlo" => {
-                arity(1)?;
-                Ok(vec![Instr::MoveToLo {
-                    rs: Self::reg(&ops[0], line)?,
-                }])
-            }
-            "lui" => {
+            Op::MulDiv(op) => {
                 arity(2)?;
-                let v = self.eval(&ops[1], line)?;
+                one(Instr::MulDiv {
+                    op,
+                    rs: reg(a)?,
+                    rt: reg(b)?,
+                })
+            }
+            Op::MoveFromHi => {
+                arity(1)?;
+                one(Instr::MoveFromHi { rd: reg(a)? })
+            }
+            Op::MoveFromLo => {
+                arity(1)?;
+                one(Instr::MoveFromLo { rd: reg(a)? })
+            }
+            Op::MoveToHi => {
+                arity(1)?;
+                one(Instr::MoveToHi { rs: reg(a)? })
+            }
+            Op::MoveToLo => {
+                arity(1)?;
+                one(Instr::MoveToLo { rs: reg(a)? })
+            }
+            Op::Lui => {
+                arity(2)?;
+                let v = self.eval(b, line)?;
                 if !(0..=0xffff).contains(&v) {
                     return Err(AsmError::new(line, "lui immediate must fit in 16 bits"));
                 }
-                Ok(vec![Instr::Lui {
-                    rt: Self::reg(&ops[0], line)?,
+                one(Instr::Lui {
+                    rt: reg(a)?,
                     imm: v as u16,
-                }])
+                })
             }
-            "beq" | "bne" => {
+            Op::Branch(cond) => {
                 arity(3)?;
-                Ok(vec![Instr::Branch {
-                    cond: if mnemonic == "beq" {
-                        BranchCond::Eq
-                    } else {
-                        BranchCond::Ne
-                    },
-                    rs: Self::reg(&ops[0], line)?,
-                    rt: Self::reg(&ops[1], line)?,
-                    offset: self.branch_offset(&ops[2], addr, line)?,
-                }])
-            }
-            "blez" | "bgtz" | "bltz" | "bgez" => {
-                arity(2)?;
-                let cond = match mnemonic {
-                    "blez" => BranchZCond::Lez,
-                    "bgtz" => BranchZCond::Gtz,
-                    "bltz" => BranchZCond::Ltz,
-                    _ => BranchZCond::Gez,
-                };
-                Ok(vec![Instr::BranchZ {
+                one(Instr::Branch {
                     cond,
-                    rs: Self::reg(&ops[0], line)?,
-                    offset: self.branch_offset(&ops[1], addr, line)?,
-                }])
+                    rs: reg(a)?,
+                    rt: reg(b)?,
+                    offset: self.branch_offset(c, addr, line)?,
+                })
             }
-            "j" | "jal" => {
+            Op::BranchZ(cond) => {
+                arity(2)?;
+                one(Instr::BranchZ {
+                    cond,
+                    rs: reg(a)?,
+                    offset: self.branch_offset(b, addr, line)?,
+                })
+            }
+            Op::Jump { link } => {
                 arity(1)?;
-                let t = to_u32(self.eval(&ops[0], line)?, line)?;
+                let t = to_u32(self.eval(a, line)?, line)?;
                 if t % 4 != 0 {
                     return Err(AsmError::new(line, "jump target is not word aligned"));
                 }
-                Ok(vec![Instr::Jump {
+                one(Instr::Jump {
                     target: (t >> 2) & 0x03ff_ffff,
-                    link: mnemonic == "jal",
-                }])
+                    link,
+                })
             }
-            "jr" => {
+            Op::JumpReg => {
                 arity(1)?;
-                Ok(vec![Instr::JumpReg {
-                    rs: Self::reg(&ops[0], line)?,
-                }])
+                one(Instr::JumpReg { rs: reg(a)? })
             }
-            "jalr" => match argc {
-                1 => Ok(vec![Instr::JumpAndLinkReg {
+            Op::JumpAndLinkReg => match argc {
+                1 => one(Instr::JumpAndLinkReg {
                     rd: Reg::RA,
-                    rs: Self::reg(&ops[0], line)?,
-                }]),
-                2 => Ok(vec![Instr::JumpAndLinkReg {
-                    rd: Self::reg(&ops[0], line)?,
-                    rs: Self::reg(&ops[1], line)?,
-                }]),
+                    rs: reg(a)?,
+                }),
+                2 => one(Instr::JumpAndLinkReg {
+                    rd: reg(a)?,
+                    rs: reg(b)?,
+                }),
                 _ => Err(AsmError::new(line, "`jalr` expects 1 or 2 operands")),
             },
-            "syscall" => {
+            Op::Syscall => {
                 arity(0)?;
-                Ok(vec![Instr::Syscall])
+                one(Instr::Syscall)
             }
-            "break" => {
+            Op::Break => {
                 let code = if argc == 1 {
-                    to_u32(self.eval(&ops[0], line)?, line)? & 0xf_ffff
+                    to_u32(self.eval(a, line)?, line)? & 0xf_ffff
                 } else {
                     0
                 };
-                Ok(vec![Instr::Break { code }])
+                one(Instr::Break { code })
             }
-            "nop" => {
+            Op::Nop => {
                 arity(0)?;
-                Ok(vec![Instr::NOP])
+                one(Instr::NOP)
             }
-            // ---- pseudo-instructions ----
-            "move" => {
+            Op::Move => {
                 arity(2)?;
-                Ok(vec![Instr::RAlu {
+                one(Instr::RAlu {
                     op: RAluOp::Addu,
-                    rd: Self::reg(&ops[0], line)?,
-                    rs: Self::reg(&ops[1], line)?,
+                    rd: reg(a)?,
+                    rs: reg(b)?,
                     rt: Reg::ZERO,
-                }])
+                })
             }
-            "not" => {
+            Op::Not => {
                 arity(2)?;
-                Ok(vec![Instr::RAlu {
+                one(Instr::RAlu {
                     op: RAluOp::Nor,
-                    rd: Self::reg(&ops[0], line)?,
-                    rs: Self::reg(&ops[1], line)?,
+                    rd: reg(a)?,
+                    rs: reg(b)?,
                     rt: Reg::ZERO,
-                }])
+                })
             }
-            "neg" => {
+            Op::Neg => {
                 arity(2)?;
-                Ok(vec![Instr::RAlu {
+                one(Instr::RAlu {
                     op: RAluOp::Subu,
-                    rd: Self::reg(&ops[0], line)?,
+                    rd: reg(a)?,
                     rs: Reg::ZERO,
-                    rt: Self::reg(&ops[1], line)?,
-                }])
+                    rt: reg(b)?,
+                })
             }
-            "li" => {
+            Op::Li => {
                 arity(2)?;
-                let rt = Self::reg(&ops[0], line)?;
-                let v = self.eval(&ops[1], line)?;
+                let rt = reg(a)?;
+                let v = self.eval(b, line)?;
                 expand_li(rt, v, line)
             }
-            "la" => {
+            Op::La => {
                 arity(2)?;
-                let rt = Self::reg(&ops[0], line)?;
-                let v = to_u32(self.eval(&ops[1], line)?, line)?;
-                Ok(vec![
+                let rt = reg(a)?;
+                let v = to_u32(self.eval(b, line)?, line)?;
+                Ok((
                     Instr::Lui {
                         rt,
                         imm: (v >> 16) as u16,
                     },
-                    Instr::IAlu {
+                    Some(Instr::IAlu {
                         op: IAluOp::Ori,
                         rt,
                         rs: rt,
                         imm: (v & 0xffff) as u16 as i16,
-                    },
-                ])
+                    }),
+                ))
             }
-            "b" => {
+            Op::B => {
                 arity(1)?;
-                Ok(vec![Instr::Branch {
+                one(Instr::Branch {
                     cond: BranchCond::Eq,
                     rs: Reg::ZERO,
                     rt: Reg::ZERO,
-                    offset: self.branch_offset(&ops[0], addr, line)?,
-                }])
+                    offset: self.branch_offset(a, addr, line)?,
+                })
             }
-            "beqz" | "bnez" => {
+            Op::BranchZero(cond) => {
                 arity(2)?;
-                Ok(vec![Instr::Branch {
-                    cond: if mnemonic == "beqz" {
-                        BranchCond::Eq
-                    } else {
-                        BranchCond::Ne
-                    },
-                    rs: Self::reg(&ops[0], line)?,
+                one(Instr::Branch {
+                    cond,
+                    rs: reg(a)?,
                     rt: Reg::ZERO,
-                    offset: self.branch_offset(&ops[1], addr, line)?,
-                }])
+                    offset: self.branch_offset(b, addr, line)?,
+                })
             }
-            "blt" | "bge" | "bgt" | "ble" | "bltu" | "bgeu" => {
+            Op::CompareBranch {
+                unsigned,
+                swap,
+                cond,
+            } => {
                 arity(3)?;
-                let rs = Self::reg(&ops[0], line)?;
-                let rt = Self::reg(&ops[1], line)?;
-                let unsigned = mnemonic.ends_with('u');
-                let op = if unsigned { RAluOp::Sltu } else { RAluOp::Slt };
-                // blt rs,rt: slt $at,rs,rt ; bne $at,$0
-                // bge rs,rt: slt $at,rs,rt ; beq $at,$0
-                // bgt rs,rt: slt $at,rt,rs ; bne $at,$0
-                // ble rs,rt: slt $at,rt,rs ; beq $at,$0
-                let (a, b, cond) = match mnemonic.trim_end_matches('u') {
-                    "blt" => (rs, rt, BranchCond::Ne),
-                    "bge" => (rs, rt, BranchCond::Eq),
-                    "bgt" => (rt, rs, BranchCond::Ne),
-                    _ => (rt, rs, BranchCond::Eq),
-                };
-                let offset = self.branch_offset(&ops[2], addr + 4, line)?;
-                Ok(vec![
+                let rs = reg(a)?;
+                let rt = reg(b)?;
+                let (x, y) = if swap { (rt, rs) } else { (rs, rt) };
+                let offset = self.branch_offset(c, addr + 4, line)?;
+                Ok((
                     Instr::RAlu {
-                        op,
+                        op: if unsigned { RAluOp::Sltu } else { RAluOp::Slt },
                         rd: Reg::AT,
-                        rs: a,
-                        rt: b,
+                        rs: x,
+                        rt: y,
                     },
-                    Instr::Branch {
+                    Some(Instr::Branch {
                         cond,
                         rs: Reg::AT,
                         rt: Reg::ZERO,
                         offset,
-                    },
-                ])
+                    }),
+                ))
             }
-            other => Err(AsmError::new(line, format!("unknown mnemonic `{other}`"))),
+            Op::Unknown => Err(AsmError::new(
+                line,
+                format!("unknown mnemonic `{}`", mnemonic.to_ascii_lowercase()),
+            )),
         }
     }
 }
 
 /// How many machine words a (pseudo-)instruction occupies — needed in pass 1
 /// before symbols are known.
-fn instruction_words(mnemonic: &str, ops: &[String], line: u32) -> Result<u32, AsmError> {
-    Ok(match mnemonic {
-        "la" => 2,
-        "blt" | "bge" | "bgt" | "ble" | "bltu" | "bgeu" => 2,
-        "li" => {
-            let v = ops
-                .get(1)
-                .and_then(|s| parse_int(s))
+fn instruction_words(op: Op, ops: &Operands<'_>, line: u32) -> Result<u32, AsmError> {
+    Ok(match op {
+        Op::La | Op::CompareBranch { .. } => 2,
+        Op::Li => {
+            let v = (ops.count >= 2)
+                .then_some(ops.slots[1])
+                .and_then(parse_int)
                 .ok_or_else(|| AsmError::new(line, "`li` expects a literal immediate"))?;
-            expand_li(Reg::AT, v, line)?.len() as u32
+            1 + u32::from(expand_li(Reg::AT, v, line)?.1.is_some())
         }
         _ => 1,
     })
 }
 
-fn expand_li(rt: Reg, v: i64, line: u32) -> Result<Vec<Instr>, AsmError> {
+fn expand_li(rt: Reg, v: i64, line: u32) -> Result<Encoded, AsmError> {
     if v < -(1 << 31) || v > u32::MAX as i64 {
         return Err(AsmError::new(
             line,
@@ -755,216 +976,315 @@ fn expand_li(rt: Reg, v: i64, line: u32) -> Result<Vec<Instr>, AsmError> {
         ));
     }
     if (-32768..=32767).contains(&v) {
-        return Ok(vec![Instr::IAlu {
-            op: IAluOp::Addiu,
-            rt,
-            rs: Reg::ZERO,
-            imm: v as i16,
-        }]);
+        return Ok((
+            Instr::IAlu {
+                op: IAluOp::Addiu,
+                rt,
+                rs: Reg::ZERO,
+                imm: v as i16,
+            },
+            None,
+        ));
     }
     let u = v as u32;
     if u & 0xffff == 0 {
-        return Ok(vec![Instr::Lui {
-            rt,
-            imm: (u >> 16) as u16,
-        }]);
+        return Ok((
+            Instr::Lui {
+                rt,
+                imm: (u >> 16) as u16,
+            },
+            None,
+        ));
     }
     if u <= 0xffff {
-        return Ok(vec![Instr::IAlu {
-            op: IAluOp::Ori,
-            rt,
-            rs: Reg::ZERO,
-            imm: u as u16 as i16,
-        }]);
+        return Ok((
+            Instr::IAlu {
+                op: IAluOp::Ori,
+                rt,
+                rs: Reg::ZERO,
+                imm: u as u16 as i16,
+            },
+            None,
+        ));
     }
-    Ok(vec![
+    Ok((
         Instr::Lui {
             rt,
             imm: (u >> 16) as u16,
         },
-        Instr::IAlu {
+        Some(Instr::IAlu {
             op: IAluOp::Ori,
             rt,
             rs: rt,
             imm: (u & 0xffff) as u16 as i16,
-        },
-    ])
-}
-
-fn ralu_op(m: &str) -> Option<RAluOp> {
-    Some(match m {
-        "add" => RAluOp::Add,
-        "addu" => RAluOp::Addu,
-        "sub" => RAluOp::Sub,
-        "subu" => RAluOp::Subu,
-        "and" => RAluOp::And,
-        "or" => RAluOp::Or,
-        "xor" => RAluOp::Xor,
-        "nor" => RAluOp::Nor,
-        "slt" => RAluOp::Slt,
-        "sltu" => RAluOp::Sltu,
-        _ => return None,
-    })
-}
-
-fn ialu_op(m: &str) -> Option<IAluOp> {
-    Some(match m {
-        "addi" => IAluOp::Addi,
-        "addiu" => IAluOp::Addiu,
-        "slti" => IAluOp::Slti,
-        "sltiu" => IAluOp::Sltiu,
-        "andi" => IAluOp::Andi,
-        "ori" => IAluOp::Ori,
-        "xori" => IAluOp::Xori,
-        _ => None?,
-    })
-}
-
-fn shift_op(m: &str) -> Option<(ShiftOp, bool)> {
-    Some(match m {
-        "sll" => (ShiftOp::Sll, false),
-        "srl" => (ShiftOp::Srl, false),
-        "sra" => (ShiftOp::Sra, false),
-        "sllv" => (ShiftOp::Sll, true),
-        "srlv" => (ShiftOp::Srl, true),
-        "srav" => (ShiftOp::Sra, true),
-        _ => return None,
-    })
-}
-
-fn mem_op(m: &str) -> Option<(MemWidth, bool, bool)> {
-    Some(match m {
-        "lb" => (MemWidth::Byte, true, true),
-        "lbu" => (MemWidth::Byte, false, true),
-        "lh" => (MemWidth::Half, true, true),
-        "lhu" => (MemWidth::Half, false, true),
-        "lw" => (MemWidth::Word, true, true),
-        "sb" => (MemWidth::Byte, false, false),
-        "sh" => (MemWidth::Half, false, false),
-        "sw" => (MemWidth::Word, false, false),
-        _ => return None,
-    })
-}
-
-fn muldiv_op(m: &str) -> Option<MulDivOp> {
-    Some(match m {
-        "mult" => MulDivOp::Mult,
-        "multu" => MulDivOp::Multu,
-        "div" => MulDivOp::Div,
-        "divu" => MulDivOp::Divu,
-        _ => return None,
-    })
+        }),
+    ))
 }
 
 fn to_u32(v: i64, line: u32) -> Result<u32, AsmError> {
-    u32::try_from(v & 0xffff_ffff)
-        .map_err(|_| AsmError::new(line, format!("value {v} exceeds 32 bits")))
-        .and_then(|u| {
-            if (-(1i64 << 31)..=u32::MAX as i64).contains(&v) {
-                Ok(u)
-            } else {
-                Err(AsmError::new(line, format!("value {v} exceeds 32 bits")))
-            }
-        })
+    if (-(1i64 << 31)..=u32::MAX as i64).contains(&v) {
+        Ok(v as u32)
+    } else {
+        Err(AsmError::new(line, format!("value {v} exceeds 32 bits")))
+    }
 }
 
-/// Strips `#`/`;` comments, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in line.char_indices() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
+/// A line's body after its labels: the first word (mnemonic or
+/// `.directive`), the text after it up to any comment, and that text split
+/// at commas into trimmed operands.
+struct Statement<'a> {
+    word: &'a str,
+    tail: &'a str,
+    ops: Operands<'a>,
+    /// Index of the newline ending the line, or the source length.
+    end: usize,
+}
+
+impl<'a> Statement<'a> {
+    /// Scans the body starting at `source[start]` once, to the end of its
+    /// line. `resume` is where the label scan stopped: the bytes before it
+    /// hold no whitespace, quote, comment character or newline.
+    ///
+    /// `#` and `;` start a comment outside double-quoted strings. The word
+    /// ends at the first whitespace character, quoted or not, and operand
+    /// commas split wherever they are: directives that take strings parse
+    /// their own tail.
+    fn scan(source: &'a str, start: usize, resume: usize) -> Statement<'a> {
+        let bytes = source.as_bytes();
+        let mut word_end = None;
+        let mut piece = 0;
+        let mut slots = [&source[start..start]; 3];
+        let mut commas = 0;
+        let (mut in_str, mut escape) = (false, false);
+        let mut i = resume;
+        loop {
+            if !in_str {
+                // Outside strings only these bytes can change anything.
+                let stops = if word_end.is_some() {
+                    QUOTE | COMMENT | COMMA | NEWLINE
+                } else {
+                    QUOTE | COMMENT | WS | WIDE | NEWLINE
+                };
+                i += run_len(&bytes[i..], stops);
             }
-        } else if c == '"' {
-            in_str = true;
-        } else if c == '#' || c == ';' {
-            return &line[..i];
+            let c = match bytes.get(i) {
+                None | Some(b'\n') => break,
+                Some(&c) => c,
+            };
+            if in_str {
+                if escape {
+                    escape = false;
+                } else if c == b'\\' {
+                    escape = true;
+                } else if c == b'"' {
+                    in_str = false;
+                }
+            } else if c == b'"' {
+                in_str = true;
+            } else if c == b'#' || c == b';' {
+                break;
+            }
+            if word_end.is_some() {
+                if c == b',' {
+                    if let Some(slot) = slots.get_mut(commas) {
+                        *slot = trim(&source[piece..i]);
+                    }
+                    commas += 1;
+                    piece = i + 1;
+                }
+            } else if is_ascii_ws(c) {
+                word_end = Some(i);
+                piece = i;
+            } else if !c.is_ascii() {
+                let ch = char_at(source, i);
+                if ch.is_whitespace() {
+                    word_end = Some(i);
+                    piece = i;
+                } else {
+                    i += ch.len_utf8();
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        let word_end = word_end.unwrap_or(i);
+        let last = trim(&source[piece.max(word_end)..i]);
+        let count = if commas == 0 && last.is_empty() {
+            0
+        } else {
+            if let Some(slot) = slots.get_mut(commas) {
+                *slot = last;
+            }
+            commas + 1
+        };
+        Statement {
+            word: &source[start..word_end],
+            tail: &source[word_end..i],
+            ops: Operands { slots, count },
+            end: i + run_len(&bytes[i..], NEWLINE),
         }
     }
-    line
 }
 
-/// Finds the colon ending a leading label, respecting quotes (labels cannot
-/// appear after a directive starts).
-fn find_label_colon(s: &str) -> Option<usize> {
-    let colon = s.find(':')?;
-    let head = &s[..colon];
-    if head.contains('"') || head.contains('.') || head.contains(char::is_whitespace) {
-        return None;
+/// ASCII whitespace inside a line, exactly as [`char::is_whitespace`]
+/// sees it: unlike [`u8::is_ascii_whitespace`] it includes vertical tab
+/// (`\x0b`). A newline is never inside a line: it ends the line.
+const fn is_ascii_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r')
+}
+
+// Byte classes the line scanner stops at.
+const WS: u8 = 1;
+const QUOTE: u8 = 2;
+const COMMENT: u8 = 4;
+const COMMA: u8 = 8;
+const COLON: u8 = 16;
+const DOT: u8 = 32;
+/// Any non-ASCII byte: the character it starts may be whitespace.
+const WIDE: u8 = 64;
+const NEWLINE: u8 = 128;
+
+const CLASSES: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            c if is_ascii_ws(c) => WS,
+            b'"' => QUOTE,
+            b'#' | b';' => COMMENT,
+            b',' => COMMA,
+            b':' => COLON,
+            b'.' => DOT,
+            b'\n' => NEWLINE,
+            c if !c.is_ascii() => WIDE,
+            _ => 0,
+        };
+        b += 1;
     }
-    Some(colon)
+    table
+};
+
+/// The length of the leading run of `bytes` in none of the classes in
+/// `stops`.
+fn run_len(bytes: &[u8], stops: u8) -> usize {
+    bytes
+        .iter()
+        .position(|&c| CLASSES[usize::from(c)] & stops != 0)
+        .unwrap_or(bytes.len())
+}
+
+/// The character starting at byte `i`; the scans stop only on character
+/// boundaries.
+fn char_at(s: &str, i: usize) -> char {
+    s[i..]
+        .chars()
+        .next()
+        .expect("scan stops on a char boundary")
+}
+
+/// The index of the first character at or after `i` that is not
+/// whitespace inside the line.
+fn skip_ws(s: &str, mut i: usize) -> usize {
+    let bytes = s.as_bytes();
+    while let Some(&c) = bytes.get(i) {
+        if is_ascii_ws(c) {
+            i += 1;
+        } else if c.is_ascii() {
+            break;
+        } else {
+            let ch = char_at(s, i);
+            if !ch.is_whitespace() {
+                break;
+            }
+            i += ch.len_utf8();
+        }
+    }
+    i
+}
+
+/// [`str::trim`] for text inside a line, with an ASCII fast path; a
+/// non-ASCII byte at either end falls back to the full Unicode trim.
+fn trim(s: &str) -> &str {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    let mut end = bytes.len();
+    while start < end && is_ascii_ws(bytes[start]) {
+        start += 1;
+    }
+    while end > start && is_ascii_ws(bytes[end - 1]) {
+        end -= 1;
+    }
+    let t = &s[start..end];
+    match (t.as_bytes().first(), t.as_bytes().last()) {
+        (Some(a), Some(z)) if !a.is_ascii() || !z.is_ascii() => t.trim(),
+        _ => t,
+    }
 }
 
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    s.as_bytes()
+        .first()
+        .is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_')
+        && s.bytes().all(|c| c.is_ascii_alphanumeric() || c == b'_')
 }
 
-/// Splits on top-level commas (outside string/char literals).
-fn split_top(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut in_char = false;
-    let mut escape = false;
-    for c in s.chars() {
-        if escape {
-            cur.push(c);
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str || in_char => {
-                cur.push(c);
-                escape = true;
-            }
-            '"' if !in_char => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            '\'' if !in_str => {
-                in_char = !in_char;
-                cur.push(c);
-            }
-            ',' if !in_str && !in_char => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
+/// Splits a (trimmed) directive tail on top-level commas, outside string
+/// and char literals; pieces are not trimmed.
+fn split_top(s: &str) -> SplitTop<'_> {
+    SplitTop {
+        rest: (!s.is_empty()).then_some(s),
     }
-    if !cur.trim().is_empty() || !out.is_empty() {
-        out.push(cur);
+}
+
+struct SplitTop<'a> {
+    rest: Option<&'a str>,
+}
+
+impl<'a> Iterator for SplitTop<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        let (mut in_str, mut in_char, mut escape) = (false, false, false);
+        for (i, &c) in s.as_bytes().iter().enumerate() {
+            if escape {
+                escape = false;
+                continue;
+            }
+            match c {
+                b'\\' if in_str || in_char => escape = true,
+                b'"' if !in_char => in_str = !in_str,
+                b'\'' if !in_str => in_char = !in_char,
+                b',' if !in_str && !in_char => {
+                    self.rest = Some(&s[i + 1..]);
+                    return Some(&s[..i]);
+                }
+                _ => {}
+            }
+        }
+        self.rest = None;
+        Some(s)
     }
-    out
 }
 
 /// Parses an integer literal: decimal, `0x` hex, negative, or a char literal.
 fn parse_int(s: &str) -> Option<i64> {
-    let s = s.trim();
+    let s = trim(s);
     if let Some(ch) = s.strip_prefix('\'').and_then(|r| r.strip_suffix('\'')) {
         return parse_char_escape(ch).map(i64::from);
     }
     let (neg, body) = match s.strip_prefix('-') {
-        Some(rest) => (true, rest.trim()),
+        Some(rest) => (true, trim(rest)),
         None => (false, s),
     };
     let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
         i64::from_str_radix(hex, 16).ok()?
-    } else if body.chars().all(|c| c.is_ascii_digit()) && !body.is_empty() {
+    } else if !body.is_empty() && body.bytes().all(|c| c.is_ascii_digit()) {
         body.parse::<i64>().ok()?
     } else {
         return None;
     };
-    Some(if neg { -v } else { v })
+    Some(if neg { v.wrapping_neg() } else { v })
 }
 
 fn parse_char_escape(body: &str) -> Option<u8> {
@@ -979,10 +1299,7 @@ fn parse_char_escape(body: &str) -> Option<u8> {
             '\\' => b'\\',
             '\'' => b'\'',
             '"' => b'"',
-            'x' => {
-                let hex: String = chars.by_ref().collect();
-                return u8::from_str_radix(&hex, 16).ok();
-            }
+            'x' => return u8::from_str_radix(chars.as_str(), 16).ok(),
             _ => return None,
         }
     } else {
@@ -991,35 +1308,44 @@ fn parse_char_escape(body: &str) -> Option<u8> {
     chars.next().is_none().then_some(value)
 }
 
-/// Parses a `"…"` string literal with C escapes into bytes.
-fn parse_string_literal(s: &str) -> Option<Vec<u8>> {
-    let inner = s.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = Vec::new();
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            let mut buf = [0u8; 4];
-            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+/// Appends the bytes of a `"…"` string literal with C escapes to `out`.
+/// On `None` the literal was malformed and `out` holds a partial result.
+fn parse_string_literal(s: &str, out: &mut Vec<u8>) -> Option<()> {
+    let inner = s.strip_prefix('"')?.strip_suffix('"')?.as_bytes();
+    let mut i = 0;
+    while let Some(&c) = inner.get(i) {
+        i += 1;
+        if c != b'\\' {
+            out.push(c);
             continue;
         }
-        match chars.next()? {
-            'n' => out.push(b'\n'),
-            't' => out.push(b'\t'),
-            'r' => out.push(b'\r'),
-            '0' => out.push(0),
-            '\\' => out.push(b'\\'),
-            '"' => out.push(b'"'),
-            '\'' => out.push(b'\''),
-            'x' => {
-                let hi = chars.next()?;
-                let lo = chars.next()?;
-                let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-                out.push(byte);
+        let escaped = *inner.get(i)?;
+        i += 1;
+        out.push(match escaped {
+            b'n' => b'\n',
+            b't' => b'\t',
+            b'r' => b'\r',
+            b'0' => 0,
+            b'\\' => b'\\',
+            b'"' => b'"',
+            b'\'' => b'\'',
+            b'x' => {
+                let (hi, lo) = (*inner.get(i)?, *inner.get(i + 1)?);
+                i += 2;
+                // Two hex digits, or `+` and one (as `u8::from_str_radix`
+                // reads them).
+                let lo = char::from(lo).to_digit(16)?;
+                let hi = if hi == b'+' {
+                    0
+                } else {
+                    char::from(hi).to_digit(16)?
+                };
+                (hi * 16 + lo) as u8
             }
             _ => return None,
-        }
+        });
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]
@@ -1238,12 +1564,16 @@ s:      .asciiz "has # and ; inside" # real comment
 
     #[test]
     fn string_escapes_decode() {
+        let parse = |s: &str| {
+            let mut out = Vec::new();
+            parse_string_literal(s, &mut out).map(|()| out)
+        };
         assert_eq!(
-            parse_string_literal(r#""a\n\t\x41\0z""#).unwrap(),
+            parse(r#""a\n\t\x41\0z""#).unwrap(),
             vec![b'a', b'\n', b'\t', 0x41, 0, b'z']
         );
-        assert_eq!(parse_string_literal("\"\""), Some(vec![]));
-        assert_eq!(parse_string_literal("nope"), None);
+        assert_eq!(parse("\"\""), Some(vec![]));
+        assert_eq!(parse("nope"), None);
     }
 
     #[test]
@@ -1254,6 +1584,93 @@ s:      .asciiz "has # and ; inside" # real comment
         assert_eq!(img.entry, TEXT_BASE + 4, "_start wins over main");
         let img = asm("anon: nop");
         assert_eq!(img.entry, TEXT_BASE);
+    }
+
+    #[test]
+    fn oversized_data_segment_is_an_error_not_a_panic() {
+        const CHUNK: u32 = 16 * 1024 * 1024;
+        let src = format!(".data\n{}", ".space 16777216\n".repeat(256));
+        let err = assemble(&src).unwrap_err();
+        // Line 1 is `.data`; the first chunk that would pass the stack top
+        // is the one after the last that fits.
+        let fits = (STACK_TOP - DATA_BASE) / CHUNK;
+        assert_eq!(err.line, 1 + fits + 1);
+        assert!(err.msg.contains("stack top"), "{err}");
+
+        // Every other data directive checks the same bound.
+        let fill = ".space 16777216\n".repeat(fits as usize);
+        let rest = (STACK_TOP - DATA_BASE) - fits * CHUNK;
+        let edge = format!(".data\n{fill}.space {rest}\n.align 12\n");
+        for tail in [
+            ".byte 1",
+            ".half 1",
+            ".word 1",
+            ".ascii \"a\"",
+            ".asciiz \"\"",
+        ] {
+            let err = assemble(&format!("{edge}{tail}\n")).unwrap_err();
+            assert_eq!(err.line, fits + 4, "{tail}");
+            assert!(err.msg.contains("stack top"), "{tail}: {err}");
+        }
+    }
+
+    #[test]
+    fn pass_one_error_beats_an_earlier_unknown_mnemonic() {
+        // Unknown mnemonics are reported from pass 2, so a duplicate label
+        // on a later line wins.
+        let err = assemble("bogus $t0\nx: nop\nx: nop\n").unwrap_err();
+        assert_eq!(err, AsmError::new(3, "duplicate label `x`"));
+    }
+
+    #[test]
+    fn pass_two_reports_in_source_order() {
+        // A bad `.word` expression on line 2 beats a bad instruction on
+        // line 4: pass 2 walks words and instructions interleaved.
+        let src = ".data\nw: .word nowhere\n.text\naddu $t0, $t1\n";
+        let err = assemble(src).unwrap_err();
+        assert_eq!(err, AsmError::new(2, "undefined symbol `nowhere`"));
+        // With the word fixed, the instruction's arity error surfaces.
+        let err = assemble(&src.replace("nowhere", "w")).unwrap_err();
+        assert_eq!(err, AsmError::new(4, "`addu` expects 3 operands, got 2"));
+    }
+
+    #[test]
+    fn uppercase_mnemonics_are_accepted() {
+        assert_eq!(
+            asm("ADDU $t0, $t1, $t2\nLi $t0, 0x12345678\nJr $ra"),
+            asm("addu $t0, $t1, $t2\nli $t0, 0x12345678\njr $ra")
+        );
+        let err = assemble("NOP 1").unwrap_err();
+        assert_eq!(err.msg, "`nop` expects 0 operands, got 1");
+        let err = assemble("BOGUS").unwrap_err();
+        assert_eq!(err.msg, "unknown mnemonic `bogus`");
+        // Directives and registers stay case-sensitive.
+        assert!(assemble(".DATA").is_err());
+        assert!(assemble("jr $RA").is_err());
+    }
+
+    #[test]
+    fn arity_errors_count_every_operand() {
+        let err = assemble("addu $t0, $t1, $t2, $t3, $t4").unwrap_err();
+        assert_eq!(err.msg, "`addu` expects 3 operands, got 5");
+        // `break` ignores operands it does not use.
+        assert_eq!(asm("break 1, 2").text, asm("break").text);
+    }
+
+    #[test]
+    fn memory_operand_closed_before_it_opens_is_an_error() {
+        let err = assemble("lw $t0, )4($sp").unwrap_err();
+        assert_eq!(err, AsmError::new(1, "missing `)` in memory operand"));
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_like_ascii() {
+        let plain = asm("main: addu $t0, $t1, $t2\n.data\ns: .asciiz \"a b\"");
+        let wide = asm("\u{3000}main:\u{a0}addu\u{a0}$t0,\u{b}$t1 ,\u{c}$t2\u{3000}\n.data\u{85}\ns:\t.asciiz\u{a0}\"a b\"\u{a0}");
+        assert_eq!(plain, wide);
+        // Non-whitespace Unicode is part of the token it touches.
+        let err = assemble("nop\u{e9}").unwrap_err();
+        assert_eq!(err.msg, "unknown mnemonic `nop\u{e9}`");
     }
 
     #[test]

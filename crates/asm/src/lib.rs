@@ -20,6 +20,17 @@
 //! The result is an [`Image`]: position-resolved text and data bytes plus a
 //! symbol table, ready to be mapped by the loader in `ptaint-os`.
 //!
+//! The assembler borrows from the source and does not allocate per
+//! statement. Pass 1 scans each line once: it binds labels, lays out data
+//! directly, and resolves each mnemonic to an internal enum. Pass 2 encodes
+//! the instructions and `.word` expressions in source order. Errors follow
+//! the passes: any pass-1 error (syntax, duplicate or invalid label,
+//! directive, section misuse, a data segment past the stack top) is
+//! reported before any pass-2 error (unknown mnemonic or register, operand
+//! count, undefined symbol, out-of-range value), and pass-2 errors come in
+//! source order. Mnemonics are case-insensitive; whitespace is anything
+//! [`char::is_whitespace`] accepts.
+//!
 //! ```
 //! use ptaint_asm::assemble;
 //!

@@ -105,3 +105,152 @@ proptest! {
         let _ = assemble(&lines.join("\n"));
     }
 }
+
+/// Text statements as `(mnemonic, operands)`; every one assembles in the
+/// program `whitespace_and_comments_are_invisible` builds around them.
+const TEXT_STATEMENTS: &[(&str, &[&str])] = &[
+    ("addu", &["$t0", "$t1", "$t2"]),
+    ("addiu", &["$sp", "$sp", "-16"]),
+    ("lw", &["$a0", "4($sp)"]),
+    ("sw", &["$a0", "0($sp)"]),
+    ("lb", &["$v0", "-1($t0)"]),
+    ("li", &["$t0", "0x12345678"]),
+    ("li", &["$t1", "'a'"]),
+    ("la", &["$a0", "msg"]),
+    ("lui", &["$a1", "%hi(msg)"]),
+    ("ori", &["$a1", "$a1", "%lo(msg)"]),
+    ("beq", &["$t0", "$t1", "top"]),
+    ("blt", &["$a0", "$a1", "top"]),
+    ("bnez", &["$v0", "top"]),
+    ("jal", &["top"]),
+    ("jalr", &["$t9"]),
+    ("jr", &["$ra"]),
+    ("sll", &["$t0", "$t1", "4"]),
+    ("mult", &["$a0", "$a1"]),
+    ("mflo", &["$v0"]),
+    ("nop", &[]),
+    ("syscall", &[]),
+];
+
+/// Data statements as `(directive, operands)`.
+const DATA_STATEMENTS: &[(&str, &[&str])] = &[
+    (".word", &["1", "msg", "top", "msg-4"]),
+    (".byte", &["1", "2", "'z'", "0x7f"]),
+    (".half", &["0x1234", "-1"]),
+    (".asciiz", &["\"a b, c # d; e\""]),
+    (".ascii", &["\"x\\ty\""]),
+    (".space", &["3"]),
+    (".align", &["2"]),
+];
+
+/// Whitespace characters the assembler must treat alike: ASCII space and
+/// tab, vertical tab and form feed (which `u8::is_ascii_whitespace` misses),
+/// and two Unicode spaces.
+const SPACES: &[&str] = &[" ", "\t", "\u{b}", "\u{c}", "\u{a0}", "\u{3000}"];
+
+/// Trailing comments, including comment characters and separators that
+/// must not be read as code.
+const COMMENTS: &[&str] = &["# note", "; x, y: z", "#", ";\"q", "# .data"];
+
+/// Draws from a stream of random numbers.
+struct Noise<'a>(std::slice::Iter<'a, usize>);
+
+impl Noise<'_> {
+    fn next(&mut self, n: usize) -> usize {
+        self.0.next().map_or(0, |v| v % n)
+    }
+
+    /// A run of zero or more whitespace characters, at least `min` long.
+    fn spaces(&mut self, min: usize) -> String {
+        let len = min + self.next(3);
+        (0..len).map(|_| SPACES[self.next(SPACES.len())]).collect()
+    }
+
+    fn comment(&mut self) -> String {
+        if self.next(3) == 0 {
+            format!("{}{}", self.spaces(0), COMMENTS[self.next(COMMENTS.len())])
+        } else {
+            String::new()
+        }
+    }
+}
+
+/// Renders one statement. With `noise`, whitespace runs go between every
+/// pair of tokens and a trailing comment may follow; without it the line
+/// is minimal.
+fn render(
+    label: Option<String>,
+    head: &str,
+    ops: &[&str],
+    noise: &mut Option<Noise<'_>>,
+) -> String {
+    let mut gap = |min: usize| match noise {
+        Some(n) => n.spaces(min),
+        None => " ".repeat(min),
+    };
+    let mut line = gap(0);
+    if let Some(label) = label {
+        line += &label;
+        line += ":";
+        line += &gap(0);
+    }
+    line += head;
+    if !ops.is_empty() {
+        line += &gap(1);
+        for (i, op) in ops.iter().enumerate() {
+            if i > 0 {
+                line += &gap(0);
+                line += ",";
+                line += &gap(0);
+            }
+            line += op;
+        }
+    }
+    line += &gap(0);
+    if let Some(n) = noise {
+        line += &n.comment();
+    }
+    line
+}
+
+fn program(data: &[usize], text: &[(usize, bool)], noise: Option<&[usize]>) -> String {
+    let mut noise = noise.map(|v| Noise(v.iter()));
+    let mut lines = vec![".data".to_owned()];
+    lines.push(render(
+        Some("msg".into()),
+        ".asciiz",
+        &["\"hi\""],
+        &mut noise,
+    ));
+    for &d in data {
+        let (head, ops) = DATA_STATEMENTS[d];
+        lines.push(render(None, head, ops, &mut noise));
+    }
+    lines.push(".text".to_owned());
+    lines.push(render(Some("top".into()), "nop", &[], &mut noise));
+    for (i, &(t, labelled)) in text.iter().enumerate() {
+        let (head, ops) = TEXT_STATEMENTS[t];
+        let label = labelled.then(|| format!("l{i}"));
+        lines.push(render(label, head, ops, &mut noise));
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whitespace of any kind between tokens, and trailing `#`/`;`
+    /// comments, never change the assembled image.
+    #[test]
+    fn whitespace_and_comments_are_invisible(
+        data in proptest::collection::vec(0..DATA_STATEMENTS.len(), 0..5),
+        text in proptest::collection::vec((0..TEXT_STATEMENTS.len(), any::<bool>()), 1..16),
+        noise in proptest::collection::vec(any::<usize>(), 512..513),
+    ) {
+        let plain = program(&data, &text, None);
+        let noisy = program(&data, &text, Some(&noise));
+        let expected = assemble(&plain).unwrap_or_else(|e| panic!("{plain:?}: {e}"));
+        let actual = assemble(&noisy).unwrap_or_else(|e| panic!("{noisy:?}: {e}"));
+        prop_assert_eq!(actual, expected, "{:?}", noisy);
+    }
+}

@@ -2,18 +2,23 @@
 //! the predecoded/cached engine on a tight counted loop — the workload
 //! where decode cost dominates and the decode cache pays off most — plus
 //! the cached engine on the six Table 3 guests under full detection, where
-//! taint memory traffic, syscalls and real control flow weigh in too.
+//! taint memory traffic, syscalls and real control flow weigh in too. Two
+//! toolchain series time what every `ptaint-run` invocation pays before
+//! the guest starts: assembling the three CVE daemons' compiled units, and
+//! the whole `ptaint_guest::build` (compile plus assemble).
 //!
 //! Besides the criterion groups, a machine-readable summary is written to
 //! `BENCH_engine.json` at the repository root (guest steps, steps/sec per
-//! engine, speedup, Table 3 steps/sec). Set `BENCH_QUICK=1` to shrink the
-//! loop and run the guests at input scale 1 for CI smoke runs.
+//! engine, speedup, Table 3 steps/sec, CVE assembles/sec and builds/sec).
+//! Set `BENCH_QUICK=1` to shrink the loop, run the guests at input scale 1
+//! and take fewer toolchain rounds for CI smoke runs.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ptaint::{Engine, ExitReason, Machine};
-use ptaint_guest::workloads;
+use ptaint_guest::apps::{ghttpd, null_httpd, wu_ftpd};
+use ptaint_guest::{workloads, CRT0_ASM, LIBC_C, SYSCALL_STUBS_ASM};
 
 /// Loop iterations: full runs measure a stable hot loop; quick mode keeps
 /// CI smoke runs under a second.
@@ -106,6 +111,54 @@ fn table3_steps_per_sec(machines: &[Machine]) -> (u64, f64) {
     (steps, best)
 }
 
+/// The three CVE daemons' sources, as `ptaint-run` rebuilds them.
+const CVE_SOURCES: [&str; 3] = [ghttpd::SOURCE, null_httpd::SOURCE, wu_ftpd::SOURCE];
+
+/// Timed rounds of each toolchain series; the best round is reported.
+fn toolchain_rounds() -> u32 {
+    if quick() {
+        3
+    } else {
+        30
+    }
+}
+
+/// Per second over the best of [`toolchain_rounds`] rounds (after one
+/// warmup), where one round runs `f` once per item.
+fn best_per_sec<T>(items: &[T], f: impl Fn(&T)) -> f64 {
+    let round = || items.iter().for_each(&f);
+    round();
+    let mut best = f64::MIN;
+    for _ in 0..toolchain_rounds() {
+        let start = Instant::now();
+        round();
+        best = best.max(items.len() as f64 / start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Assemblies/sec of the CVE daemons' compiled units (libc, daemon, crt0
+/// and syscall stubs: what `ptaint_guest::build` hands the assembler).
+fn cve_assembles_per_sec() -> f64 {
+    let units: Vec<String> = CVE_SOURCES
+        .iter()
+        .map(|source| {
+            let compiled = ptaint::compile(&format!("{LIBC_C}\n{source}\n")).expect("compiles");
+            format!("{compiled}\n{CRT0_ASM}\n{SYSCALL_STUBS_ASM}\n")
+        })
+        .collect();
+    best_per_sec(&units, |unit| {
+        ptaint::assemble(unit).expect("assembles");
+    })
+}
+
+/// Whole `ptaint_guest::build`s/sec of the CVE daemons.
+fn cve_builds_per_sec() -> f64 {
+    best_per_sec(&CVE_SOURCES, |source| {
+        ptaint_guest::build(source).expect("builds");
+    })
+}
+
 /// Quick-mode micro-assert: the chunked `write_bytes`/`set_taint_range`
 /// fast paths (one page lookup per crossed page) must agree byte-for-byte
 /// with a per-byte reference on a page-straddling range. Runs in CI smoke
@@ -170,12 +223,15 @@ fn bench_engines(c: &mut Criterion) {
     let interp = steps_per_sec(&machine.clone().engine(Engine::Interp));
     let cached = steps_per_sec(&machine.clone().engine(Engine::Cached));
     let (table3_steps, table3) = table3_steps_per_sec(&table3_machines());
+    let assembles = cve_assembles_per_sec();
+    let builds = cve_builds_per_sec();
     let json = format!(
         concat!(
             "{{\"bench\":\"engine\",\"guest_steps\":{},",
             "\"interp_steps_per_sec\":{:.0},\"cached_steps_per_sec\":{:.0},",
             "\"speedup\":{:.3},\"table3_scale\":{},\"table3_guest_steps\":{},",
-            "\"table3_steps_per_sec\":{:.0},\"quick\":{}}}\n"
+            "\"table3_steps_per_sec\":{:.0},\"cve_assembles_per_sec\":{:.1},",
+            "\"cve_builds_per_sec\":{:.1},\"quick\":{}}}\n"
         ),
         steps,
         interp,
@@ -184,6 +240,8 @@ fn bench_engines(c: &mut Criterion) {
         table3_scale(),
         table3_steps,
         table3,
+        assembles,
+        builds,
         quick()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
@@ -191,7 +249,8 @@ fn bench_engines(c: &mut Criterion) {
     println!(
         "engine: {steps} guest steps; interp {interp:.0} steps/s, \
          cached {cached:.0} steps/s, speedup {:.2}x; Table 3 (scale {}) \
-         {table3_steps} guest steps, {table3:.0} steps/s -> {path}",
+         {table3_steps} guest steps, {table3:.0} steps/s; CVE daemons \
+         {assembles:.1} assembles/s, {builds:.1} builds/s -> {path}",
         cached / interp,
         table3_scale()
     );

@@ -137,10 +137,41 @@ impl Reg {
     #[must_use]
     pub fn parse(name: &str) -> Option<Reg> {
         let name = name.strip_prefix('$').unwrap_or(name);
-        if let Ok(n) = name.parse::<u8>() {
-            return (n < 32).then_some(Reg(n));
-        }
-        (0..32u8).map(Reg).find(|r| r.abi_name() == name)
+        Some(Reg(match name {
+            "zero" => 0,
+            "at" => 1,
+            "v0" => 2,
+            "v1" => 3,
+            "a0" => 4,
+            "a1" => 5,
+            "a2" => 6,
+            "a3" => 7,
+            "t0" => 8,
+            "t1" => 9,
+            "t2" => 10,
+            "t3" => 11,
+            "t4" => 12,
+            "t5" => 13,
+            "t6" => 14,
+            "t7" => 15,
+            "s0" => 16,
+            "s1" => 17,
+            "s2" => 18,
+            "s3" => 19,
+            "s4" => 20,
+            "s5" => 21,
+            "s6" => 22,
+            "s7" => 23,
+            "t8" => 24,
+            "t9" => 25,
+            "k0" => 26,
+            "k1" => 27,
+            "gp" => 28,
+            "sp" => 29,
+            "fp" => 30,
+            "ra" => 31,
+            _ => return name.parse::<u8>().ok().filter(|&n| n < 32).map(Reg),
+        }))
     }
 
     /// Iterates over all 32 registers in numeric order.

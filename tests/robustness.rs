@@ -170,3 +170,20 @@ fn all_three_policies_agree_on_fully_benign_programs() {
         assert_eq!(out.stdout_text(), "1225", "{policy}");
     }
 }
+
+#[test]
+fn oversized_globals_are_a_build_error_not_a_panic() {
+    // 128 globals of 16 MiB cannot fit between the data base and the stack
+    // top: the assembler refuses the segment on the first global that
+    // would pass it, instead of overflowing its data cursor.
+    let globals: String = (0..128)
+        .map(|i| format!("char big{i}[16777216];\n"))
+        .collect();
+    let src = format!("{globals}int main() {{ return 0; }}\n");
+    match ptaint_guest::build(&src) {
+        Err(ptaint_guest::BuildError::Assemble(e)) => {
+            assert!(e.msg.contains("stack top"), "{e}");
+        }
+        other => panic!("expected an assembly error, got {other:?}"),
+    }
+}
