@@ -101,17 +101,24 @@
 //!                         heatmap, syscall table, collapsed stacks) to FILE
 //!   --provenance          track taint provenance; on a detection, print the
 //!                         forensic chain from input byte to flagged pointer
+//!   --trace               print the last retired instructions after the run
 //!   --trace-depth N       depth of the recently-retired diagnostic ring
 //!   --disasm              print the program disassembly and exit
 //!   --quiet               suppress the banner and statistics
 //! ```
 //!
+//! The artifact flags (`--trace-out`, `--metrics-out`, `--metrics-interval`,
+//! `--profile-out`, `--journal-out`, `--provenance`, `--pipeline`,
+//! `--trace`) compose freely on one run; under `analyze`, `inject`,
+//! `replay` or `--disasm`, which make no single run, they are usage errors.
+//!
 //! The process exit code is the guest's exit status; detections exit 42;
-//! usage, read, and build errors exit 2, including an unreadable or
-//! malformed `--journal` file and — for `analyze` — an unreadable or
-//! corrupt `--analysis-cache` entry (the corrupt entry is re-analyzed
-//! cold and the report still printed, never a panic, but the exit code
-//! reports the bad cache and takes priority over exit 3); `analyze`
+//! any other abnormal stop (crash, step limit, watchdog, replay
+//! divergence) exits 1; usage, read, and build errors exit 2, including an
+//! unreadable or malformed `--journal` file and — for `analyze` — an
+//! unreadable or corrupt `--analysis-cache` entry (the corrupt entry is
+//! re-analyzed cold and the report still printed, never a panic, but the
+//! exit code reports the bad cache and takes priority over exit 3); `analyze`
 //! findings exit 3; a failure to write a requested artifact
 //! (`--trace-out`, `--metrics-out`, `--profile-out`, `--report`,
 //! `--journal-out`, `--emit-proofs`) exits 4 so scripts never mistake
@@ -121,8 +128,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use ptaint::{
-    CampaignSpec, DetectionPolicy, Engine, ExitReason, FaultKind, Machine, NetSession,
-    SyscallJournal, ToJson, TraceConfig, TraceReport, WorldConfig,
+    CampaignSpec, DetectionPolicy, Engine, ExitReason, FaultKind, Machine, NetSession, RunConfig,
+    SyscallJournal, ToJson, TraceConfig, WorldConfig,
 };
 
 /// Exit code for a failure to persist a requested artifact.
@@ -462,7 +469,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                 let v = value(&mut it, "--trace-depth")?;
                 opts.trace_depth = Some(
                     v.parse()
-                        .map_err(|_| UsageError(format!("bad trace depth `{v}`")))?,
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| UsageError(format!("bad trace depth `{v}`")))?,
                 );
             }
             // The attached spelling `-j4`, matching the make/cargo idiom.
@@ -496,11 +505,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
             "`--metrics-interval` needs `--trace-out FILE` (the periodic snapshots land in the JSONL stream)".into(),
         ));
     }
-    if (opts.profile || opts.profile_out.is_some()) && opts.pipeline {
-        return Err(UsageError(
-            "`--pipeline` cannot be profiled (the profiler rides the functional engine)".into(),
-        ));
-    }
     if opts.emit_proofs && (!opts.analyze || opts.analysis_cache.is_none()) {
         return Err(UsageError(
             "`--emit-proofs` belongs to the `analyze` subcommand and needs `--analysis-cache DIR` to store into".into(),
@@ -516,22 +520,32 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
             "`--journal` only applies to the `replay` subcommand".into(),
         ));
     }
-    if opts.journal_out.is_some()
-        && (opts.analyze
-            || opts.inject
-            || opts.replay
-            || opts.profile
-            || opts.profile_out.is_some()
-            || opts.pipeline
-            || opts.disasm
-            || opts.trace_out.is_some()
-            || opts.metrics_out.is_some())
-    {
-        return Err(UsageError(
-            "`--journal-out` records a plain run (no subcommand, --pipeline, --disasm, \
-             --profile-out, --trace-out, or --metrics-out)"
-                .into(),
-        ));
+    // Flags whose artifact only a single run can produce are usage errors
+    // where no single run happens, never silently dropped.
+    let no_run = [
+        (opts.analyze, "analyze"),
+        (opts.inject, "inject"),
+        (opts.replay, "replay"),
+        (opts.disasm, "--disasm"),
+    ]
+    .into_iter()
+    .find_map(|(set, mode)| set.then_some(mode));
+    let single_run = [
+        (opts.trace_out.is_some(), "--trace-out"),
+        (opts.metrics_out.is_some(), "--metrics-out"),
+        (opts.metrics_interval.is_some(), "--metrics-interval"),
+        (opts.profile_out.is_some(), "--profile-out"),
+        (opts.journal_out.is_some(), "--journal-out"),
+        (opts.provenance, "--provenance"),
+        (opts.pipeline, "--pipeline"),
+        (opts.trace, "--trace"),
+    ]
+    .into_iter()
+    .find_map(|(set, flag)| set.then_some(flag));
+    if let (Some(mode), Some(flag)) = (no_run, single_run) {
+        return Err(UsageError(format!(
+            "`{flag}` needs a single run, which `{mode}` does not make"
+        )));
     }
     Ok(opts)
 }
@@ -625,46 +639,22 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
     if opts.disasm {
         return (ptaint::disassemble(machine.image()), 0);
     }
-    let trace_cfg = TraceConfig {
-        jsonl: opts.trace_out.is_some(),
-        metrics: opts.metrics_out.is_some(),
-        provenance: opts.provenance,
-        metrics_interval: opts.metrics_interval,
-        ..TraceConfig::default()
-    };
-    let profiling = opts.profile || opts.profile_out.is_some();
-    let mut report = String::new();
-    let mut trace = Vec::new();
-    let mut trace_report = TraceReport::default();
-    let mut profile = None;
-    let mut journal = None;
-    let (outcome, pipeline) = if opts.pipeline {
-        let (o, p) = machine.run_pipelined();
-        (o, Some(p))
-    } else if profiling {
-        let (o, t, r, p) = machine.run_profile(&trace_cfg);
-        trace = t;
-        trace_report = r;
-        profile = Some(p);
-        (o, None)
-    } else if opts.journal_out.is_some() {
-        let (o, j) = machine.record();
-        journal = Some(j);
-        (o, None)
-    } else if trace_cfg.any() {
-        let (o, t, r) = machine.run_with_trace(&trace_cfg);
-        trace = t;
-        trace_report = r;
-        (o, None)
-    } else {
-        // The retired-instruction ring is maintained regardless, so always
-        // collect the tail: it backs `--trace` and the alert report.
-        let (o, t) = machine.run_traced();
-        trace = t;
-        (o, None)
-    };
-    let detected = matches!(outcome.reason, ExitReason::Security(_));
+    let run = machine.run_with(&RunConfig {
+        trace: TraceConfig {
+            jsonl: opts.trace_out.is_some(),
+            metrics: opts.metrics_out.is_some(),
+            provenance: opts.provenance,
+            metrics_interval: opts.metrics_interval,
+            ..TraceConfig::default()
+        },
+        profile: opts.profile || opts.profile_out.is_some(),
+        record: opts.journal_out.is_some(),
+        pipeline: opts.pipeline,
+    });
+    let outcome = &run.outcome;
+    let detected = outcome.reason.is_detected();
 
+    let mut report = String::new();
     if !outcome.stdout.is_empty() {
         report.push_str(&String::from_utf8_lossy(&outcome.stdout));
         if !report.ends_with('\n') {
@@ -682,16 +672,16 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
     }
     // The execution tail is printed when asked for (`--trace`) and, so the
     // detection report stands on its own, whenever an alert fired.
-    if (opts.trace || (detected && !opts.quiet)) && !trace.is_empty() {
-        let _ = writeln!(report, "--- last {} instructions ---", trace.len());
-        for line in &trace {
+    if (opts.trace || (detected && !opts.quiet)) && !run.tail.is_empty() {
+        let _ = writeln!(report, "--- last {} instructions ---", run.tail.len());
+        for line in &run.tail {
             let _ = writeln!(report, "{line}");
         }
     }
     if !opts.quiet {
         let _ = writeln!(report, "--- outcome: {}", outcome.reason);
         let _ = writeln!(report, "--- stats: {}", outcome.stats);
-        if let Some(p) = pipeline {
+        if let Some(p) = &run.pipeline {
             let _ = writeln!(
                 report,
                 "--- pipeline: {} cycles, IPC {:.3}, {} load-use stalls, {} flushes",
@@ -702,89 +692,86 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
             );
         }
     }
-    if let Some(chain) = &trace_report.forensic {
+    if let Some(chain) = &run.trace.forensic {
         let _ = writeln!(report, "--- provenance ---\n{chain}");
     } else if opts.provenance && detected {
         let _ = writeln!(report, "--- provenance: no chain reconstructed ---");
     }
     // The `profile` subcommand's reason to exist: the human top-N report.
     if opts.profile && !opts.quiet {
-        if let Some(p) = &profile {
+        if let Some(p) = &run.profile {
             report.push_str(&p.render_text(PROFILE_TOP_N));
         }
     }
     let mut artifact_failed = false;
     if let Some(path) = &opts.profile_out {
-        let json = profile
+        let json = run
+            .profile
             .as_ref()
-            .map(|p| p.to_json() + "\n")
-            .unwrap_or_default();
-        match std::fs::write(path, &json) {
-            Ok(()) if !opts.quiet => {
-                let _ = writeln!(report, "--- profile: wrote {path}");
-            }
-            Ok(()) => {}
-            Err(e) => {
-                let _ = writeln!(report, "--- profile: cannot write `{path}`: {e}");
-                artifact_failed = true;
-            }
-        }
+            .map_or(String::new(), |p| p.to_json() + "\n");
+        artifact_failed |= write_artifact(&mut report, opts, "profile", path, "", json);
     }
     if let Some(path) = &opts.trace_out {
-        let bytes = trace_report.jsonl.take().unwrap_or_default();
+        let bytes = run.trace.jsonl.as_deref().unwrap_or_default();
         let events = bytes.iter().filter(|&&b| b == b'\n').count();
-        match std::fs::write(path, &bytes) {
-            Ok(()) if !opts.quiet => {
-                let _ = writeln!(report, "--- trace: wrote {events} events to {path}");
-            }
-            Ok(()) => {}
-            Err(e) => {
-                let _ = writeln!(report, "--- trace: cannot write `{path}`: {e}");
-                artifact_failed = true;
-            }
-        }
+        let detail = format!("{events} events to ");
+        artifact_failed |= write_artifact(&mut report, opts, "trace", path, &detail, bytes);
     }
     if let Some(path) = &opts.metrics_out {
-        let json = trace_report
+        let json = run
+            .trace
             .metrics
             .as_ref()
-            .map(|m| m.to_json() + "\n")
-            .unwrap_or_default();
-        match std::fs::write(path, &json) {
-            Ok(()) if !opts.quiet => {
-                let _ = writeln!(report, "--- metrics: wrote {path}");
-            }
-            Ok(()) => {}
-            Err(e) => {
-                let _ = writeln!(report, "--- metrics: cannot write `{path}`: {e}");
-                artifact_failed = true;
-            }
-        }
+            .map_or(String::new(), |m| m.to_json() + "\n");
+        artifact_failed |= write_artifact(&mut report, opts, "metrics", path, "", json);
     }
     if let Some(path) = &opts.journal_out {
-        let journal = journal.unwrap_or_default();
-        let calls = journal.len();
-        match std::fs::write(path, journal.to_text()) {
-            Ok(()) if !opts.quiet => {
-                let _ = writeln!(report, "--- journal: wrote {calls} calls to {path}");
-            }
-            Ok(()) => {}
-            Err(e) => {
-                let _ = writeln!(report, "--- journal: cannot write `{path}`: {e}");
-                artifact_failed = true;
-            }
-        }
+        let journal = run.journal.as_ref();
+        let detail = format!("{} calls to ", journal.map_or(0, SyscallJournal::len));
+        let text = journal.map(SyscallJournal::to_text).unwrap_or_default();
+        artifact_failed |= write_artifact(&mut report, opts, "journal", path, &detail, text);
     }
     let code = if artifact_failed {
         EXIT_ARTIFACT
     } else {
-        match outcome.reason {
-            ExitReason::Exited(status) => status,
-            ExitReason::Security(_) => 42,
-            _ => 1,
-        }
+        exit_code(&run.outcome.reason)
     };
     (report, code)
+}
+
+/// Writes one requested artifact to `path` and notes the result in
+/// `report` as `--- {label}: wrote {detail}{path}` (unless quiet) or as
+/// the write error. Returns whether the write failed.
+fn write_artifact(
+    report: &mut String,
+    opts: &Options,
+    label: &str,
+    path: &str,
+    detail: &str,
+    contents: impl AsRef<[u8]>,
+) -> bool {
+    match std::fs::write(path, contents) {
+        Ok(()) => {
+            if !opts.quiet {
+                let _ = writeln!(report, "--- {label}: wrote {detail}{path}");
+            }
+            false
+        }
+        Err(e) => {
+            let _ = writeln!(report, "--- {label}: cannot write `{path}`: {e}");
+            true
+        }
+    }
+}
+
+/// The exit code a finished run reports: the guest's exit status, 42 on a
+/// detection, 1 on any other abnormal stop.
+fn exit_code(reason: &ExitReason) -> i32 {
+    match reason {
+        ExitReason::Exited(status) => *status,
+        ExitReason::Security(_) => 42,
+        _ => 1,
+    }
 }
 
 /// The `analyze` subcommand: prints the static lint report, optionally
@@ -882,16 +869,11 @@ fn run_campaign_cli(opts: &Options, machine: &Machine) -> (String, i32) {
     }
     let mut code = 0;
     match &opts.report_out {
-        Some(path) => match std::fs::write(path, &json) {
-            Ok(()) if !opts.quiet => {
-                let _ = writeln!(report, "--- report: wrote {path}");
-            }
-            Ok(()) => {}
-            Err(e) => {
-                let _ = writeln!(report, "--- report: cannot write `{path}`: {e}");
+        Some(path) => {
+            if write_artifact(&mut report, opts, "report", path, "", json) {
                 code = EXIT_ARTIFACT;
             }
-        },
+        }
         None => report.push_str(&json),
     }
     (report, code)
@@ -920,12 +902,7 @@ fn run_replay_cli(opts: &Options, machine: &Machine) -> (String, i32) {
         let _ = writeln!(report, "--- outcome: {}", outcome.reason);
         let _ = writeln!(report, "--- stats: {}", outcome.stats);
     }
-    let code = match outcome.reason {
-        ExitReason::Exited(status) => status,
-        ExitReason::Security(_) => 42,
-        _ => 1,
-    };
-    (report, code)
+    (report, exit_code(&outcome.reason))
 }
 
 #[cfg(test)]
@@ -1371,10 +1348,16 @@ mod tests {
         assert!(parse(&["p.c", "--metrics-interval", "x", "--trace-out", "t"]).is_err());
         let opts = parse(&["p.c", "--metrics-interval", "512", "--trace-out", "t.jsonl"]).unwrap();
         assert_eq!(opts.metrics_interval, Some(512));
+    }
 
-        // Profiling the pipeline timing model is a usage error.
-        assert!(parse(&["profile", "p.c", "--pipeline"]).is_err());
-        assert!(parse(&["p.c", "--pipeline", "--profile-out", "f"]).is_err());
+    #[test]
+    fn trace_depth_rejects_zero() {
+        assert!(parse(&["p.c", "--trace-depth", "0"]).is_err());
+        assert!(parse(&["p.c", "--trace-depth", "x"]).is_err());
+        assert_eq!(
+            parse(&["p.c", "--trace-depth", "3"]).unwrap().trace_depth,
+            Some(3)
+        );
     }
 
     #[test]
@@ -1439,13 +1422,91 @@ mod tests {
     }
 
     #[test]
-    fn journal_out_is_a_plain_run_artifact() {
-        assert!(parse(&["p.c", "--journal-out", "j.txt", "--pipeline"]).is_err());
-        assert!(parse(&["p.c", "--journal-out", "j.txt", "--trace-out", "t"]).is_err());
+    fn single_run_flags_are_rejected_where_no_single_run_happens() {
         assert!(parse(&["inject", "p.c", "--journal-out", "j.txt"]).is_err());
         assert!(parse(&["analyze", "p.c", "--journal-out", "j.txt"]).is_err());
-        let opts = parse(&["p.c", "--journal-out", "j.txt"]).unwrap();
-        assert_eq!(opts.journal_out.as_deref(), Some("j.txt"));
+        let err = parse(&["inject", "p.c", "--trace-out", "x.jsonl"]).unwrap_err();
+        assert!(
+            err.0.contains("`--trace-out`") && err.0.contains("`inject`"),
+            "{err}"
+        );
+        assert!(parse(&["analyze", "p.c", "--trace-out", "y.jsonl"]).is_err());
+        assert!(parse(&["replay", "p.c", "--journal", "j", "--metrics-out", "m"]).is_err());
+        assert!(parse(&[
+            "inject",
+            "p.c",
+            "--trace-out",
+            "t",
+            "--metrics-interval",
+            "9"
+        ])
+        .is_err());
+        assert!(parse(&["analyze", "p.c", "--profile-out", "p.json"]).is_err());
+        assert!(parse(&["replay", "p.c", "--journal", "j", "--journal-out", "k"]).is_err());
+        assert!(parse(&["p.c", "--disasm", "--journal-out", "j.txt"]).is_err());
+        assert!(parse(&["inject", "p.c", "--provenance"]).is_err());
+        assert!(parse(&["analyze", "p.c", "--pipeline"]).is_err());
+        assert!(parse(&["p.c", "--disasm", "--trace"]).is_err());
+        // A single run composes every one of them.
+        let opts = parse(&[
+            "p.c",
+            "--journal-out",
+            "j.txt",
+            "--pipeline",
+            "--trace-out",
+            "t",
+        ]);
+        assert_eq!(opts.unwrap().journal_out.as_deref(), Some("j.txt"));
+        assert!(parse(&["profile", "p.c", "--pipeline", "--profile-out", "f"]).is_ok());
+    }
+
+    #[test]
+    fn composed_run_writes_every_artifact() {
+        let dir = std::env::temp_dir().join("ptaint-cli-composed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let source = "void f() { char b[10]; scanf(\"%s\", b); } int main() { f(); return 0; }";
+        let (t, m, p, j) = (
+            file("t.jsonl"),
+            file("m.json"),
+            file("p.json"),
+            file("j.txt"),
+        );
+        let args = [
+            "smash.c",
+            "--pipeline",
+            "--provenance",
+            "--trace",
+            "--trace-out",
+            &t,
+            "--metrics-out",
+            &m,
+            "--profile-out",
+            &p,
+            "--journal-out",
+            &j,
+        ];
+        let mut opts = parse(&args).unwrap();
+        opts.stdin = vec![b'a'; 24];
+        let (report, code) = run_machine(&opts, &build_machine(&opts, source).unwrap());
+        assert_eq!(code, 42, "{report}");
+        assert!(report.contains("--- provenance ---\n"), "{report}");
+        assert!(report.contains("--- last 64 instructions ---"), "{report}");
+        assert!(report.contains("--- pipeline:"), "{report}");
+        for path in [&t, &m, &p, &j] {
+            assert!(
+                std::fs::metadata(path).unwrap().len() > 0,
+                "{path} is empty"
+            );
+        }
+        let piped = std::fs::read(&t).unwrap();
+
+        // The pipeline changes the timing model, never the event stream.
+        opts.pipeline = false;
+        let (report, code) = run_machine(&opts, &build_machine(&opts, source).unwrap());
+        assert_eq!(code, 42, "{report}");
+        assert_eq!(std::fs::read(&t).unwrap(), piped);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -79,9 +79,14 @@ fn main() -> ExitCode {
              --disasm             print disassembly and exit\n\
              --quiet              program output only\n\
              \n\
-             exit code: guest status; 42 on a security detection; 2 on\n\
-             usage/read/build errors, including a missing or malformed\n\
-             --journal file and, under `analyze`, an unreadable or corrupt\n\
+             exit code: guest status; 42 on a security detection; 1 on any\n\
+             other abnormal stop (crash, step limit, watchdog, replay\n\
+             divergence); 2 on usage/read/build errors, including a\n\
+             missing or malformed --journal file, a single-run flag\n\
+             (--trace-out, --metrics-out, --metrics-interval,\n\
+             --profile-out, --journal-out, --provenance, --pipeline,\n\
+             --trace) given to analyze, inject, replay or --disasm, and,\n\
+             under `analyze`, an unreadable or corrupt\n\
              --analysis-cache entry (the entry is re-analyzed cold and the\n\
              report still printed — never a panic — but the exit code\n\
              reports the bad cache, taking priority over 3); 3 on analyze\n\

@@ -12,7 +12,7 @@ use ptaint_cpu::pipeline::{PipelineDetection, Stage};
 use ptaint_cpu::DetectionPolicy;
 use ptaint_guest::apps::synthetic;
 
-use crate::Machine;
+use crate::{Machine, RunConfig};
 
 /// One pipeline detection walk.
 #[derive(Debug, Clone)]
@@ -45,15 +45,25 @@ pub fn run_pipeline_walk() -> Figure3Report {
         .expect("exp1 builds")
         .world(synthetic::exp1_attack_world())
         .policy(DetectionPolicy::PointerTaintedness);
-    let (_, report1) = exp1.run_pipelined();
-    let jump_detection = report1.detection.expect("exp1 detected in the pipeline");
+    let pipelined = RunConfig {
+        pipeline: true,
+        ..RunConfig::default()
+    };
+    let jump_detection = exp1
+        .run_with(&pipelined)
+        .pipeline
+        .and_then(|p| p.detection)
+        .expect("exp1 detected in the pipeline");
 
     let exp2 = Machine::from_c(synthetic::EXP2_SOURCE)
         .expect("exp2 builds")
         .world(synthetic::exp2_attack_world())
         .policy(DetectionPolicy::PointerTaintedness);
-    let (_, report2) = exp2.run_pipelined();
-    let data_detection = report2.detection.expect("exp2 detected in the pipeline");
+    let data_detection = exp2
+        .run_with(&pipelined)
+        .pipeline
+        .and_then(|p| p.detection)
+        .expect("exp2 detected in the pipeline");
 
     Figure3Report {
         jump_walk: PipelineWalk {

@@ -20,7 +20,7 @@ use ptaint_guest::workloads;
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::ExitReason;
 
-use crate::Machine;
+use crate::{Machine, RunConfig};
 
 /// Overhead measurements for one workload.
 #[derive(Debug, Clone)]
@@ -73,11 +73,15 @@ pub fn run_overhead_report(scale: u32) -> OverheadReport {
             .world(w.world(scale))
             .hierarchy(HierarchyConfig::flat());
 
-        let (out_off, pipe_off) = machine.clone().policy(DetectionPolicy::Off).run_pipelined();
-        let (out_full, pipe_full) = machine
-            .clone()
-            .policy(DetectionPolicy::PointerTaintedness)
-            .run_pipelined();
+        let pipelined = |policy| {
+            let run = machine.clone().policy(policy).run_with(&RunConfig {
+                pipeline: true,
+                ..RunConfig::default()
+            });
+            (run.outcome, run.pipeline.expect("pipelined run reports"))
+        };
+        let (out_off, pipe_off) = pipelined(DetectionPolicy::Off);
+        let (out_full, pipe_full) = pipelined(DetectionPolicy::PointerTaintedness);
         assert_eq!(out_full.reason, ExitReason::Exited(0), "{}", w.name);
         assert_eq!(out_off.reason, out_full.reason, "{}", w.name);
 

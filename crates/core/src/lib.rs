@@ -56,7 +56,7 @@ pub mod cert;
 pub mod experiments;
 mod machine;
 
-pub use machine::{Machine, MachineSnapshot};
+pub use machine::{Machine, MachineSnapshot, RunArtifacts, RunConfig};
 
 // The user-facing vocabulary, re-exported from the substrate crates.
 pub use ptaint_analyze::{

@@ -6,14 +6,14 @@ use std::time::Duration;
 
 use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
-use ptaint_cpu::{Cpu, DetectionPolicy, Engine, TaintRules};
+use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules};
 use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, FaultKind, StateInjector, TrialRun};
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
     load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
 };
-use ptaint_profile::{EventProfile, ProfileReport, SymbolTable};
+use ptaint_profile::{EventProfile, HotProfile, ProfileReport, SymbolTable};
 use ptaint_trace::{Event, Observer, SharedObserver, TraceConfig, TraceHub, TraceReport};
 use std::cell::RefCell;
 
@@ -231,7 +231,7 @@ impl Machine {
 
     /// Sets the depth of the CPU's recently-retired diagnostic ring (default
     /// [`ptaint_cpu::DEFAULT_TRACE_DEPTH`]) — the tail reported by
-    /// [`Machine::run_traced`] and the CLI's alert report.
+    /// [`Machine::run_with`] and the CLI's alert report.
     #[must_use]
     pub fn trace_depth(mut self, depth: usize) -> Machine {
         self.trace_depth = Some(depth);
@@ -332,19 +332,7 @@ impl Machine {
     /// Boots a fresh instance and runs it to completion.
     #[must_use]
     pub fn run(&self) -> RunOutcome {
-        let (mut cpu, mut os) = self.boot();
-        run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ())
-    }
-
-    /// Boots a fresh instance and runs it fault-free, as a campaign trial.
-    fn run_fault_free(&self) -> TrialRun {
-        let (mut cpu, mut os) = self.boot();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
-            applied: None,
-        }
+        run_trial(self.boot(), self.limits(), None).outcome
     }
 
     /// Boots a fresh instance and runs it under one injected [`Fault`]:
@@ -353,17 +341,16 @@ impl Machine {
     /// classifier consumes.
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        if fault.kind == FaultKind::ProofCache {
-            return self.run_proof_cache_trial(fault);
-        }
-        let (mut cpu, mut os) = self.boot();
-        os.set_io_faults(fault.io_plan());
-        let mut injector = StateInjector::new(*fault);
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut injector);
-        TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
-            applied: injector.applied().map(str::to_owned),
+        self.trial(Some(fault))
+    }
+
+    /// A rebooted campaign trial: fault-free for `None`, else under
+    /// `fault` (a [`FaultKind::ProofCache`] fault corrupts the proof cache
+    /// before the boot).
+    fn trial(&self, fault: Option<&Fault>) -> TrialRun {
+        match fault {
+            Some(f) if f.kind == FaultKind::ProofCache => self.run_proof_cache_trial(f),
+            _ => run_trial(self.boot(), self.limits(), fault),
         }
     }
 
@@ -387,7 +374,7 @@ impl Machine {
         });
         let (Some(mut bytes), true) = (entry, self.elision_armed()) else {
             // Inert: nothing persistent to corrupt.
-            return self.run_fault_free();
+            return self.trial(None);
         };
 
         let total = (bytes.len() as u64) * 8;
@@ -406,14 +393,12 @@ impl Machine {
         // A new cache directory starts a new memo, so this boot loads the
         // corrupted entry instead of borrowing the shared analysis.
         let victim = self.clone().analysis_cache(&tmp);
-        let (mut cpu, mut os) = victim.boot();
+        let (mut cpu, os) = victim.boot();
         cpu.note_injected_fault();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
         let run = TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
             // Deterministic and path-free, so reports shard-merge cleanly.
             applied: Some(format!("proofs entry bit {bit} of {total} flipped")),
+            ..run_trial((cpu, os), self.limits(), None)
         };
         let _ = std::fs::remove_dir_all(&tmp);
         run
@@ -459,29 +444,15 @@ impl Machine {
         }
     }
 
-    /// Boots a fresh instance, records every serviced syscall into a
-    /// [`SyscallJournal`], and runs to completion. The journal replays the
-    /// run instruction-exactly via [`Machine::replay`] — including on a
-    /// machine whose world has been stripped — for forensics over the
-    /// paper's provenance chains.
-    #[must_use]
-    pub fn record(&self) -> (RunOutcome, SyscallJournal) {
-        let (mut cpu, mut os) = self.boot();
-        os.start_recording();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        let journal = os.take_journal().unwrap_or_default();
-        (outcome, journal)
-    }
-
     /// Boots a fresh instance and re-serves `journal` byte-exactly instead
     /// of consulting the world. A guest that departs from the journal stops
     /// with [`ptaint_os::ExitReason::ReplayDivergence`] — a structured
     /// outcome, never a panic.
     #[must_use]
     pub fn replay(&self, journal: SyscallJournal) -> RunOutcome {
-        let (mut cpu, mut os) = self.boot();
+        let (cpu, mut os) = self.boot();
         os.start_replay(journal);
-        run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ())
+        run_trial((cpu, os), self.limits(), None).outcome
     }
 
     /// Runs a whole fault-injection campaign against this workload: one
@@ -507,13 +478,13 @@ impl Machine {
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
             let snap = self.fork_trials.then(|| self.snapshot());
-            move |fault: Option<&Fault>| match (fault, &snap) {
+            move |fault: Option<&Fault>| match &snap {
                 // Proof-cache corruption happens *before* boot, so it can
                 // never ride a post-boot fork — reboot that trial instead.
-                (Some(f), Some(snap)) if f.kind != FaultKind::ProofCache => snap.run_injected(f),
-                (Some(f), _) => self.run_injected(f),
-                (None, Some(snap)) => snap.run(),
-                (None, None) => self.run_fault_free(),
+                Some(snap) if fault.is_none_or(|f| f.kind != FaultKind::ProofCache) => {
+                    run_trial(snap.fork(), snap.limits, fault)
+                }
+                _ => self.trial(fault),
             }
         })
     }
@@ -548,88 +519,82 @@ impl Machine {
         elided
     }
 
-    /// Boots a fresh instance and runs it through the 5-stage pipeline
-    /// timing model (Figure 3), returning both the functional outcome and
-    /// the cycle-level report (detection staging, stalls, IPC).
+    /// Boots a fresh instance with everything `cfg` asks for attached —
+    /// any combination of the trace sinks, the hot-loop profiler, syscall
+    /// journal recording and the 5-stage pipeline timing model (Figure 3)
+    /// — and runs it to completion. The pipeline retires through the same
+    /// taint CPU, so every sink sees the identical event stream with or
+    /// without it; with no sink and no profiler, no observer is attached.
     #[must_use]
-    pub fn run_pipelined(&self) -> (RunOutcome, PipelineReport) {
-        let (cpu, mut os) = self.boot();
-        let mut pipe = Pipeline::new(cpu);
-        let outcome = run_to_exit_with(&mut pipe, &mut os, self.limits(), &mut ());
-        (outcome, pipe.report())
+    pub fn run_with(&self, cfg: &RunConfig) -> RunArtifacts {
+        let sinks = (cfg.trace.any() || cfg.profile).then(|| {
+            Rc::new(RefCell::new(RunSinks {
+                hub: TraceHub::new(&cfg.trace),
+                events: cfg.profile.then(EventProfile::new),
+            }))
+        });
+        let observer = sinks.clone().map(|s| -> SharedObserver { s });
+        let (mut cpu, mut os) = self.boot_with(observer);
+        if cfg.profile {
+            cpu.enable_profiler();
+        }
+        if cfg.record {
+            os.start_recording();
+        }
+        // Each branch owns (and drops) the CPU, releasing its observer
+        // handle before the sinks are consumed below.
+        let ((outcome, tail, hot), pipeline) = if cfg.pipeline {
+            let mut pipe = Pipeline::new(cpu);
+            let run = self.drive(&mut pipe, &mut os);
+            (run, Some(pipe.report()))
+        } else {
+            let mut cpu = cpu;
+            (self.drive(&mut cpu, &mut os), None)
+        };
+        let journal = cfg.record.then(|| os.take_journal().unwrap_or_default());
+        drop(os);
+        let (trace, events) = sinks
+            .and_then(|s| Rc::try_unwrap(s).ok())
+            .map(|cell| {
+                let sinks = cell.into_inner();
+                (sinks.hub.into_report(), sinks.events)
+            })
+            .unwrap_or_default();
+        let profile = cfg.profile.then(|| {
+            let hot = hot.unwrap_or_default();
+            ProfileReport::build(&hot, &events.unwrap_or_default(), &self.symbol_table())
+        });
+        RunArtifacts {
+            outcome,
+            tail,
+            trace,
+            profile,
+            journal,
+            pipeline,
+        }
     }
 
-    /// Runs to completion and returns the outcome together with a
-    /// disassembled tail of the execution (the most recently retired
-    /// instructions, oldest first) — the `--trace` view of `ptaint-run`.
-    #[must_use]
-    pub fn run_traced(&self) -> (RunOutcome, Vec<String>) {
-        let (mut cpu, mut os) = self.boot();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        let trace = self.render_tail(&cpu);
-        (outcome, trace)
+    /// Runs `stepper` to completion and collects what only the live CPU
+    /// holds: the disassembled tail and the hot-loop profile, if enabled.
+    fn drive<S: Steppable>(
+        &self,
+        stepper: &mut S,
+        os: &mut Os,
+    ) -> (RunOutcome, Vec<String>, Option<Box<HotProfile>>) {
+        let outcome = run_to_exit_with(stepper, os, self.limits(), &mut ());
+        let cpu = stepper.cpu_mut();
+        (outcome, self.render_tail(cpu), cpu.take_profiler())
     }
 
-    /// Boots with the observability sinks `cfg` enables, runs to completion,
-    /// and returns the outcome, the disassembled execution tail, and the
-    /// collected [`TraceReport`] (JSONL stream, metrics, forensic chain).
-    ///
-    /// With every sink disabled this is equivalent to [`Machine::run_traced`]
-    /// plus an empty report — no observer is attached at all.
+    /// [`Machine::run_with`] with only the trace sinks `cfg` enables:
+    /// the outcome, the execution tail and the [`TraceReport`].
     #[must_use]
     pub fn run_with_trace(&self, cfg: &TraceConfig) -> (RunOutcome, Vec<String>, TraceReport) {
-        if !cfg.any() {
-            let (outcome, tail) = self.run_traced();
-            return (outcome, tail, TraceReport::default());
-        }
-        let hub = TraceHub::shared(cfg);
-        let observer: SharedObserver = hub.clone();
-        let (mut cpu, mut os) = self.boot_with(Some(observer));
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        let tail = self.render_tail(&cpu);
-        // Release the emulator's observer handles so the hub is uniquely
-        // owned again and can be consumed into its report.
-        drop(cpu);
-        drop(os);
-        let report = Rc::try_unwrap(hub)
-            .map(|cell| cell.into_inner().into_report())
-            .unwrap_or_default();
-        (outcome, tail, report)
-    }
-
-    /// Boots with the hot-loop profiler enabled plus an event-stream
-    /// profile collector, runs to completion, and returns the outcome, the
-    /// execution tail, the [`TraceReport`] for whatever sinks `cfg`
-    /// enables, and the merged, symbolized [`ProfileReport`] — per-PC and
-    /// per-symbol retirement counts, collapsed call stacks, the taint
-    /// heatmap, and the syscall table. The report carries counts only (no
-    /// wall-clock data), so a deterministic guest profiles
-    /// byte-identically under either engine.
-    #[must_use]
-    pub fn run_profile(
-        &self,
-        cfg: &TraceConfig,
-    ) -> (RunOutcome, Vec<String>, TraceReport, ProfileReport) {
-        let fan = Rc::new(RefCell::new(ProfileFan {
-            hub: TraceHub::new(cfg),
-            events: EventProfile::new(),
-        }));
-        let observer: SharedObserver = fan.clone();
-        let (mut cpu, mut os) = self.boot_with(Some(observer));
-        cpu.enable_profiler();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut ());
-        let tail = self.render_tail(&cpu);
-        let hot = cpu.take_profiler().unwrap_or_default();
-        drop(cpu);
-        drop(os);
-        let (trace_report, events) = Rc::try_unwrap(fan)
-            .map(|cell| {
-                let fan = cell.into_inner();
-                (fan.hub.into_report(), fan.events)
-            })
-            .unwrap_or_else(|_| (TraceReport::default(), EventProfile::new()));
-        let profile = ProfileReport::build(&hot, &events, &self.symbol_table());
-        (outcome, tail, trace_report, profile)
+        let run = self.run_with(&RunConfig {
+            trace: cfg.clone(),
+            ..RunConfig::default()
+        });
+        (run.outcome, run.tail, run.trace)
     }
 
     /// A profile-ready symbol table over the image's text segment (plus a
@@ -712,13 +677,7 @@ impl MachineSnapshot {
     /// baseline trial of a forked campaign.
     #[must_use]
     pub fn run(&self) -> TrialRun {
-        let (mut cpu, mut os) = self.fork();
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits, &mut ());
-        TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
-            applied: None,
-        }
+        run_trial(self.fork(), self.limits, None)
     }
 
     /// Forks and runs under one injected [`Fault`] — the forked
@@ -726,15 +685,7 @@ impl MachineSnapshot {
     /// [`TrialRun`]s.
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        let (mut cpu, mut os) = self.fork();
-        os.set_io_faults(fault.io_plan());
-        let mut injector = StateInjector::new(*fault);
-        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits, &mut injector);
-        TrialRun {
-            outcome,
-            io_calls: os.io_call_count(),
-            applied: injector.applied().map(str::to_owned),
-        }
+        run_trial(self.fork(), self.limits, Some(fault))
     }
 
     /// Baseline pages currently shared copy-on-write with live forks.
@@ -744,17 +695,73 @@ impl MachineSnapshot {
     }
 }
 
-/// Fans the event stream to the trace hub *and* the profile collector, so
-/// one observer slot serves both (`Machine::run_profile`).
-struct ProfileFan {
-    hub: TraceHub,
-    events: EventProfile,
+/// Runs one booted instance to completion under `limits` — with `fault`,
+/// when given, scheduled on the kernel and armed as a step hook. Plain
+/// runs, replays and every campaign trial, rebooted or forked, all run
+/// through here.
+fn run_trial((mut cpu, mut os): (Cpu, Os), limits: RunLimits, fault: Option<&Fault>) -> TrialRun {
+    let mut injector = fault.map(|f| {
+        os.set_io_faults(f.io_plan());
+        StateInjector::new(*f)
+    });
+    let outcome = run_to_exit_with(&mut cpu, &mut os, limits, &mut injector);
+    TrialRun {
+        outcome,
+        io_calls: os.io_call_count(),
+        applied: injector.and_then(|i| i.applied().map(str::to_owned)),
+    }
 }
 
-impl Observer for ProfileFan {
+/// What one [`Machine::run_with`] attaches to its boot. Every field
+/// composes with every other; the default is a plain run.
+#[derive(Debug, Clone, Default)]
+pub struct RunConfig {
+    /// The trace sinks (JSONL stream, metrics, provenance) to run.
+    pub trace: TraceConfig,
+    /// Run the hot-loop profiler and the event-stream profile collector.
+    pub profile: bool,
+    /// Record every serviced syscall into a [`SyscallJournal`], which
+    /// [`Machine::replay`] re-serves instruction-exactly.
+    pub record: bool,
+    /// Run through the 5-stage pipeline timing model (Figure 3).
+    pub pipeline: bool,
+}
+
+/// Everything one [`Machine::run_with`] produced.
+#[derive(Debug)]
+pub struct RunArtifacts {
+    /// The functional outcome.
+    pub outcome: RunOutcome,
+    /// The disassembled execution tail (most recently retired
+    /// instructions, oldest first) — the `--trace` view of `ptaint-run`.
+    pub tail: Vec<String>,
+    /// What the enabled trace sinks collected (empty when none ran).
+    pub trace: TraceReport,
+    /// The merged, symbolized profile — per-PC and per-symbol retirement
+    /// counts, collapsed call stacks, the taint heatmap and the syscall
+    /// table — when [`RunConfig::profile`] was set. Counts only, so a
+    /// deterministic guest profiles byte-identically under either engine.
+    pub profile: Option<ProfileReport>,
+    /// The recorded syscall journal, when [`RunConfig::record`] was set.
+    pub journal: Option<SyscallJournal>,
+    /// The cycle-level report (detection staging, stalls, IPC), when
+    /// [`RunConfig::pipeline`] was set.
+    pub pipeline: Option<PipelineReport>,
+}
+
+/// The single observer a [`Machine::run_with`] boot attaches: the trace
+/// hub plus, when profiling, the event-stream profile collector.
+struct RunSinks {
+    hub: TraceHub,
+    events: Option<EventProfile>,
+}
+
+impl Observer for RunSinks {
     fn on_event(&mut self, event: &Event) {
         self.hub.on_event(event);
-        self.events.on_event(event);
+        if let Some(events) = &mut self.events {
+            events.on_event(event);
+        }
     }
 }
 
@@ -810,7 +817,11 @@ mod tests {
         )
         .unwrap();
         let plain = m.run();
-        let (piped, report) = m.run_pipelined();
+        let run = m.run_with(&RunConfig {
+            pipeline: true,
+            ..RunConfig::default()
+        });
+        let (piped, report) = (run.outcome, run.pipeline.unwrap());
         assert_eq!(plain.reason, ExitReason::Exited(55));
         assert_eq!(piped.reason, plain.reason);
         assert_eq!(piped.stats.instructions, plain.stats.instructions);
@@ -1070,7 +1081,11 @@ main:   li $v0, 3
         )
         .unwrap()
         .world(WorldConfig::new().stdin(b"journal me".to_vec()));
-        let (live, journal) = m.record();
+        let run = m.run_with(&RunConfig {
+            record: true,
+            ..RunConfig::default()
+        });
+        let (live, journal) = (run.outcome, run.journal.unwrap());
         assert!(!journal.is_empty());
         // Replay against an empty world: every result comes from the journal.
         let empty = Machine {
@@ -1083,5 +1098,57 @@ main:   li $v0, 3
         // Replay reproduces guest-visible execution from the journal; it
         // does not re-perform world side effects, so stdout stays empty.
         assert!(replayed.stdout.is_empty());
+    }
+
+    #[test]
+    fn composed_runs_match_functional_runs_byte_for_byte() {
+        use ptaint_guest::apps::{ghttpd, synthetic};
+        use ptaint_trace::ToJson;
+
+        let ghttpd = Machine::from_c(ghttpd::SOURCE).unwrap();
+        let ghttpd_world = ghttpd::attack_world(ghttpd.image());
+        for (label, m) in [
+            (
+                "exp1",
+                Machine::from_c(synthetic::EXP1_SOURCE)
+                    .unwrap()
+                    .world(synthetic::exp1_attack_world()),
+            ),
+            ("ghttpd", ghttpd.world(ghttpd_world)),
+        ] {
+            let cfg = RunConfig {
+                trace: TraceConfig::all(),
+                profile: true,
+                record: true,
+                pipeline: false,
+            };
+            let plain = m.run_with(&cfg);
+            let piped = m.run_with(&RunConfig {
+                pipeline: true,
+                ..cfg
+            });
+            assert!(plain.outcome.reason.is_detected(), "{label}");
+            assert_eq!(piped.outcome, plain.outcome, "{label}");
+            assert_eq!(piped.tail, plain.tail, "{label}");
+            let jsonl = plain.trace.jsonl.as_deref().unwrap();
+            assert!(!jsonl.is_empty(), "{label}");
+            assert_eq!(piped.trace.jsonl.as_deref(), Some(jsonl), "{label}");
+            let json = |r: &RunArtifacts| {
+                (
+                    r.trace.metrics.as_ref().unwrap().to_json(),
+                    r.trace.forensic.as_ref().unwrap().to_string(),
+                    r.profile.as_ref().unwrap().to_json(),
+                )
+            };
+            assert_eq!(json(&piped), json(&plain), "{label}");
+            assert!(plain.pipeline.is_none(), "{label}");
+            let detection = piped.pipeline.unwrap().detection;
+            assert!(detection.is_some(), "{label}: pipeline staged the alert");
+
+            // The journal recorded by the composed run replays to the same
+            // outcome.
+            let replayed = m.replay(piped.journal.unwrap());
+            assert_eq!(replayed, plain.outcome, "{label}");
+        }
     }
 }

@@ -197,6 +197,16 @@ impl StepHook for () {
     fn on_step(&mut self, _step: u64, _cpu: &mut Cpu) {}
 }
 
+/// An optional hook: `None` runs uninjected.
+impl<H: StepHook> StepHook for Option<H> {
+    #[inline]
+    fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
+        if let Some(hook) = self {
+            hook.on_step(step, cpu);
+        }
+    }
+}
+
 /// Runs `cpu` under `os` until exit, crash, detection, or `max_steps`.
 ///
 /// `syscall` traps are serviced by the kernel; a pending `exit` ends the run

@@ -130,6 +130,7 @@ impl TraceHub {
 }
 
 impl Observer for TraceHub {
+    #[inline]
     fn on_event(&mut self, event: &Event) {
         if let Some(jsonl) = &mut self.jsonl {
             jsonl.record(event);

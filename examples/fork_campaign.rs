@@ -15,7 +15,7 @@
 //! (`ptaint-journal v1` text) for `ptaint-run replay`; CI uploads it as an
 //! artifact so any gated campaign baseline can be retraced offline.
 
-use ptaint::{CampaignSpec, DetectionPolicy, Machine, ToJson};
+use ptaint::{CampaignSpec, DetectionPolicy, Machine, RunConfig, ToJson};
 use ptaint_guest::apps::ghttpd;
 
 /// The trend gate's campaign: seed 7, 12 faulted trials (see TREND.json).
@@ -40,7 +40,11 @@ fn main() {
             println!("{}", report.to_json());
         }
         Some("journal") => {
-            let (outcome, journal) = machine.record();
+            let run = machine.run_with(&RunConfig {
+                record: true,
+                ..RunConfig::default()
+            });
+            let (outcome, journal) = (run.outcome, run.journal.unwrap_or_default());
             assert!(
                 outcome.reason.is_detected(),
                 "the pinned attack must be detected, got {:?}",

@@ -8,7 +8,7 @@
 //! cargo run --example profile_ghttpd -- report  # human top-N report
 //! ```
 
-use ptaint::{DetectionPolicy, Machine, ToJson, TraceConfig};
+use ptaint::{DetectionPolicy, Machine, RunConfig, ToJson};
 use ptaint_guest::apps::ghttpd;
 
 fn main() {
@@ -17,7 +17,11 @@ fn main() {
         .world(ghttpd::attack_world(&image))
         .policy(DetectionPolicy::PointerTaintedness);
 
-    let (outcome, _tail, _trace, profile) = machine.run_profile(&TraceConfig::default());
+    let run = machine.run_with(&RunConfig {
+        profile: true,
+        ..RunConfig::default()
+    });
+    let (outcome, profile) = (run.outcome, run.profile.expect("profiled run"));
     assert!(
         outcome.reason.is_detected(),
         "the pinned attack must be detected, got {:?}",

@@ -2,7 +2,8 @@
 //! compiler → assembler → loader → taint-tracking CPU → virtual OS.
 
 use ptaint::{
-    AlertKind, DetectionPolicy, ExitReason, HierarchyConfig, Machine, NetSession, WorldConfig,
+    AlertKind, DetectionPolicy, ExitReason, HierarchyConfig, Machine, NetSession, RunConfig,
+    WorldConfig,
 };
 
 #[test]
@@ -157,9 +158,15 @@ fn pipelined_and_functional_execution_agree_on_attacks() {
         .unwrap()
         .world(synthetic::exp1_attack_world());
     let plain = m.run();
-    let (piped, report) = m.run_pipelined();
-    assert_eq!(plain.reason, piped.reason);
-    let detection = report.detection.expect("pipeline records the detection");
+    let piped = m.run_with(&RunConfig {
+        pipeline: true,
+        ..RunConfig::default()
+    });
+    assert_eq!(plain.reason, piped.outcome.reason);
+    let detection = piped
+        .pipeline
+        .and_then(|p| p.detection)
+        .expect("pipeline records the detection");
     assert_eq!(
         detection.alert,
         *plain.reason.alert().expect("functional alert")

@@ -191,7 +191,7 @@ fn table4_false_negative_scenarios_agree() {
 
 #[test]
 fn per_pc_profiles_are_engine_invariant() {
-    use ptaint::{ToJson, TraceConfig};
+    use ptaint::{RunConfig, ToJson};
 
     // The profiler hooks `Cpu::exec`, which both engines funnel through —
     // so the full profile (per-PC histogram, call tree, taint heatmap,
@@ -208,9 +208,15 @@ fn per_pc_profiles_are_engine_invariant() {
         ),
         ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
     ] {
-        let cfg = TraceConfig::default();
-        let (cached_out, _, _, cached) = machine.clone().engine(Engine::Cached).run_profile(&cfg);
-        let (interp_out, _, _, interp) = machine.clone().engine(Engine::Interp).run_profile(&cfg);
+        let profiled = |engine| {
+            let run = machine.clone().engine(engine).run_with(&RunConfig {
+                profile: true,
+                ..RunConfig::default()
+            });
+            (run.outcome, run.profile.unwrap())
+        };
+        let (cached_out, cached) = profiled(Engine::Cached);
+        let (interp_out, interp) = profiled(Engine::Interp);
         assert_eq!(
             cached.to_json(),
             interp.to_json(),

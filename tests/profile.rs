@@ -3,7 +3,7 @@
 //! pinned GHTTPD acceptance scenario (the attack's taint activity names the
 //! `handle` → `log_request` path), and byte-deterministic profile JSON.
 
-use ptaint::{DetectionPolicy, Machine, ProfileReport, ToJson, TraceConfig};
+use ptaint::{DetectionPolicy, Machine, ProfileReport, RunConfig, ToJson};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 fn ghttpd_attack() -> Machine {
@@ -13,8 +13,11 @@ fn ghttpd_attack() -> Machine {
 }
 
 fn profile_of(machine: &Machine) -> (u64, ProfileReport) {
-    let (outcome, _tail, _trace, profile) = machine.run_profile(&TraceConfig::default());
-    (outcome.stats.instructions, profile)
+    let run = machine.run_with(&RunConfig {
+        profile: true,
+        ..RunConfig::default()
+    });
+    (run.outcome.stats.instructions, run.profile.unwrap())
 }
 
 #[test]

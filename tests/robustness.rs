@@ -3,7 +3,7 @@
 //! with the functional machine.
 
 use proptest::prelude::*;
-use ptaint::{DetectionPolicy, ExitReason, Machine, WorldConfig};
+use ptaint::{DetectionPolicy, ExitReason, Machine, RunConfig, WorldConfig};
 use ptaint_guest::apps::synthetic;
 
 proptest! {
@@ -86,7 +86,8 @@ proptest! {
         .unwrap()
         .world(WorldConfig::new().stdin(input));
         let plain = m.run();
-        let (piped, report) = m.run_pipelined();
+        let run = m.run_with(&RunConfig { pipeline: true, ..RunConfig::default() });
+        let (piped, report) = (run.outcome, run.pipeline.unwrap());
         prop_assert_eq!(&plain.reason, &piped.reason);
         prop_assert_eq!(plain.stdout, piped.stdout);
         prop_assert_eq!(plain.stats.instructions, report.instructions);
