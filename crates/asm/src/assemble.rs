@@ -593,8 +593,15 @@ impl<'a> Assembler<'a> {
                 let (sym, off) = (trim(&expr[..i]), &expr[i..]);
                 if is_ident(sym) {
                     let base = self.symbol(sym, line)?;
-                    let delta = parse_int(off)
+                    // `off` starts with its sign; `parse_int` alone would
+                    // accept only a leading `-`.
+                    let magnitude = parse_int(&off[1..])
                         .ok_or_else(|| AsmError::new(line, format!("bad offset `{off}`")))?;
+                    let delta = if c == b'-' {
+                        magnitude.wrapping_neg()
+                    } else {
+                        magnitude
+                    };
                     return Ok(i64::from(base).wrapping_add(delta));
                 }
             }
@@ -1470,6 +1477,35 @@ main:   la $a0, buf
         assert_eq!(insns[3].to_string(), "ori $5,$5,0x0");
         // entry resolves to `main`
         assert_eq!(img.entry, TEXT_BASE);
+
+        // `sym+off` and `sym-off` in `la`, `.word` and `off(reg)`.
+        let img = asm(r#"
+        .data
+buf:    .space 8
+ptrs:   .word buf+4, buf-4, buf + 0x10
+        .text
+        la $t0, buf+4
+        la $t1, buf-4
+        "#);
+        let insns = decode_all(&img);
+        assert_eq!(insns[0].to_string(), "lui $8,0x1000");
+        assert_eq!(insns[1].to_string(), "ori $8,$8,0x4");
+        assert_eq!(insns[2].to_string(), "lui $9,0xfff");
+        assert_eq!(insns[3].to_string(), "ori $9,$9,0xfffc");
+        assert_eq!(&img.data[8..12], &(DATA_BASE + 4).to_le_bytes());
+        assert_eq!(&img.data[12..16], &(DATA_BASE - 4).to_le_bytes());
+        assert_eq!(&img.data[16..20], &(DATA_BASE + 0x10).to_le_bytes());
+        // A data address never fits a 16-bit offset, so the memory operand
+        // reports the evaluated value rather than a parse failure.
+        for (op, value) in [("buf+4", DATA_BASE + 4), ("buf-4", DATA_BASE - 4)] {
+            let err =
+                assemble(&format!(".data\nbuf: .space 8\n.text\nlw $t1, {op}($zero)")).unwrap_err();
+            assert_eq!(
+                err.msg,
+                format!("immediate {value} does not fit in 16 bits"),
+                "{op}"
+            );
+        }
     }
 
     #[test]

@@ -422,21 +422,7 @@ impl Machine {
     /// (and any other caller) can cheaply [`MachineSnapshot::fork`] from.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
-        self.snapshot_with(None)
-    }
-
-    /// Like [`Machine::snapshot`], attaching `observer` to the snapshot's
-    /// timeline and announcing the capture with an
-    /// [`Event::Snapshot`](ptaint_trace::Event) carrying the resident page
-    /// count. Each later fork is announced on the same stream.
-    #[must_use]
-    pub fn snapshot_with(&self, observer: Option<SharedObserver>) -> MachineSnapshot {
-        let (cpu, os) = self.boot_with(observer);
-        if cpu.has_observer() {
-            cpu.emit_event(&Event::Snapshot {
-                pages: cpu.mem().memory().page_count() as u64,
-            });
-        }
+        let (cpu, os) = self.boot();
         MachineSnapshot {
             cpu,
             os,
@@ -657,20 +643,9 @@ pub struct MachineSnapshot {
 
 impl MachineSnapshot {
     /// Forks an independent, runnable machine instance off the baseline.
-    /// When the snapshot carries an observer (see
-    /// [`Machine::snapshot_with`]), the fork is announced on its stream
-    /// with an [`Event::Fork`] carrying the COW sharing counters; the
-    /// forked instance itself starts unobserved.
     #[must_use]
     pub fn fork(&self) -> (Cpu, Os) {
-        let pair = (self.cpu.fork(), self.os.fork());
-        if self.cpu.has_observer() {
-            self.cpu.emit_event(&Event::Fork {
-                pages_shared: self.cpu.mem().pages_shared() as u64,
-                cow_faults: self.cpu.mem().cow_fault_count(),
-            });
-        }
-        pair
+        (self.cpu.fork(), self.os.fork())
     }
 
     /// Forks and runs to completion under the machine's limits — the

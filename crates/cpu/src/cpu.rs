@@ -743,12 +743,6 @@ impl Cpu {
             return None;
         }
         self.stats.decode_cache_hits += 1;
-        if self.observer.is_some() {
-            self.emit_event(&Event::DecodeCache {
-                page: pc / PAGE_SIZE,
-                kind: "hit",
-            });
-        }
         Some(hit)
     }
 
@@ -761,10 +755,6 @@ impl Cpu {
         let d = DecodedInsn::predecode(pc, word).map_err(|err| CpuException::Decode { pc, err })?;
         if self.engine == Engine::Cached {
             self.stats.decode_cache_misses += 1;
-            self.emit_event(&Event::DecodeCache {
-                page: pc / PAGE_SIZE,
-                kind: "miss",
-            });
             self.dcache.fill_block(pc, self.mem.memory());
             self.mem.watch_code_page(pc / PAGE_SIZE);
         }
@@ -777,10 +767,6 @@ impl Cpu {
         for page in self.mem.take_dirty_code_pages() {
             if self.dcache.invalidate(page) {
                 self.stats.decode_cache_invalidations += 1;
-                self.emit_event(&Event::DecodeCache {
-                    page,
-                    kind: "invalidate",
-                });
             }
         }
     }

@@ -6,6 +6,8 @@
 //! classified against the fault-free baseline. `ptaint::Machine` supplies
 //! the closure that actually boots a guest and runs it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use ptaint_os::{ExitReason, RunOutcome};
 use ptaint_trace::ToJson;
 
@@ -279,34 +281,9 @@ pub fn run_campaign<F>(spec: &CampaignSpec, mut run_trial: F) -> CampaignReport
 where
     F: FnMut(Option<&Fault>) -> TrialRun,
 {
-    let baseline = run_trial(None);
-    let baseline_detected = baseline.outcome.reason.is_detected();
-    let step_hint = baseline.outcome.stats.instructions;
-    let io_hint = baseline.io_calls;
-
-    let mut records = Vec::with_capacity(spec.trials as usize);
-    for trial in 0..spec.trials {
-        let fault = spec.fault_for_trial(trial, step_hint, io_hint);
-        let run = run_trial(Some(&fault));
-        let class = classify_fault(&run.outcome.reason, baseline_detected, fault.kind);
-        records.push(TrialRecord {
-            trial,
-            fault,
-            reason: run.outcome.reason,
-            class,
-            applied: run.applied,
-        });
-    }
-
-    CampaignReport {
-        seed: spec.seed,
-        trials: spec.trials,
-        kinds: spec.kinds.clone(),
-        baseline_detected,
-        baseline_reason: baseline.outcome.reason,
-        baseline_io_calls: baseline.io_calls,
-        records,
-    }
+    let baseline = Baseline(run_trial(None));
+    let records = baseline.take_trials(spec, &AtomicU64::new(0), &mut run_trial);
+    baseline.report(spec, records)
 }
 
 /// [`run_campaign`], sharded across `jobs` worker threads with a
@@ -334,44 +311,12 @@ where
     if n == 1 {
         return run_campaign(spec, make_runner());
     }
-    let baseline = {
-        let mut run_trial = make_runner();
-        run_trial(None)
-    };
-    let baseline_detected = baseline.outcome.reason.is_detected();
-    let step_hint = baseline.outcome.stats.instructions;
-    let io_hint = baseline.io_calls;
-
-    let next = std::sync::atomic::AtomicU64::new(0);
+    let baseline = Baseline(make_runner()(None));
+    let next = AtomicU64::new(0);
     let mut slots: Vec<Option<TrialRecord>> = (0..spec.trials).map(|_| None).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let next = &next;
-                let make_runner = &make_runner;
-                s.spawn(move || {
-                    let mut run_trial = make_runner();
-                    let mut out = Vec::new();
-                    loop {
-                        let trial = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if trial >= spec.trials {
-                            break;
-                        }
-                        let fault = spec.fault_for_trial(trial, step_hint, io_hint);
-                        let run = run_trial(Some(&fault));
-                        let class =
-                            classify_fault(&run.outcome.reason, baseline_detected, fault.kind);
-                        out.push(TrialRecord {
-                            trial,
-                            fault,
-                            reason: run.outcome.reason,
-                            class,
-                            applied: run.applied,
-                        });
-                    }
-                    out
-                })
-            })
+            .map(|_| s.spawn(|| baseline.take_trials(spec, &next, &mut make_runner())))
             .collect();
         for h in handles {
             for rec in h.join().expect("campaign worker panicked") {
@@ -384,15 +329,56 @@ where
         .into_iter()
         .map(|r| r.expect("every trial slot is filled"))
         .collect();
+    baseline.report(spec, records)
+}
 
-    CampaignReport {
-        seed: spec.seed,
-        trials: spec.trials,
-        kinds: spec.kinds.clone(),
-        baseline_detected,
-        baseline_reason: baseline.outcome.reason,
-        baseline_io_calls: baseline.io_calls,
-        records,
+/// A campaign's fault-free run: its shape places every trial's fault, and
+/// its verdict is what each trial is classified against.
+struct Baseline(TrialRun);
+
+impl Baseline {
+    /// Runs and classifies trials until `next` passes the last index, each
+    /// taking its index from `next`, and returns their records in the
+    /// order taken.
+    fn take_trials<F>(
+        &self,
+        spec: &CampaignSpec,
+        next: &AtomicU64,
+        run_trial: &mut F,
+    ) -> Vec<TrialRecord>
+    where
+        F: FnMut(Option<&Fault>) -> TrialRun,
+    {
+        let detected = self.0.outcome.reason.is_detected();
+        let (step_hint, io_hint) = (self.0.outcome.stats.instructions, self.0.io_calls);
+        let mut records = Vec::new();
+        loop {
+            let trial = next.fetch_add(1, Ordering::Relaxed);
+            if trial >= spec.trials {
+                return records;
+            }
+            let fault = spec.fault_for_trial(trial, step_hint, io_hint);
+            let run = run_trial(Some(&fault));
+            records.push(TrialRecord {
+                trial,
+                fault,
+                class: classify_fault(&run.outcome.reason, detected, fault.kind),
+                reason: run.outcome.reason,
+                applied: run.applied,
+            });
+        }
+    }
+
+    fn report(self, spec: &CampaignSpec, records: Vec<TrialRecord>) -> CampaignReport {
+        CampaignReport {
+            seed: spec.seed,
+            trials: spec.trials,
+            kinds: spec.kinds.clone(),
+            baseline_detected: self.0.outcome.reason.is_detected(),
+            baseline_reason: self.0.outcome.reason,
+            baseline_io_calls: self.0.io_calls,
+            records,
+        }
     }
 }
 

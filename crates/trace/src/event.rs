@@ -145,14 +145,6 @@ pub enum Event {
         /// Whether the probe hit.
         hit: bool,
     },
-    /// The predecoded execution engine touched its decode cache.
-    DecodeCache {
-        /// The text page involved (byte address divided by the page size).
-        page: u32,
-        /// `"hit"`, `"miss"` (block predecoded), or `"invalidate"`
-        /// (store into a cached text page dropped it).
-        kind: &'static str,
-    },
     /// The static taint analyzer finished a pass over the guest image
     /// (emitted once at boot when check elision is enabled).
     StaticAnalysis {
@@ -180,20 +172,6 @@ pub enum Event {
         kind: &'static str,
         /// Human-readable description of what was corrupted.
         detail: String,
-    },
-    /// A copy-on-write machine snapshot was captured — the baseline that
-    /// later runs fork from.
-    Snapshot {
-        /// Resident guest memory pages captured in the snapshot.
-        pages: u64,
-    },
-    /// A machine forked copy-on-write from a snapshot.
-    Fork {
-        /// Pages shared with the snapshot immediately after the fork.
-        pages_shared: u64,
-        /// COW write faults the forking timeline had absorbed when it
-        /// forked (private page copies it materialized).
-        cow_faults: u64,
     },
     /// The periodic decode-cache integrity check tripped: the CPU dropped
     /// every static proof, disabled check elision, and continues in
@@ -227,12 +205,9 @@ impl Event {
             Event::Alert { .. } => "alert",
             Event::Syscall { .. } => "syscall",
             Event::CacheAccess { .. } => "cache_access",
-            Event::DecodeCache { .. } => "decode_cache",
             Event::StaticAnalysis { .. } => "static_analysis",
             Event::CheckElided { .. } => "check_elided",
             Event::FaultInjected { .. } => "fault_injected",
-            Event::Snapshot { .. } => "snapshot",
-            Event::Fork { .. } => "fork",
             Event::DegradedMode { .. } => "degraded_mode",
             Event::ReplayDivergence { .. } => "replay_divergence",
         }
@@ -315,10 +290,6 @@ impl Event {
             Event::CacheAccess { level, addr, hit } => format!(
                 "\"event\":\"cache_access\",\"level\":{level},\"addr\":\"0x{addr:x}\",\"hit\":{hit}",
             ),
-            Event::DecodeCache { page, kind } => format!(
-                "\"event\":\"decode_cache\",\"page\":{page},\"kind\":{}",
-                escape(kind),
-            ),
             Event::StaticAnalysis {
                 functions,
                 blocks,
@@ -335,15 +306,6 @@ impl Event {
                 "\"event\":\"fault_injected\",\"kind\":{},\"detail\":{}",
                 escape(kind),
                 escape(detail),
-            ),
-            Event::Snapshot { pages } => {
-                format!("\"event\":\"snapshot\",\"pages\":{pages}")
-            }
-            Event::Fork {
-                pages_shared,
-                cow_faults,
-            } => format!(
-                "\"event\":\"fork\",\"pages_shared\":{pages_shared},\"cow_faults\":{cow_faults}"
             ),
             Event::DegradedMode { reason } => format!(
                 "\"event\":\"degraded_mode\",\"reason\":{}",

@@ -49,9 +49,7 @@ pub use event::{Event, Loc, Transfer};
 pub use hub::{TraceConfig, TraceHub, TraceReport};
 pub use json::ToJson;
 pub use jsonl::JsonlSink;
-pub use metrics::{
-    DecodeCacheCounters, LevelCounters, MetricsCollector, MetricsSnapshot, DENSITY_WINDOW,
-};
+pub use metrics::{LevelCounters, MetricsCollector, MetricsSnapshot, DENSITY_WINDOW};
 pub use provenance::{ForensicChain, ProvenanceTracker, SourceInfo, DEFAULT_RING_DEPTH};
 
 /// Receives the structured event stream from the emulator.

@@ -29,19 +29,6 @@ impl LevelCounters {
     }
 }
 
-/// Decode-cache counters of the predecoded execution engine, as observed
-/// through [`Event::DecodeCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeCacheCounters {
-    /// Steps dispatched straight from the decode cache.
-    pub hits: u64,
-    /// Steps that predecoded a block (first execution, or re-decode after
-    /// an invalidation).
-    pub misses: u64,
-    /// Cached text pages dropped because something stored into them.
-    pub invalidations: u64,
-}
-
 /// Aggregated view of one run, produced by [`MetricsCollector::snapshot`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -67,8 +54,6 @@ pub struct MetricsSnapshot {
     pub syscalls: BTreeMap<&'static str, u64>,
     /// L1/L2 probe counters (index 0 = L1).
     pub cache: [LevelCounters; 2],
-    /// Decode-cache activity of the predecoded execution engine.
-    pub decode_cache: DecodeCacheCounters,
     /// Pointer-taintedness checks skipped at statically proven-clean sites.
     pub elided_checks: u64,
     /// Check sites the static analyzer proved clean (from the boot-time
@@ -78,12 +63,6 @@ pub struct MetricsSnapshot {
     pub faults_injected: u64,
     /// Applied faults broken down by fault-kind name.
     pub faults_by_kind: BTreeMap<&'static str, u64>,
-    /// Pages shared copy-on-write at the most recent observed fork (zero
-    /// when the run never forked).
-    pub pages_shared: u64,
-    /// COW write faults accumulated across observed fork events (private
-    /// page copies materialized by forking timelines).
-    pub cow_faults: u64,
     /// Tainted-retire fraction per [`DENSITY_WINDOW`]-instruction window,
     /// in execution order — the taint-density-over-time histogram.
     pub taint_density: Vec<f64>,
@@ -109,10 +88,8 @@ impl ToJson for MetricsSnapshot {
                 "\"source_bytes\":{},\"propagations\":{},\"propagations_by_rule\":{},",
                 "\"pointer_checks\":{},\"alerts\":{},\"alerts_by_kind\":{},",
                 "\"syscalls\":{},\"cache\":[{{\"hits\":{},\"misses\":{}}},{{\"hits\":{},\"misses\":{}}}],",
-                "\"decode_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},",
                 "\"elided_checks\":{},\"statically_proven\":{},",
                 "\"faults_injected\":{},\"faults_by_kind\":{},",
-                "\"pages_shared\":{},\"cow_faults\":{},",
                 "\"taint_density\":[{}]}}"
             ),
             self.retired,
@@ -129,15 +106,10 @@ impl ToJson for MetricsSnapshot {
             self.cache[0].misses,
             self.cache[1].hits,
             self.cache[1].misses,
-            self.decode_cache.hits,
-            self.decode_cache.misses,
-            self.decode_cache.invalidations,
             self.elided_checks,
             self.statically_proven,
             self.faults_injected,
             map(&self.faults_by_kind),
-            self.pages_shared,
-            self.cow_faults,
             density.join(","),
         )
     }
@@ -196,11 +168,6 @@ impl MetricsCollector {
                     self.snap.cache[idx].misses += 1;
                 }
             }
-            Event::DecodeCache { kind, .. } => match *kind {
-                "hit" => self.snap.decode_cache.hits += 1,
-                "invalidate" => self.snap.decode_cache.invalidations += 1,
-                _ => self.snap.decode_cache.misses += 1,
-            },
             Event::StaticAnalysis { proven, .. } => {
                 self.snap.statically_proven += proven;
             }
@@ -209,20 +176,10 @@ impl MetricsCollector {
                 self.snap.faults_injected += 1;
                 *self.snap.faults_by_kind.entry(kind).or_insert(0) += 1;
             }
-            // Snapshot captures, replay divergences and degraded-mode
-            // transitions carry no counters of their own (degradations are
-            // counted in `ExecStats::integrity_failures`); fork events feed
-            // the COW metrics.
-            Event::Snapshot { .. }
-            | Event::ReplayDivergence { .. }
-            | Event::DegradedMode { .. } => {}
-            Event::Fork {
-                pages_shared,
-                cow_faults,
-            } => {
-                self.snap.pages_shared = *pages_shared;
-                self.snap.cow_faults += cow_faults;
-            }
+            // Replay divergences and degraded-mode transitions carry no
+            // counters of their own (degradations are counted in
+            // `ExecStats::integrity_failures`).
+            Event::ReplayDivergence { .. } | Event::DegradedMode { .. } => {}
         }
     }
 
@@ -315,23 +272,6 @@ mod tests {
         assert_eq!(snap.source_bytes, 16);
         let json = snap.to_json();
         assert!(json.contains("\"syscalls\":{\"recv\":2}"), "{json}");
-    }
-
-    #[test]
-    fn decode_cache_counters_fold_by_kind() {
-        let mut m = MetricsCollector::new();
-        for kind in ["miss", "hit", "hit", "invalidate", "miss"] {
-            m.record(&Event::DecodeCache { page: 0x400, kind });
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.decode_cache.hits, 2);
-        assert_eq!(snap.decode_cache.misses, 2);
-        assert_eq!(snap.decode_cache.invalidations, 1);
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"decode_cache\":{\"hits\":2,\"misses\":2,\"invalidations\":1}"),
-            "{json}"
-        );
     }
 
     #[test]

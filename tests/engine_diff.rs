@@ -191,12 +191,26 @@ fn table4_false_negative_scenarios_agree() {
 
 #[test]
 fn per_pc_profiles_are_engine_invariant() {
-    use ptaint::{RunConfig, ToJson};
+    use ptaint::{RunConfig, ToJson, TraceConfig};
 
-    // The profiler hooks `Cpu::exec`, which both engines funnel through —
-    // so the full profile (per-PC histogram, call tree, taint heatmap,
-    // syscall table) must be byte-identical across engines, not merely
-    // equivalent.
+    // The trace records the guest, not the engine: the profiler hooks
+    // `Cpu::exec`, which both engines funnel through, and no event reports
+    // decode-cache activity (those counts live in `ExecStats`). So every
+    // artifact of a fully traced, profiled run — JSONL stream, metrics,
+    // forensic chain, and the profile (per-PC histogram, call tree, taint
+    // heatmap, syscall table) — must be byte-identical across engines, not
+    // merely equivalent.
+    let wu_m = Machine::from_c(wu_ftpd::SOURCE).unwrap();
+    let pad = calibrate_format_pad(
+        wu_m.image(),
+        |p| wu_ftpd::attack_world(wu_m.image(), p),
+        wu_ftpd::uid_address(wu_m.image()),
+        48,
+    )
+    .expect("calibrates");
+    let wu_world = wu_ftpd::attack_world(wu_m.image(), pad);
+    let null_m = Machine::from_c(null_httpd::SOURCE).unwrap();
+    let null_world = null_httpd::attack_world(null_m.image());
     let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
     let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
     for (label, machine) in [
@@ -206,25 +220,49 @@ fn per_pc_profiles_are_engine_invariant() {
                 .unwrap()
                 .world(synthetic::exp1_attack_world()),
         ),
+        ("wu_ftpd/attack", wu_m.world(wu_world)),
+        ("null_httpd/attack", null_m.world(null_world)),
         ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
     ] {
-        let profiled = |engine| {
+        let artifacts = |engine| {
             let run = machine.clone().engine(engine).run_with(&RunConfig {
+                trace: TraceConfig::all(),
                 profile: true,
                 ..RunConfig::default()
             });
-            (run.outcome, run.profile.unwrap())
+            let profile = run.profile.expect("profiled");
+            // The histogram really covered the whole run.
+            assert_eq!(
+                profile.steps, run.outcome.stats.instructions,
+                "{label} ({engine:?})"
+            );
+            let chain = run.trace.forensic.expect("an attack leaves a chain");
+            [
+                String::from_utf8(run.trace.jsonl.expect("jsonl on")).unwrap(),
+                run.trace.metrics.expect("metrics on").to_json(),
+                chain.to_string(),
+                profile.to_json(),
+            ]
         };
-        let (cached_out, cached) = profiled(Engine::Cached);
-        let (interp_out, interp) = profiled(Engine::Interp);
-        assert_eq!(
-            cached.to_json(),
-            interp.to_json(),
-            "{label}: engine profiles diverged"
-        );
-        // And the histogram really covered the whole run.
-        assert_eq!(cached.steps, cached_out.stats.instructions, "{label}");
-        assert_eq!(interp.steps, interp_out.stats.instructions, "{label}");
+        let cached = artifacts(Engine::Cached);
+        let interp = artifacts(Engine::Interp);
+        for (what, (c, i)) in ["JSONL", "metrics", "forensic chain", "profile"]
+            .into_iter()
+            .zip(cached.iter().zip(&interp))
+        {
+            // Name the first differing line rather than dumping megabytes.
+            let diverged = c
+                .lines()
+                .zip(i.lines())
+                .position(|(a, b)| a != b)
+                .or_else(|| (c != i).then(|| c.lines().count().min(i.lines().count())));
+            assert!(
+                diverged.is_none(),
+                "{label}: engine {what} diverged at line {diverged:?}:\n  cached: {:?}\n  interp: {:?}",
+                diverged.and_then(|n| c.lines().nth(n)),
+                diverged.and_then(|n| i.lines().nth(n)),
+            );
+        }
     }
 }
 
