@@ -78,7 +78,7 @@ impl From<MemFault> for CpuException {
     }
 }
 
-/// Which execution engine drives [`Cpu::step`].
+/// Which execution engine drives [`Cpu::run_steps`] and [`Cpu::step`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Fetch + decode on every step — the legacy interpreter, kept as the
@@ -109,6 +109,17 @@ pub trait Steppable {
     /// Propagates the [`CpuException`] that stopped the step.
     fn step(&mut self) -> Result<StepEvent, CpuException>;
 
+    /// Executes up to `budget` (at least one) steps, stopping early at the
+    /// first step that does not end in [`StepEvent::Executed`]. Returns the
+    /// steps taken, counting the one that trapped or faulted, with that
+    /// step's result. The default takes exactly one [`Steppable::step`], so
+    /// a stepper that must see every instruction (the pipeline model) needs
+    /// nothing more; [`Cpu`] runs [`Cpu::run_steps`].
+    fn run_steps(&mut self, budget: u64) -> (u64, Result<StepEvent, CpuException>) {
+        debug_assert!(budget >= 1);
+        (1, self.step())
+    }
+
     /// The architectural CPU state (read).
     fn cpu(&self) -> &Cpu;
 
@@ -120,6 +131,10 @@ pub trait Steppable {
 impl Steppable for Cpu {
     fn step(&mut self) -> Result<StepEvent, CpuException> {
         Cpu::step(self)
+    }
+
+    fn run_steps(&mut self, budget: u64) -> (u64, Result<StepEvent, CpuException>) {
+        Cpu::run_steps(self, budget)
     }
 
     fn cpu(&self) -> &Cpu {
@@ -160,12 +175,14 @@ pub struct Cpu {
     rules: TaintRules,
     watches: Vec<TaintWatch>,
     stats: ExecStats,
-    // Recently-retired ring buffer: grows up to `trace_depth`, then wraps;
-    // `recent_head` is the slot holding the oldest entry (and the next one
-    // overwritten). A flat ring instead of a `VecDeque` keeps the per-step
-    // retire cost to one write.
+    // Recently-retired ring: a power-of-two `Vec` indexed by the masked
+    // count of retires so far (`recent_head`), so a retire is one store. It
+    // starts empty and doubles when `recent_head` reaches `recent_grow_at`,
+    // up to the first power of two >= `trace_depth`, so a huge depth never
+    // allocates up front.
     recent: Vec<(u32, Instr)>,
     recent_head: usize,
+    recent_grow_at: usize,
     trace_depth: usize,
     observer: Option<SharedObserver>,
     last_step_tainted: bool,
@@ -212,8 +229,9 @@ impl Cpu {
             rules: TaintRules::PAPER,
             watches: Vec::new(),
             stats: ExecStats::default(),
-            recent: Vec::with_capacity(DEFAULT_TRACE_DEPTH),
+            recent: Vec::new(),
             recent_head: 0,
+            recent_grow_at: 0,
             trace_depth: DEFAULT_TRACE_DEPTH,
             observer: None,
             last_step_tainted: false,
@@ -282,15 +300,15 @@ impl Cpu {
     /// Resizes the recently-retired diagnostic ring (default
     /// [`DEFAULT_TRACE_DEPTH`]). Shrinking drops the oldest entries.
     pub fn set_trace_depth(&mut self, depth: usize) {
+        let kept = self.recent_trace();
         self.trace_depth = depth.max(1);
-        // Re-linearize the ring at the new depth so pushes keep appending
-        // (or wrapping) correctly.
-        let mut ordered = self.recent_trace();
-        if ordered.len() > self.trace_depth {
-            ordered.drain(..ordered.len() - self.trace_depth);
-        }
-        self.recent = ordered;
+        // Rebuild the ring for the new depth from the tail it still keeps.
+        self.recent = Vec::new();
         self.recent_head = 0;
+        self.recent_grow_at = 0;
+        for &(pc, instr) in &kept[kept.len().saturating_sub(self.trace_depth)..] {
+            self.push_trace(pc, instr);
+        }
     }
 
     /// Current depth of the recently-retired ring.
@@ -405,21 +423,35 @@ impl Cpu {
     /// diagnostics.
     #[must_use]
     pub fn recent_trace(&self) -> Vec<(u32, Instr)> {
-        let (wrapped, oldest) = self.recent.split_at(self.recent_head);
-        oldest.iter().chain(wrapped).copied().collect()
+        let kept = self.recent_head.min(self.trace_depth);
+        let mask = self.recent.len().wrapping_sub(1);
+        (self.recent_head - kept..self.recent_head)
+            .map(|i| self.recent[i & mask])
+            .collect()
     }
 
     #[inline]
     fn push_trace(&mut self, pc: u32, instr: Instr) {
-        if self.recent.len() < self.trace_depth {
-            self.recent.push((pc, instr));
-        } else {
-            self.recent[self.recent_head] = (pc, instr);
-            self.recent_head += 1;
-            if self.recent_head == self.recent.len() {
-                self.recent_head = 0;
-            }
+        if self.recent_head == self.recent_grow_at {
+            self.grow_trace();
         }
+        let mask = self.recent.len() - 1;
+        self.recent[self.recent_head & mask] = (pc, instr);
+        self.recent_head += 1;
+    }
+
+    /// Doubles the ring (from 16 entries) toward its full size, the first
+    /// power of two >= `trace_depth`. Only called when every slot holds a
+    /// retire in push order, so growing is a plain extension.
+    #[cold]
+    fn grow_trace(&mut self) {
+        let full = self
+            .trace_depth
+            .checked_next_power_of_two()
+            .unwrap_or(1 << (usize::BITS - 1));
+        let len = (self.recent.len() * 2).clamp(16.min(full), full);
+        self.recent.resize(len, (0, Instr::NOP));
+        self.recent_grow_at = if len == full { usize::MAX } else { len };
     }
 
     /// Emits a [`Event::TaintPropagate`] when taint is actually in motion:
@@ -659,6 +691,7 @@ impl Cpu {
             stats: self.stats,
             recent: self.recent.clone(),
             recent_head: self.recent_head,
+            recent_grow_at: self.recent_grow_at,
             trace_depth: self.trace_depth,
             observer: None,
             last_step_tainted: self.last_step_tainted,
@@ -685,15 +718,9 @@ impl Cpu {
         }
     }
 
-    /// Executes one instruction under the active [`Engine`].
-    ///
-    /// The interpreter fetches and decodes every step. The cached engine
-    /// first drains pending code-page invalidations, then dispatches from
-    /// the decode cache; on a miss it falls back to the interpreter's
-    /// fetch+decode (reproducing its exact faults), predecodes the
-    /// straight-line block, and registers a code-page watch so later
-    /// stores into the page invalidate it. Either way the decode resolves
-    /// first and the execute stage runs from one call site, inlined here.
+    /// Executes one instruction under the active [`Engine`]: the
+    /// one-instruction case of [`Cpu::run_steps`], so both share one front
+    /// end and one execute site.
     ///
     /// # Errors
     ///
@@ -702,25 +729,91 @@ impl Cpu {
     ///   data);
     /// * [`CpuException::Decode`] — the PC reached an undecodable word.
     pub fn step(&mut self) -> Result<StepEvent, CpuException> {
-        let pc = self.pc;
-        let hit = if self.engine == Engine::Cached {
-            self.cached_decode(pc)
-        } else {
-            None
-        };
-        let (d, elide) = match hit {
-            Some(hit) => hit,
-            None => (self.fetch_decode(pc)?, false),
-        };
-        self.exec(pc, d, elide)
+        self.run_steps(1).1
+    }
+
+    /// Executes up to `budget` (at least one) instructions, stopping early
+    /// at the first trap or exception. Returns the steps taken, counting the
+    /// one that trapped or faulted, with that step's result
+    /// ([`StepEvent::Executed`] when the budget ran out; otherwise the trap,
+    /// or the exception [`Cpu::step`] documents). Every instruction retires
+    /// exactly as if [`Cpu::step`] had been called once per step taken.
+    ///
+    /// The interpreter fetches and decodes every instruction. The cached
+    /// engine runs **page-runs**: its front end drains pending code-page
+    /// invalidations, runs the periodic integrity sweep when due, and looks
+    /// the PC up in the decode cache. A miss falls back to the
+    /// interpreter's fetch+decode (reproducing its exact faults),
+    /// predecodes the straight-line block and watches its page. A hit
+    /// resolves the page once and then executes consecutive predecoded
+    /// slots until the PC leaves the page or is unaligned, a slot is
+    /// unfilled, a step traps or faults, a store dirties a watched code
+    /// page, the instruction count reaches the next sweep, or the budget
+    /// runs out; the next instruction then goes through the front end
+    /// again. Either way the execute stage runs from one call site.
+    pub fn run_steps(&mut self, budget: u64) -> (u64, Result<StepEvent, CpuException>) {
+        debug_assert!(budget >= 1);
+        let mut done = 0;
+        loop {
+            let mut pc = self.pc;
+            let hit = if self.engine == Engine::Cached {
+                self.cached_decode(pc)
+            } else {
+                None
+            };
+            let (mut d, mut elide, page) = match hit {
+                Some(hit) => hit,
+                None => match self.fetch_decode(pc) {
+                    Ok(d) => (d, false, None),
+                    Err(e) => return (done + 1, Err(e)),
+                },
+            };
+            // A page-run stops before the instruction count reaches the
+            // next multiple of the sweep stride, so the sweep still runs at
+            // the top of exactly that instruction.
+            let stop = if page.is_some() {
+                let to_sweep =
+                    INTEGRITY_STRIDE - (self.stats.instructions & (INTEGRITY_STRIDE - 1));
+                budget.min(done + to_sweep)
+            } else {
+                done + 1
+            };
+            let base = pc & !(PAGE_SIZE - 1);
+            loop {
+                match self.exec(pc, d, elide) {
+                    Ok(StepEvent::Executed) => done += 1,
+                    other => return (done + 1, other),
+                }
+                let Some(idx) = page else { break };
+                if done == stop || self.mem.has_dirty_code_pages() {
+                    break;
+                }
+                pc = self.pc;
+                // Still aligned and on the resolved page?
+                if (pc ^ base) & (!(PAGE_SIZE - 1) | 3) != 0 {
+                    break;
+                }
+                let Some(next) = self.dcache.slot(idx, pc) else {
+                    break;
+                };
+                (d, elide) = next;
+                self.stats.decode_cache_hits += 1;
+            }
+            if done == budget {
+                return (done, Ok(StepEvent::Executed));
+            }
+        }
     }
 
     /// The cached engine's front end: drains pending code-page
     /// invalidations, runs the periodic integrity sweep, then looks `pc` up
     /// in the decode cache. `None` sends the step down the authoritative
-    /// path: a miss, or a hit whose proven-bit replica mismatched.
+    /// path: a miss, or a hit whose proven-bit replica mismatched. A hit
+    /// carries its page's slot-array index when a page-run may continue
+    /// from it (the page's proven bitmap agrees with its replica, so no
+    /// later slot on it can trip the lookup's cross-check).
     #[inline]
-    fn cached_decode(&mut self, pc: u32) -> Option<(DecodedInsn, bool)> {
+    fn cached_decode(&mut self, pc: u32) -> Option<(DecodedInsn, bool, Option<usize>)> {
         if self.mem.has_dirty_code_pages() {
             self.invalidate_dirty_pages();
         }
@@ -1217,6 +1310,25 @@ mod tests {
         panic!("program did not finish within {limit} steps");
     }
 
+    /// Like [`run`], but hands [`Cpu::run_steps`] the whole remaining
+    /// budget each time, so the cached engine runs page-runs.
+    fn run_batched(cpu: &mut Cpu, limit: u64) -> Result<u32, CpuException> {
+        let mut left = limit;
+        while left > 0 {
+            let (ran, result) = cpu.run_steps(left);
+            left -= ran;
+            if let StepEvent::BreakTrap(code) = result? {
+                return Ok(code);
+            }
+        }
+        panic!("program did not finish within {limit} steps");
+    }
+
+    type Driver = fn(&mut Cpu, u64) -> Result<u32, CpuException>;
+
+    /// Per-step [`Cpu::step`] and batched [`Cpu::run_steps`].
+    const DRIVERS: [(&str, Driver); 2] = [("step", run), ("run_steps", run_batched)];
+
     #[test]
     fn arithmetic_executes() {
         let mut cpu = boot(
@@ -1588,46 +1700,91 @@ main:   la $t0, buf
     }
 
     /// Self-modifying code: a store into a text page must invalidate the
-    /// decode cache and force a re-decode of the patched word.
+    /// decode cache and force a re-decode of the patched word — also when
+    /// the store lands inside a running page-run.
     #[test]
     fn store_into_text_invalidates_decode_cache() {
         // The patch turns `li $t2, 1` (at label `patch`) into
         // `addiu $t2, $zero, 99`; executing a stale decode would leave 1.
-        let patched = Instr::IAlu {
+        let src = format!(
+            "main:   la $t0, patch
+                     li $t1, 0x{:08x}
+                     sw $t1, 0($t0)
+            patch:   li $t2, 1
+                     break 0",
+            patch_t2_99()
+        );
+        for (how, drive) in DRIVERS {
+            let mut cpu = boot(&src, DetectionPolicy::PointerTaintedness);
+            drive(&mut cpu, 100).unwrap();
+            assert_eq!(
+                cpu.regs().value(Reg::T2),
+                99,
+                "{how}: the patched instruction must execute, not the stale decode"
+            );
+            let stats = cpu.stats();
+            assert!(stats.decode_cache_invalidations >= 1, "{how}: {stats:?}");
+            assert!(
+                stats.decode_cache_misses >= 2,
+                "{how}: re-decode after the patch"
+            );
+            assert!(stats.decode_cache_hits >= 1, "{how}");
+
+            // The interpreter is the oracle: same program, same result.
+            let mut interp = boot(&src, DetectionPolicy::PointerTaintedness);
+            interp.set_engine(Engine::Interp);
+            drive(&mut interp, 100).unwrap();
+            assert_eq!(interp.regs().value(Reg::T2), 99, "{how}");
+            assert_eq!(
+                interp.stats().without_decode_cache(),
+                cpu.stats().without_decode_cache(),
+                "{how}"
+            );
+        }
+    }
+
+    /// `addiu $t2, $zero, 99`, the word the self-modifying tests store.
+    fn patch_t2_99() -> u32 {
+        Instr::IAlu {
             op: IAluOp::Addiu,
             rt: Reg::T2,
             rs: Reg::ZERO,
             imm: 99,
         }
-        .encode();
+        .encode()
+    }
+
+    /// A store that patches the very next word while a page-run is well
+    /// under way (a loop has been dispatching from the cached page) must
+    /// end the run: the patched word executes under both engines, and the
+    /// batched run retires exactly what per-step execution retires.
+    #[test]
+    fn smc_patch_of_the_next_word_mid_page_run() {
         let src = format!(
             "main:   la $t0, patch
-                     li $t1, 0x{patched:08x}
+                     li $t1, 0x{:08x}
+                     li $t3, 0
+                     li $t4, 5
+            warm:    addiu $t3, $t3, 1
+                     bne $t3, $t4, warm
                      sw $t1, 0($t0)
             patch:   li $t2, 1
-                     break 0"
+                     break 0",
+            patch_t2_99()
         );
-        let mut cpu = boot(&src, DetectionPolicy::PointerTaintedness);
-        run(&mut cpu, 100).unwrap();
-        assert_eq!(
-            cpu.regs().value(Reg::T2),
-            99,
-            "the patched instruction must execute, not the stale decode"
-        );
-        let stats = cpu.stats();
-        assert!(stats.decode_cache_invalidations >= 1, "{stats:?}");
-        assert!(stats.decode_cache_misses >= 2, "re-decode after the patch");
-        assert!(stats.decode_cache_hits >= 1);
-
-        // The interpreter is the oracle: same program, same result.
-        let mut interp = boot(&src, DetectionPolicy::PointerTaintedness);
-        interp.set_engine(Engine::Interp);
-        run(&mut interp, 100).unwrap();
-        assert_eq!(interp.regs().value(Reg::T2), 99);
-        assert_eq!(
-            interp.stats().without_decode_cache(),
-            cpu.stats().without_decode_cache()
-        );
+        for engine in [Engine::Cached, Engine::Interp] {
+            let mut stepped = boot(&src, DetectionPolicy::PointerTaintedness);
+            stepped.set_engine(engine);
+            run(&mut stepped, 100).unwrap();
+            let mut batched = boot(&src, DetectionPolicy::PointerTaintedness);
+            batched.set_engine(engine);
+            let (ran, result) = batched.run_steps(100);
+            assert_eq!(result, Ok(StepEvent::BreakTrap(0)), "{engine:?}");
+            assert_eq!(ran, stepped.stats().instructions, "{engine:?}");
+            assert_eq!(batched.regs().value(Reg::T2), 99, "{engine:?}");
+            assert_eq!(batched.regs(), stepped.regs(), "{engine:?}");
+            assert_eq!(batched.stats(), stepped.stats(), "{engine:?}");
+        }
     }
 
     /// Elision skips the check probe at proven sites without disturbing
@@ -1674,42 +1831,107 @@ loop:   lw $t1, 0($t0)
     /// must run again (and refills never re-prove).
     #[test]
     fn smc_store_drops_all_proven_sites() {
-        let patched = Instr::IAlu {
-            op: IAluOp::Addiu,
-            rt: Reg::T2,
-            rs: Reg::ZERO,
-            imm: 99,
-        }
-        .encode();
         let src = format!(
             "main:   la $t0, patch
-                     li $t1, 0x{patched:08x}
+                     li $t1, 0x{:08x}
                      sw $t1, 0($t0)
             patch:   li $t2, 1
-                     break 0"
+                     break 0",
+            patch_t2_99()
         );
         let image = assemble(&src).expect("test program must assemble");
         let every_pc: Vec<u32> = (0..image.text.len() as u32)
             .map(|i| image.text_base + 4 * i)
             .collect();
 
-        let mut cpu = boot(&src, DetectionPolicy::PointerTaintedness);
-        cpu.install_proven_checks(every_pc);
-        run(&mut cpu, 100).unwrap();
-        assert_eq!(cpu.regs().value(Reg::T2), 99, "patched word must execute");
-        assert!(
-            !cpu.has_proven_checks(),
-            "self-modification must wipe the proven set"
-        );
-        assert!(cpu.stats().decode_cache_invalidations >= 1);
+        for (how, drive) in DRIVERS {
+            let mut cpu = boot(&src, DetectionPolicy::PointerTaintedness);
+            cpu.install_proven_checks(every_pc.iter().copied());
+            drive(&mut cpu, 100).unwrap();
+            assert_eq!(
+                cpu.regs().value(Reg::T2),
+                99,
+                "{how}: patched word must execute"
+            );
+            assert!(
+                !cpu.has_proven_checks(),
+                "{how}: self-modification must wipe the proven set"
+            );
+            assert!(cpu.stats().decode_cache_invalidations >= 1, "{how}");
 
-        // Still architecturally identical to the uninstrumented run.
-        let mut full = boot(&src, DetectionPolicy::PointerTaintedness);
-        run(&mut full, 100).unwrap();
-        assert_eq!(
-            full.stats().without_decode_cache(),
-            cpu.stats().without_decode_cache()
+            // Still architecturally identical to the uninstrumented run.
+            let mut full = boot(&src, DetectionPolicy::PointerTaintedness);
+            drive(&mut full, 100).unwrap();
+            assert_eq!(
+                full.stats().without_decode_cache(),
+                cpu.stats().without_decode_cache(),
+                "{how}"
+            );
+        }
+    }
+
+    /// `recent_trace` keeps exactly the last `depth` retires — the tail a
+    /// plain bounded queue keeps — through shrinks and grows of the depth
+    /// mid-run, through forks, and through batched runs.
+    #[test]
+    fn recent_trace_is_the_last_depth_retires() {
+        use std::collections::VecDeque;
+        let src = "main:  li $t0, 0
+                          li $t1, 60
+                   loop:  addiu $t0, $t0, 1
+                          sll $t2, $t0, 2
+                          bne $t0, $t1, loop
+                          break 0";
+        for depth in [1, 5, 64, 100] {
+            let mut cpu = boot(src, DetectionPolicy::PointerTaintedness);
+            cpu.set_trace_depth(depth);
+            let mut model = VecDeque::new();
+            let mut model_depth = depth;
+            for step in 0..150 {
+                match step {
+                    // Shrink, then grow, mid-run.
+                    60 => model_depth = (depth / 3).max(1),
+                    110 => model_depth = depth * 2,
+                    _ => {}
+                }
+                if cpu.trace_depth() != model_depth {
+                    cpu.set_trace_depth(model_depth);
+                    while model.len() > model_depth {
+                        model.pop_front();
+                    }
+                }
+                let pc = cpu.pc();
+                let word = cpu.mem().memory().read_u32(pc).unwrap().0;
+                cpu.step().unwrap();
+                model.push_back((pc, Instr::decode(word).unwrap()));
+                if model.len() > model_depth {
+                    model.pop_front();
+                }
+                assert_eq!(
+                    cpu.recent_trace(),
+                    Vec::from(model.clone()),
+                    "depth {depth}"
+                );
+            }
+            // A fork carries the ring and keeps it independent.
+            let mut child = cpu.fork();
+            assert_eq!(child.recent_trace(), cpu.recent_trace(), "depth {depth}");
+            run_batched(&mut child, 1000).unwrap();
+            run_batched(&mut cpu, 1000).unwrap();
+            assert_eq!(child.recent_trace(), cpu.recent_trace(), "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn a_huge_trace_depth_allocates_only_what_retires() {
+        let mut cpu = boot(
+            "main: li $t0, 1\nbreak 0",
+            DetectionPolicy::PointerTaintedness,
         );
+        cpu.set_trace_depth(1 << 40);
+        run_batched(&mut cpu, 10).unwrap();
+        assert_eq!(cpu.recent_trace().len(), 2);
+        assert!(cpu.recent.capacity() <= 16, "{}", cpu.recent.capacity());
     }
 
     #[test]

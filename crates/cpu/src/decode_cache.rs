@@ -7,8 +7,9 @@
 //! error: the engine falls back to the authoritative fetch+decode path,
 //! which reproduces the interpreter's exact faults. Coherence with
 //! self-modifying code comes from the memory system's code-page watches:
-//! the CPU drains dirty pages and calls [`DecodeCache::invalidate`] before
-//! consulting the cache.
+//! the CPU drains dirty pages and calls [`DecodeCache::invalidate`] at the
+//! start of each page-run, and a store that dirties a watched page ends
+//! the run.
 
 use std::collections::{HashMap, HashSet};
 
@@ -72,6 +73,16 @@ impl DecodedPage {
     #[inline]
     fn is_proven(&self, slot: usize) -> bool {
         self.proven[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// Whether the proven bitmap agrees with its replica on every word.
+    #[inline]
+    fn replicas_agree(&self) -> bool {
+        self.proven
+            .iter()
+            .zip(self.proven_dup.iter())
+            .fold(0, |acc, (p, d)| acc | (p ^ d))
+            == 0
     }
 
     fn set_proven(&mut self, slot: usize) {
@@ -179,11 +190,14 @@ impl DecodeCache {
         !self.proven.is_empty()
     }
 
-    /// The cached decode at `pc`, if this word has been predecoded, and
-    /// whether its pointer check is proven elidable. Unaligned PCs always
-    /// miss, so the fetch path reproduces the exact alignment fault.
+    /// The cached decode at `pc`, if this word has been predecoded, whether
+    /// its pointer check is proven elidable, and — when the page's proven
+    /// bitmap agrees with its replica on every word — the page's index for
+    /// [`DecodeCache::slot`], so a page-run can dispatch the page's later
+    /// slots without repeating this lookup. Unaligned PCs always miss, so
+    /// the fetch path reproduces the exact alignment fault.
     #[inline]
-    pub(crate) fn lookup(&mut self, pc: u32) -> Option<(DecodedInsn, bool)> {
+    pub(crate) fn lookup(&mut self, pc: u32) -> Option<(DecodedInsn, bool, Option<usize>)> {
         if pc & 3 != 0 {
             return None;
         }
@@ -207,9 +221,20 @@ impl DecodeCache {
                 "proven bitmap replica mismatch on page {:#010x}",
                 page * PAGE_SIZE
             ));
-            return Some((d, false));
+            return Some((d, false, None));
         }
-        Some((d, p.is_proven(slot)))
+        Some((d, p.is_proven(slot), p.replicas_agree().then_some(idx)))
+    }
+
+    /// A page-run's next dispatch: the slot at `pc` on the page `lookup`
+    /// resolved to `idx`, with its proven bit. The caller keeps `pc` on that
+    /// page and aligned, and ends the run before anything can invalidate,
+    /// refill or corrupt the page.
+    #[inline]
+    pub(crate) fn slot(&self, idx: usize, pc: u32) -> Option<(DecodedInsn, bool)> {
+        let slot = ((pc % PAGE_SIZE) / 4) as usize;
+        let p = &self.pages[idx];
+        p.slots[slot].map(|d| (d, p.is_proven(slot)))
     }
 
     /// Drains the replica-mismatch flag raised by [`DecodeCache::lookup`].
@@ -493,7 +518,7 @@ mod tests {
         assert!(cache.invalidate(TEXT_BASE / PAGE_SIZE));
         assert!(!cache.has_proven());
         // The sibling page stays decoded but loses its proven stamp.
-        let (d, proven) = cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap();
+        let (d, proven, _) = cache.lookup(TEXT_BASE + PAGE_SIZE).unwrap();
         assert_eq!(d.instr, addiu(2));
         assert!(!proven);
         // Refilling the invalidated page never re-proves it.
@@ -527,6 +552,24 @@ mod tests {
     }
 
     #[test]
+    fn only_replica_clean_pages_hand_out_page_runs() {
+        let mem = text_with(&[addiu(1).encode(), addiu(2).encode()]);
+        let mut cache = DecodeCache::new();
+        cache.fill_block(TEXT_BASE, &mem);
+        let (_, _, page) = cache.lookup(TEXT_BASE).unwrap();
+        let idx = page.expect("a clean page may run");
+        assert_eq!(cache.slot(idx, TEXT_BASE + 4).unwrap().0.instr, addiu(2));
+
+        // A flip in a word that does not cover slot 0: the lookup itself
+        // passes its cross-check, but the page no longer runs, so every
+        // later slot goes back through `lookup` and its check.
+        cache.corrupt_proven_bit(0, 100).unwrap();
+        let (d, proven, page) = cache.lookup(TEXT_BASE).unwrap();
+        assert_eq!((d.instr, proven, page), (addiu(1), false, None));
+        assert!(cache.take_compromised().is_none());
+    }
+
+    #[test]
     fn the_sweep_catches_replica_and_slot_corruption() {
         let mem = text_with(&[addiu(1).encode(), addiu(2).encode()]);
         let mut cache = DecodeCache::new();
@@ -557,7 +600,7 @@ mod tests {
         // The refill re-predecodes from authoritative memory: the corrupted
         // slot is healed, and nothing is proven any more.
         cache.fill_block(TEXT_BASE, &mem);
-        let (d, proven) = cache.lookup(TEXT_BASE).unwrap();
+        let (d, proven, _) = cache.lookup(TEXT_BASE).unwrap();
         assert_eq!(d.instr, addiu(1));
         assert_eq!(d.imm, 1, "corruption healed by the authoritative refill");
         assert!(!proven);

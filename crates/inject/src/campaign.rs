@@ -168,7 +168,7 @@ impl CampaignSpec {
 }
 
 /// One trial's result, as handed back by the execution closure.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TrialRun {
     /// The run's full outcome.
     pub outcome: RunOutcome,

@@ -17,10 +17,10 @@ use crate::rng::SplitMix64;
 /// paper's Table 4 rows are contrasted against.
 const TAINT_CLEAR_WINDOW: u32 = 256;
 
-/// A one-shot state corrupter. Attach to [`ptaint_os::run_to_exit_with`];
-/// at the first step `>= fault.step` it applies the fault (if the targeted
-/// state exists), bumps `ExecStats::injected_faults`, and emits a
-/// `fault_injected` trace event when an observer is attached.
+/// A one-shot state corrupter. Attach to [`ptaint_os::run_to_exit_with`],
+/// which it wakes only at step `fault.step`: there it applies the fault (if
+/// the targeted state exists), bumps `ExecStats::injected_faults`, and
+/// emits a `fault_injected` trace event when an observer is attached.
 #[derive(Debug)]
 pub struct StateInjector {
     fault: Fault,
@@ -65,6 +65,16 @@ impl StepHook for StateInjector {
                 });
             }
             self.applied = Some(detail);
+        }
+    }
+
+    /// Wakes once, at the trigger step, until the fault fires; I/O kinds
+    /// (applied by the kernel, not here) never wake.
+    fn next_wake(&self, step: u64) -> u64 {
+        if self.fired || self.fault.kind.is_io() {
+            u64::MAX
+        } else {
+            step.max(self.fault.step)
         }
     }
 }
@@ -263,6 +273,18 @@ mod tests {
         cpu.mem_mut().set_taint_range(0x5000, 4, true).unwrap();
         inj.on_step(4, &mut cpu);
         assert_eq!(cpu.stats().injected_faults, 1);
+    }
+
+    #[test]
+    fn wakes_only_at_the_trigger_step_until_fired() {
+        let mut cpu = cpu();
+        let mut inj = hook(FaultKind::RegisterBit, 7, 1);
+        assert_eq!((inj.next_wake(0), inj.next_wake(7)), (7, 7));
+        assert_eq!(inj.next_wake(9), 9, "a late start wakes at once");
+        inj.on_step(7, &mut cpu);
+        assert_eq!(inj.next_wake(8), u64::MAX, "fired: never again");
+        // I/O kinds are the kernel's: the step hook never wakes for them.
+        assert_eq!(hook(FaultKind::ShortRead, 7, 1).next_wake(0), u64::MAX);
     }
 
     #[test]

@@ -184,26 +184,52 @@ impl RunLimits {
 /// Steps between watchdog clock polls.
 pub const WATCHDOG_STRIDE: u64 = 1 << 16;
 
-/// A per-step callback invoked by [`run_to_exit_with`] *before* each step —
-/// the attachment point for the fault-injection harness's state corruptions.
+/// A per-step callback invoked by [`run_to_exit_with`] *before* the steps
+/// it wakes at — the attachment point for the fault-injection harness's
+/// state corruptions.
+///
+/// **Wake contract.** The driver calls [`StepHook::on_step`] before every
+/// step `s` it is woken at and lets the CPU run the steps in between as one
+/// batch (the cached engine's page-runs). After each call at step `s`, and
+/// once before step 0, it asks [`StepHook::next_wake`] for the next step
+/// to wake at. A hook's answer may change only through `on_step`, so the
+/// driver keeps it until that step. The provided default wakes at every
+/// step, so a hook that does not override it sees each step exactly as
+/// before; `()` and `None` never wake. Batching never moves a wake, a
+/// watchdog poll (still every [`WATCHDOG_STRIDE`] steps) or the step
+/// limit off the instruction it lands on.
 pub trait StepHook {
     /// Called before step `step` (0-based) executes, with the architectural
     /// CPU state open for inspection or corruption.
     fn on_step(&mut self, step: u64, cpu: &mut Cpu);
+
+    /// The first step at or after `step` before which [`StepHook::on_step`]
+    /// must run; `u64::MAX` for never. Default: `step` — wake every step.
+    fn next_wake(&self, step: u64) -> u64 {
+        step
+    }
 }
 
-/// The no-op hook, for ordinary (uninjected) runs.
+/// The no-op hook, for ordinary (uninjected) runs: never wakes.
 impl StepHook for () {
     fn on_step(&mut self, _step: u64, _cpu: &mut Cpu) {}
+
+    fn next_wake(&self, _step: u64) -> u64 {
+        u64::MAX
+    }
 }
 
-/// An optional hook: `None` runs uninjected.
+/// An optional hook: `None` runs uninjected and never wakes.
 impl<H: StepHook> StepHook for Option<H> {
     #[inline]
     fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
         if let Some(hook) = self {
             hook.on_step(step, cpu);
         }
+    }
+
+    fn next_wake(&self, step: u64) -> u64 {
+        self.as_ref().map_or(u64::MAX, |hook| hook.next_wake(step))
     }
 }
 
@@ -217,9 +243,10 @@ pub fn run_to_exit(cpu: &mut Cpu, os: &mut Os, max_steps: u64) -> RunOutcome {
 
 /// The generalized driver behind [`run_to_exit`]: generic over the stepper
 /// (functional [`Cpu`] or the pipelined timing model), with a wall-clock
-/// watchdog and a per-step hook, and hardened so that **no outcome aborts
-/// the host** — a panic reachable from guest or injected state is caught
-/// and reported as [`ExitReason::GuestFault`].
+/// watchdog and a [`StepHook`] woken at the steps it asks for (the steps
+/// in between run as one batch, see the wake contract), and hardened so
+/// that **no outcome aborts the host** — a panic reachable from guest or
+/// injected state is caught and reported as [`ExitReason::GuestFault`].
 pub fn run_to_exit_with<S: Steppable>(
     stepper: &mut S,
     os: &mut Os,
@@ -249,7 +276,9 @@ fn drive<S: Steppable>(
     hook: &mut dyn StepHook,
 ) -> ExitReason {
     let started = limits.watchdog.map(|_| Instant::now());
-    for step in 0..limits.max_steps {
+    let mut step = 0;
+    let mut wake = hook.next_wake(0);
+    while step < limits.max_steps {
         if step & (WATCHDOG_STRIDE - 1) == 0 {
             if let (Some(t0), Some(budget)) = (started, limits.watchdog) {
                 if t0.elapsed() >= budget {
@@ -257,8 +286,19 @@ fn drive<S: Steppable>(
                 }
             }
         }
-        hook.on_step(step, stepper.cpu_mut());
-        match stepper.step() {
+        if step >= wake {
+            hook.on_step(step, stepper.cpu_mut());
+            wake = hook.next_wake(step + 1);
+        }
+        // Run up to the next step anything outside the CPU must see: the
+        // hook's wake, the next watchdog poll, or the step limit.
+        let end = limits
+            .max_steps
+            .min((step | (WATCHDOG_STRIDE - 1)).saturating_add(1))
+            .min(wake.max(step + 1));
+        let (ran, result) = stepper.run_steps(end - step);
+        step += ran;
+        match result {
             Ok(StepEvent::Executed) => {}
             Ok(StepEvent::SyscallTrap) => {
                 os.handle_syscall(stepper.cpu_mut());
@@ -611,6 +651,77 @@ main:   li $v0, 3        # read(0, buf, 64)
             }
             other => panic!("expected ReplayDivergence, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn read_into_a_watched_text_page_executes_the_new_word() {
+        // read() lands `li $a0, 99` on the already-decoded word at `patch`:
+        // the kernel's copy dirties the watched page between page-runs, so
+        // the next run starts by dropping the stale decode.
+        let patched = ptaint_isa::Instr::IAlu {
+            op: ptaint_isa::IAluOp::Addiu,
+            rt: ptaint_isa::Reg::A0,
+            rs: ptaint_isa::Reg::ZERO,
+            imm: 99,
+        }
+        .encode();
+        let image = assemble(
+            "main:   li $v0, 3        # read(0, patch, 4)
+                     li $a0, 0
+                     la $a1, patch
+                     li $a2, 4
+                     syscall
+            patch:   li $a0, 1
+                     li $v0, 1        # exit($a0)
+                     syscall",
+        )
+        .unwrap();
+        for engine in [ptaint_cpu::Engine::Cached, ptaint_cpu::Engine::Interp] {
+            let (mut cpu, mut os) = load(
+                &image,
+                WorldConfig::new().stdin(patched.to_le_bytes().to_vec()),
+                DetectionPolicy::PointerTaintedness,
+                HierarchyConfig::flat(),
+            );
+            cpu.set_engine(engine);
+            let out = run_to_exit(&mut cpu, &mut os, 1000);
+            assert_eq!(out.reason, ExitReason::Exited(99), "{engine:?}");
+            if engine == ptaint_cpu::Engine::Cached {
+                assert_eq!(out.stats.decode_cache_invalidations, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_runs_wake_hooks_and_stop_exactly_where_single_steps_do() {
+        // A hook woken at steps 3 and 70 (it asks for them) sees exactly
+        // those steps; the steps between run as batches, and a step limit
+        // inside a batch still stops on its instruction.
+        struct WakeAt(Vec<u64>, Vec<u64>);
+        impl StepHook for WakeAt {
+            fn on_step(&mut self, step: u64, _cpu: &mut Cpu) {
+                self.1.push(step);
+            }
+            fn next_wake(&self, step: u64) -> u64 {
+                self.0
+                    .iter()
+                    .copied()
+                    .find(|&s| s >= step)
+                    .unwrap_or(u64::MAX)
+            }
+        }
+        let image = assemble("main: nop\n nop\n b main").unwrap();
+        let (mut cpu, mut os) = load(
+            &image,
+            WorldConfig::new(),
+            DetectionPolicy::PointerTaintedness,
+            HierarchyConfig::flat(),
+        );
+        let mut hook = WakeAt(vec![3, 70], Vec::new());
+        let out = run_to_exit_with(&mut cpu, &mut os, RunLimits::steps(101), &mut hook);
+        assert_eq!(out.reason, ExitReason::StepLimit);
+        assert_eq!(out.stats.instructions, 101);
+        assert_eq!(hook.1, [3, 70]);
     }
 
     #[test]

@@ -226,3 +226,17 @@ fn disassembly_of_built_images_is_renderable() {
     assert!(text.contains("jr $31"));
     assert!(text.lines().count() > 50);
 }
+
+#[test]
+fn a_huge_trace_depth_keeps_every_retire_without_reserving_it() {
+    // The retire ring grows with what actually retires, so a depth far
+    // beyond memory runs like any other and its tail is the whole run.
+    let run = Machine::from_c(ptaint_guest::apps::synthetic::EXP1_SOURCE)
+        .unwrap()
+        .world(ptaint_guest::apps::synthetic::exp1_attack_world())
+        .trace_depth(1 << 40)
+        .run_with(&RunConfig::default());
+    assert!(run.outcome.reason.is_detected(), "{:?}", run.outcome.reason);
+    // The tail also holds the instruction the detector stopped.
+    assert_eq!(run.tail.len() as u64, run.outcome.stats.instructions);
+}

@@ -6,9 +6,14 @@
 //! same exit reason, same alert, same stdout/stderr/transcripts, same
 //! retired-instruction statistics. Only the decode-cache counters (engine
 //! activity, not guest-visible behaviour) may differ, so those are
-//! normalized away with [`ExecStats::without_decode_cache`].
+//! normalized away with [`ExecStats::without_decode_cache`]. Within the
+//! cached engine, page-runs are invisible too: a step hook that wakes only
+//! at its trigger step sees the same trial as one woken before every step.
 
-use ptaint::{Engine, Machine, RunOutcome};
+use ptaint::{
+    run_to_exit_with, Cpu, Engine, ExitReason, Fault, FaultKind, Machine, MachineSnapshot,
+    RunLimits, RunOutcome, SplitMix64, StateInjector, StepHook, TrialRun,
+};
 use ptaint_guest::apps::{
     calibrate_format_pad, dispatchd, ghttpd, globd, null_httpd, synthetic, table4, traceroute,
     wu_ftpd,
@@ -314,5 +319,108 @@ fn workloads_agree_at_small_scale() {
             "{}: workload should be alert-free",
             w.name
         );
+    }
+}
+
+/// One forked trial under `fault`, run through the driver either with the
+/// bare injector (which wakes the driver only at its trigger step, so the
+/// cached engine runs page-runs in between) or wrapped in a hook that keeps
+/// the default wake-every-step contract (one instruction per run).
+fn hooked_trial(
+    snap: &MachineSnapshot,
+    fault: Fault,
+    limits: RunLimits,
+    every_step: bool,
+) -> TrialRun {
+    /// Delegates `on_step` and keeps the provided `next_wake`.
+    struct EveryStep<'a>(&'a mut StateInjector);
+    impl StepHook for EveryStep<'_> {
+        fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
+            self.0.on_step(step, cpu);
+        }
+    }
+
+    let (mut cpu, mut os) = snap.fork();
+    os.set_io_faults(fault.io_plan());
+    let mut injector = StateInjector::new(fault);
+    let outcome = if every_step {
+        run_to_exit_with(&mut cpu, &mut os, limits, &mut EveryStep(&mut injector))
+    } else {
+        run_to_exit_with(&mut cpu, &mut os, limits, &mut injector)
+    };
+    TrialRun {
+        outcome,
+        io_calls: os.io_call_count(),
+        applied: injector.applied().map(str::to_owned),
+    }
+}
+
+#[test]
+fn page_runs_are_invisible_to_step_hooks() {
+    // Batching the steps between hook wakes must not move anything: every
+    // fault kind, fired early, late, past the end and at consecutive steps
+    // (most of which land inside a page-run), and step limits that cut a
+    // run, yield the same trial as a hook woken before every step — exit,
+    // output and every `ExecStats` field, decode-cache counters included
+    // (it is the same engine both ways).
+    let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
+    let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
+    for (label, machine) in [
+        (
+            "exp1/attack",
+            Machine::from_c(synthetic::EXP1_SOURCE)
+                .unwrap()
+                .world(synthetic::exp1_attack_world()),
+        ),
+        ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
+    ] {
+        let n = machine.run().stats.instructions;
+        // Ends a trial a fault sent into a loop without spinning to the
+        // default budget.
+        let limits = RunLimits::steps(2 * n);
+        let mut steps = vec![0, 1, n - 1, n + 3];
+        for k in 1..4 {
+            let at = n * k / 4;
+            steps.extend([at, at + 1, at + 6]);
+        }
+        for elide in [false, true] {
+            let snap = machine.clone().elide_checks(elide).snapshot();
+            let mut rng = SplitMix64::new(0x9a9e_2075);
+            for (k, kind) in FaultKind::ALL.into_iter().enumerate() {
+                // Six triggers per kind, rotating so every trigger is hit.
+                for &step in steps.iter().cycle().skip(3 * k).take(6) {
+                    let fault = Fault {
+                        kind,
+                        io_call: step % 3,
+                        step,
+                        salt: rng.next_u64(),
+                    };
+                    assert_eq!(
+                        hooked_trial(&snap, fault, limits, false),
+                        hooked_trial(&snap, fault, limits, true),
+                        "{label} (elide {elide}): {} at step {step}",
+                        kind.name()
+                    );
+                }
+            }
+            for cut in [1, 7, n / 3 + 1, n / 2 + 3, n - 2] {
+                let fault = Fault {
+                    kind: FaultKind::RegisterBit,
+                    io_call: 0,
+                    step: cut / 2,
+                    salt: rng.next_u64(),
+                };
+                let limits = RunLimits::steps(cut);
+                let batched = hooked_trial(&snap, fault, limits, false);
+                assert_eq!(
+                    batched,
+                    hooked_trial(&snap, fault, limits, true),
+                    "{label} (elide {elide}): step limit {cut}"
+                );
+                if batched.outcome.reason == ExitReason::StepLimit {
+                    assert_eq!(batched.outcome.stats.instructions, cut, "{label}");
+                }
+            }
+        }
     }
 }
