@@ -25,13 +25,13 @@
 //! `--seed` and workload. Like `analyze`, the keyword is positional.
 //!
 //! The `profile` subcommand (`ptaint-profile`) runs the program with the
-//! hot-loop profiler enabled and prints a top-N report: hot blocks and pcs
-//! (per-PC retirement histogram, symbolized), taint hotspots (the
-//! TaintSource/PointerCheck/Alert/check-elided heatmap by site and
-//! symbol), the per-syscall count/step-latency table, and collapsed call
-//! stacks. `--profile-out FILE` writes the full profile as JSON — counts
-//! only, no wall-clock data, so a deterministic guest profiles
-//! byte-identically. `--profile-out` also works without the subcommand
+//! profiler observing its event stream and prints a top-N report: hot
+//! blocks and pcs (per-PC retirement histogram, symbolized), taint
+//! hotspots (the TaintSource/PointerCheck/Alert/check-elided heatmap by
+//! site and symbol), the per-syscall count/step-latency table, and
+//! collapsed call stacks. `--profile-out FILE` writes the full profile as
+//! JSON — counts only, no wall-clock data, so a deterministic guest
+//! profiles byte-identically. `--profile-out` also works without the subcommand
 //! (collect during a normal run, skip the printed report). Like
 //! `analyze`, the keyword is positional.
 //!
@@ -535,6 +535,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
         (opts.metrics_out.is_some(), "--metrics-out"),
         (opts.metrics_interval.is_some(), "--metrics-interval"),
         (opts.profile_out.is_some(), "--profile-out"),
+        (opts.profile, "profile"),
         (opts.journal_out.is_some(), "--journal-out"),
         (opts.provenance, "--provenance"),
         (opts.pipeline, "--pipeline"),
@@ -1447,6 +1448,11 @@ mod tests {
         assert!(parse(&["inject", "p.c", "--provenance"]).is_err());
         assert!(parse(&["analyze", "p.c", "--pipeline"]).is_err());
         assert!(parse(&["p.c", "--disasm", "--trace"]).is_err());
+        let err = parse(&["profile", "p.c", "--disasm"]).unwrap_err();
+        assert!(
+            err.0.contains("`profile`") && err.0.contains("`--disasm`"),
+            "{err}"
+        );
         // A single run composes every one of them.
         let opts = parse(&[
             "p.c",

@@ -23,7 +23,7 @@ fn main() -> ExitCode {
                                   campaign (baseline + --trials seeded\n\
                                   faults) and emit the JSON report; same\n\
                                   seed => byte-identical report\n\
-             profile              run with the hot-loop profiler and print\n\
+             profile              run with the profiler and print\n\
                                   the top-N report: hot blocks/pcs, taint\n\
                                   hotspots, syscall table, call paths\n\
              replay               re-execute a run from a syscall journal\n\

@@ -82,7 +82,7 @@ pub use ptaint_os::{
     RunOutcome, StepHook, Sys, SyscallJournal, WorldConfig, EINTR,
 };
 pub use ptaint_profile::{
-    EventProfile, HotProfile, ProfileReport, SymbolCount, SymbolTable, SyscallRow, TaintSite,
+    EventProfile, ProfileReport, SymbolCount, SymbolTable, SyscallRow, TaintSite,
 };
 pub use ptaint_trace::{
     Event, ForensicChain, MetricsSnapshot, Observer, SharedObserver, ToJson, TraceConfig, TraceHub,

@@ -13,7 +13,7 @@ use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
     load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
 };
-use ptaint_profile::{EventProfile, HotProfile, ProfileReport, SymbolTable};
+use ptaint_profile::{EventProfile, ProfileReport, SymbolTable};
 use ptaint_trace::{Event, Observer, SharedObserver, TraceConfig, TraceHub, TraceReport};
 use std::cell::RefCell;
 
@@ -506,7 +506,7 @@ impl Machine {
     }
 
     /// Boots a fresh instance with everything `cfg` asks for attached —
-    /// any combination of the trace sinks, the hot-loop profiler, syscall
+    /// any combination of the trace sinks, the profiler, syscall
     /// journal recording and the 5-stage pipeline timing model (Figure 3)
     /// — and runs it to completion. The pipeline retires through the same
     /// taint CPU, so every sink sees the identical event stream with or
@@ -520,16 +520,13 @@ impl Machine {
             }))
         });
         let observer = sinks.clone().map(|s| -> SharedObserver { s });
-        let (mut cpu, mut os) = self.boot_with(observer);
-        if cfg.profile {
-            cpu.enable_profiler();
-        }
+        let (cpu, mut os) = self.boot_with(observer);
         if cfg.record {
             os.start_recording();
         }
         // Each branch owns (and drops) the CPU, releasing its observer
         // handle before the sinks are consumed below.
-        let ((outcome, tail, hot), pipeline) = if cfg.pipeline {
+        let ((outcome, tail), pipeline) = if cfg.pipeline {
             let mut pipe = Pipeline::new(cpu);
             let run = self.drive(&mut pipe, &mut os);
             (run, Some(pipe.report()))
@@ -546,10 +543,9 @@ impl Machine {
                 (sinks.hub.into_report(), sinks.events)
             })
             .unwrap_or_default();
-        let profile = cfg.profile.then(|| {
-            let hot = hot.unwrap_or_default();
-            ProfileReport::build(&hot, &events.unwrap_or_default(), &self.symbol_table())
-        });
+        let profile = cfg
+            .profile
+            .then(|| ProfileReport::build(&events.unwrap_or_default(), &self.symbol_table()));
         RunArtifacts {
             outcome,
             tail,
@@ -561,15 +557,10 @@ impl Machine {
     }
 
     /// Runs `stepper` to completion and collects what only the live CPU
-    /// holds: the disassembled tail and the hot-loop profile, if enabled.
-    fn drive<S: Steppable>(
-        &self,
-        stepper: &mut S,
-        os: &mut Os,
-    ) -> (RunOutcome, Vec<String>, Option<Box<HotProfile>>) {
+    /// holds: the disassembled tail.
+    fn drive<S: Steppable>(&self, stepper: &mut S, os: &mut Os) -> (RunOutcome, Vec<String>) {
         let outcome = run_to_exit_with(stepper, os, self.limits(), &mut ());
-        let cpu = stepper.cpu_mut();
-        (outcome, self.render_tail(cpu), cpu.take_profiler())
+        (outcome, self.render_tail(stepper.cpu()))
     }
 
     /// [`Machine::run_with`] with only the trace sinks `cfg` enables:
@@ -693,7 +684,9 @@ fn run_trial((mut cpu, mut os): (Cpu, Os), limits: RunLimits, fault: Option<&Fau
 pub struct RunConfig {
     /// The trace sinks (JSONL stream, metrics, provenance) to run.
     pub trace: TraceConfig,
-    /// Run the hot-loop profiler and the event-stream profile collector.
+    /// Profile the run: an [`EventProfile`] on the observer folds the
+    /// retire stream into a per-PC histogram and call tree, and the taint
+    /// events into a heatmap and syscall table.
     pub profile: bool,
     /// Record every serviced syscall into a [`SyscallJournal`], which
     /// [`Machine::replay`] re-serves instruction-exactly.
@@ -725,7 +718,7 @@ pub struct RunArtifacts {
 }
 
 /// The single observer a [`Machine::run_with`] boot attaches: the trace
-/// hub plus, when profiling, the event-stream profile collector.
+/// hub plus, when profiling, the profile collector.
 struct RunSinks {
     hub: TraceHub,
     events: Option<EventProfile>,

@@ -192,11 +192,6 @@ pub struct Cpu {
     // dropped, elision is off, and every check runs in full for the rest of
     // the run (fail safe, not silent).
     degraded: bool,
-    // Hot-loop profiler (per-PC histogram + shadow call stack). Boxed so the
-    // disabled case costs one `None` branch per retire and nothing in cache
-    // footprint; identical across engines because both funnel through
-    // `exec`.
-    profiler: Option<Box<ptaint_profile::HotProfile>>,
 }
 
 /// Instructions between periodic decode-cache integrity sweeps on the
@@ -238,7 +233,6 @@ impl Cpu {
             engine: Engine::default(),
             dcache: DecodeCache::new(),
             degraded: false,
-            profiler: None,
         }
     }
 
@@ -268,24 +262,6 @@ impl Cpu {
     #[must_use]
     pub fn has_observer(&self) -> bool {
         self.observer.is_some()
-    }
-
-    /// Enables the hot-loop profiler (per-PC retirement histogram + shadow
-    /// call stack). Collection starts at the next retired instruction; a
-    /// fresh profile replaces any previous one.
-    pub fn enable_profiler(&mut self) {
-        self.profiler = Some(Box::new(ptaint_profile::HotProfile::new()));
-    }
-
-    /// Detaches and returns the collected profile (disabling collection).
-    pub fn take_profiler(&mut self) -> Option<Box<ptaint_profile::HotProfile>> {
-        self.profiler.take()
-    }
-
-    /// The live profile, if collection is enabled.
-    #[must_use]
-    pub fn profiler(&self) -> Option<&ptaint_profile::HotProfile> {
-        self.profiler.as_deref()
     }
 
     /// Forwards an event to the attached observer, if any. The OS model and
@@ -677,8 +653,8 @@ impl Cpu {
     /// bit-identical to a fresh boot by construction, decode-cache
     /// counters included.
     ///
-    /// The observer and profiler are deliberately *not* inherited — both
-    /// are single-timeline sinks; attach fresh ones to the fork if needed.
+    /// The observer is deliberately *not* inherited — it is a
+    /// single-timeline sink; attach a fresh one to the fork if needed.
     #[must_use]
     pub fn fork(&self) -> Cpu {
         Cpu {
@@ -698,7 +674,6 @@ impl Cpu {
             engine: self.engine,
             dcache: self.dcache.fork_rebuild(),
             degraded: self.degraded,
-            profiler: None,
         }
     }
 
@@ -1253,10 +1228,6 @@ impl Cpu {
 
         self.stats.instructions += 1;
         self.push_trace(pc, instr);
-        if let Some(profiler) = &mut self.profiler {
-            profiler.on_retire(pc);
-            profiler.on_control(&instr, next_pc);
-        }
         self.pc = next_pc;
         if self.observer.is_some() {
             self.emit_event(&Event::Retire {

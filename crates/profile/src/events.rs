@@ -1,5 +1,9 @@
-//! Event-stream aggregation: taint heatmap, source totals, syscall table.
+//! Event-stream aggregation: retire histogram and call tree, taint
+//! heatmap, source totals, syscall table.
 
+use crate::calltree::CallTree;
+use crate::hist::PcHistogram;
+use ptaint_isa::{Instr, Reg};
 use ptaint_trace::{Event, Observer};
 use std::collections::BTreeMap;
 
@@ -45,20 +49,27 @@ pub struct SyscallAgg {
     pub steps: u64,
 }
 
-/// An [`Observer`] that folds the taint event stream into a heatmap.
+/// An [`Observer`] that folds the event stream into a profile: the retire
+/// stream into a per-PC histogram and a call tree, the taint events into a
+/// heatmap.
 ///
 /// Sites are keyed by pc (symbolization happens at report time, so the
 /// collector stays independent of the image). All maps are `BTreeMap`s:
 /// iteration order — and therefore report output — is deterministic.
 #[derive(Debug, Default)]
 pub struct EventProfile {
+    /// Per-PC retirement counts.
+    pub hist: PcHistogram,
+    /// Shadow call stack / call-path tree.
+    pub calls: CallTree,
     /// Taint activity by site pc.
     pub sites: BTreeMap<u32, SiteCounters>,
     /// Taint sources by kind.
     pub sources: BTreeMap<&'static str, SourceAgg>,
     /// Syscall table by name.
     pub syscalls: BTreeMap<&'static str, SyscallAgg>,
-    retired: u64,
+    /// A `jal`/`jalr` retired last; the next retire enters its callee.
+    pending_call: bool,
     last_syscall_retired: u64,
 }
 
@@ -69,10 +80,24 @@ impl EventProfile {
         EventProfile::default()
     }
 
-    /// Retired instructions observed (drives syscall step latency).
-    #[must_use]
-    pub fn retired(&self) -> u64 {
-        self.retired
+    /// One instruction retired at `pc`. This ISA has no delay slot, so the
+    /// retire after a `jal`/`jalr` is the callee entry: that is where the
+    /// call pushes its frame. A callee that never retires (its fetch
+    /// faults) never gets one. `jr $ra` pops at once; a `jr` through any
+    /// other register is a computed jump, not a return.
+    fn retire(&mut self, pc: u32, instr: &Instr) {
+        if std::mem::take(&mut self.pending_call) {
+            self.calls.on_call(pc);
+        }
+        self.hist.bump(pc);
+        self.calls.on_retire(pc);
+        match instr {
+            Instr::Jump { link: true, .. } | Instr::JumpAndLinkReg { .. } => {
+                self.pending_call = true;
+            }
+            Instr::JumpReg { rs } if *rs == Reg::RA => self.calls.on_ret(),
+            _ => {}
+        }
     }
 
     fn site(&mut self, pc: u32) -> &mut SiteCounters {
@@ -83,7 +108,7 @@ impl EventProfile {
 impl Observer for EventProfile {
     fn on_event(&mut self, event: &Event) {
         match event {
-            Event::Retire { .. } => self.retired += 1,
+            Event::Retire { pc, instr, .. } => self.retire(*pc, instr),
             Event::TaintSource { kind, len, .. } => {
                 let agg = self.sources.entry(*kind).or_default();
                 agg.count += 1;
@@ -100,8 +125,9 @@ impl Observer for EventProfile {
             Event::Alert { pc, .. } => self.site(*pc).alerts += 1,
             Event::CheckElided { pc } => self.site(*pc).elided += 1,
             Event::Syscall { name, .. } => {
-                let steps = self.retired - self.last_syscall_retired;
-                self.last_syscall_retired = self.retired;
+                let retired = self.hist.total();
+                let steps = retired - self.last_syscall_retired;
+                self.last_syscall_retired = retired;
                 let agg = self.syscalls.entry(*name).or_default();
                 agg.count += 1;
                 agg.steps += steps;
@@ -122,6 +148,63 @@ mod tests {
             instr: Instr::JumpReg { rs: Reg::RA },
             tainted: false,
         }
+    }
+
+    fn retire_at(pc: u32, instr: Instr) -> Event {
+        Event::Retire {
+            pc,
+            instr,
+            tainted: false,
+        }
+    }
+
+    #[test]
+    fn call_classification_matches_the_isa() {
+        let symbols = crate::SymbolTable::build(
+            [
+                ("main".to_string(), 0x40_0000),
+                ("handle".to_string(), 0x40_0100),
+                ("log_request".to_string(), 0x40_0200),
+            ],
+            0x40_0000,
+            0x40_1000,
+        );
+        let call = |target| Instr::Jump { target, link: true };
+        let mut p = EventProfile::new();
+        for event in [
+            retire_at(0x40_0000, call(0x40_0100)),
+            retire_at(
+                0x40_0100,
+                Instr::JumpAndLinkReg {
+                    rd: Reg::RA,
+                    rs: Reg::new(8),
+                },
+            ),
+            retire_at(0x40_0200, Instr::JumpReg { rs: Reg::RA }),
+            // `jr` through a non-$ra register is a computed jump, not a
+            // return: it stays in `handle`.
+            retire_at(0x40_0104, Instr::JumpReg { rs: Reg::new(8) }),
+        ] {
+            p.on_event(&event);
+        }
+        let expected = vec![
+            ("main".to_string(), 1),
+            ("main;handle".to_string(), 2),
+            ("main;handle;log_request".to_string(), 1),
+        ];
+        assert_eq!(p.hist.total(), 4);
+        assert_eq!(p.calls.depth(), 2); // root -> handle (log_request popped)
+        assert_eq!(p.calls.collapsed(&symbols), expected);
+
+        // A trailing call whose callee never retires (its fetch faults):
+        // the `jal` itself is charged to its caller, and the callee gets
+        // no frame.
+        p.on_event(&retire_at(0x40_0108, call(0x6161_6160)));
+        assert_eq!(p.hist.total(), 5);
+        assert_eq!(p.calls.depth(), 2);
+        let mut expected = expected;
+        expected[1].1 += 1;
+        assert_eq!(p.calls.collapsed(&symbols), expected);
     }
 
     #[test]

@@ -6,13 +6,15 @@ use std::collections::HashMap;
 /// Counter slots per page: one per instruction word.
 pub const PAGE_SLOTS: usize = (PAGE_SIZE / 4) as usize;
 
-/// A per-PC retirement histogram.
+/// A per-PC retirement histogram, bumped once per `Event::Retire`.
 ///
 /// Mirrors the decode cache's layout (`crates/cpu/src/decode_cache.rs`):
 /// pages are keyed by `pc / PAGE_SIZE` in a `HashMap` that points into a
 /// flat `Vec` of boxed 1024-slot counter arrays, with a one-entry shortcut
 /// for the last page touched — the steady-state cost of [`bump`] is the
-/// shortcut compare plus one array increment.
+/// shortcut compare plus one array increment. A running total makes
+/// [`total`](PcHistogram::total) O(1), so syscall latency can read it on
+/// every syscall.
 ///
 /// [`bump`]: PcHistogram::bump
 #[derive(Debug)]
@@ -21,6 +23,7 @@ pub struct PcHistogram {
     store: Vec<Box<[u64; PAGE_SLOTS]>>,
     last_page: u32,
     last_idx: usize,
+    total: u64,
 }
 
 impl Default for PcHistogram {
@@ -30,6 +33,7 @@ impl Default for PcHistogram {
             store: Vec::new(),
             last_page: u32::MAX,
             last_idx: usize::MAX,
+            total: 0,
         }
     }
 }
@@ -60,12 +64,13 @@ impl PcHistogram {
             self.last_idx = idx;
         }
         self.store[self.last_idx][slot] += 1;
+        self.total += 1;
     }
 
     /// Total retirements counted.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.store.iter().map(|page| page.iter().sum::<u64>()).sum()
+        self.total
     }
 
     /// All non-zero `(pc, count)` pairs in ascending `pc` order.

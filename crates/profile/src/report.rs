@@ -2,7 +2,6 @@
 
 use crate::events::EventProfile;
 use crate::symbols::SymbolTable;
-use crate::HotProfile;
 use ptaint_trace::json::escape;
 use ptaint_trace::ToJson;
 use std::collections::BTreeMap;
@@ -90,10 +89,10 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Merges the hot-loop and event collectors into a symbolized report.
+    /// Symbolizes a collected profile into a report.
     #[must_use]
-    pub fn build(hot: &HotProfile, events: &EventProfile, symbols: &SymbolTable) -> ProfileReport {
-        let entries = hot.hist.entries();
+    pub fn build(events: &EventProfile, symbols: &SymbolTable) -> ProfileReport {
+        let entries = events.hist.entries();
 
         // Hottest individual pcs.
         let mut hot_pcs: Vec<(u32, u64)> = entries.clone();
@@ -136,10 +135,10 @@ impl ProfileReport {
         }
 
         ProfileReport {
-            steps: hot.total(),
+            steps: events.hist.total(),
             hot_pcs,
             symbols: symbols_out,
-            collapsed: hot.calls.collapsed(symbols),
+            collapsed: events.calls.collapsed(symbols),
             taint_sites,
             taint_symbols: rank(taint_by_symbol),
             sources: events
@@ -336,6 +335,7 @@ impl ToJson for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptaint_isa::Instr;
     use ptaint_trace::{Event, Observer};
 
     fn symtab() -> SymbolTable {
@@ -350,11 +350,14 @@ mod tests {
     }
 
     fn sample() -> ProfileReport {
-        let mut hot = HotProfile::new();
-        hot.on_retire(0x40_0000);
-        hot.on_retire(0x40_0000);
-        hot.on_retire(0x40_0104);
         let mut events = EventProfile::new();
+        for pc in [0x40_0000, 0x40_0000, 0x40_0104] {
+            events.on_event(&Event::Retire {
+                pc,
+                instr: Instr::Syscall,
+                tainted: false,
+            });
+        }
         events.on_event(&Event::CheckElided { pc: 0x40_0104 });
         events.on_event(&Event::TaintSource {
             kind: "syscall",
@@ -362,7 +365,7 @@ mod tests {
             base: 0x1000_0000,
             len: 24,
         });
-        ProfileReport::build(&hot, &events, &symtab())
+        ProfileReport::build(&events, &symtab())
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The profiler on the GHTTPD URL-pointer attack (§5.1.2): run the pinned
-//! attack session under the hot-loop profiler and emit the byte-
+//! attack session under the profiler and emit the byte-
 //! deterministic profile JSON on stdout — same build, same bytes. The CI
 //! trend gate runs this twice and diffs the output.
 //!

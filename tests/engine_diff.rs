@@ -198,9 +198,10 @@ fn table4_false_negative_scenarios_agree() {
 fn per_pc_profiles_are_engine_invariant() {
     use ptaint::{RunConfig, ToJson, TraceConfig};
 
-    // The trace records the guest, not the engine: the profiler hooks
-    // `Cpu::exec`, which both engines funnel through, and no event reports
-    // decode-cache activity (those counts live in `ExecStats`). So every
+    // The trace records the guest, not the engine: both engines retire
+    // through `Cpu::exec`, the profiler is built from that retire stream,
+    // and no event reports decode-cache activity (those counts live in
+    // `ExecStats`). So every
     // artifact of a fully traced, profiled run — JSONL stream, metrics,
     // forensic chain, and the profile (per-PC histogram, call tree, taint
     // heatmap, syscall table) — must be byte-identical across engines, not
