@@ -23,8 +23,7 @@
 //! analyzed in its canonical frame, call sites apply the callee's exit
 //! summary instead of havocking, and the per-function fixpoints run on a
 //! deterministic parallel driver ([`parallel`]) scheduled bottom-up over
-//! the static call graph's SCCs ([`callgraph`]). Results can be persisted
-//! in a content-addressed proof cache ([`cache`]).
+//! the static call graph's SCCs ([`callgraph`]).
 //!
 //! ```
 //! use ptaint_asm::assemble;
@@ -36,7 +35,6 @@
 //! assert!(analysis.findings.is_empty());
 //! ```
 
-pub mod cache;
 pub mod callgraph;
 pub mod domain;
 pub mod interp;

@@ -1,25 +1,17 @@
-//! Static-analysis throughput: cold fixpoint runs vs warm proof-cache
-//! loads, on the two guests the trend gate tracks (Experiment 1 and
-//! ghttpd).
-//!
-//! The cold number is the full interprocedural summary fixpoint
-//! (`ptaint::analyze`); the warm number parses the image's `ptaint-proofs
-//! v1` cache entry back into the same [`ptaint::Analysis`]. The whole
-//! point of the on-disk cache is that a warm boot skips the fixpoint, so
-//! the bench asserts the warm path is at least 10× faster — a structural
-//! property, not a tuning target; a miss means the cache is being
-//! re-analyzed behind the scenes.
+//! Static-analysis throughput: cold fixpoint runs on the two guests the
+//! trend gate tracks (Experiment 1 and ghttpd) — the full interprocedural
+//! summary fixpoint (`ptaint::analyze`).
 //!
 //! Besides the criterion group, a machine-readable summary is written to
 //! `BENCH_analyze.json` at the repository root (`*_cold_analyses_per_sec`
-//! and `*_warm_loads_per_sec` are tolerance-banded by the trend gate).
+//! is tolerance-banded by the trend gate).
 //! Set `BENCH_QUICK=1` to shrink iteration counts for CI smoke runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ptaint::{proof_cache, Image};
+use ptaint::Image;
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 fn quick() -> bool {
@@ -61,56 +53,24 @@ fn guests() -> Vec<(&'static str, Image)> {
 }
 
 fn bench_analyze(c: &mut Criterion) {
-    let scratch = std::env::temp_dir().join(format!("ptaint-bench-analyze-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
     let mut group = c.benchmark_group("analyze");
     group.sample_size(10);
     let mut json = String::from("{\"bench\":\"analyze\"");
     let mut summary = String::new();
     for (name, image) in guests() {
-        let cold_analysis = ptaint::analyze(&image);
-        proof_cache::store(&scratch, &image, &cold_analysis).expect("cache store succeeds");
-
+        let proven = ptaint::analyze(&image).proven.len();
         group.bench_function(format!("{name}_cold"), |b| {
             b.iter(|| ptaint::analyze(&image))
         });
-        group.bench_function(format!("{name}_warm"), |b| {
-            b.iter(|| {
-                proof_cache::load(&scratch, &image)
-                    .expect("entry parses")
-                    .expect("entry exists")
-            })
-        });
 
         let cold = per_sec(|| ptaint::analyze(&image));
-        let warm = per_sec(|| {
-            let loaded = proof_cache::load(&scratch, &image)
-                .expect("entry parses")
-                .expect("entry exists");
-            assert_eq!(loaded, cold_analysis, "warm load drifted from cold run");
-            loaded
-        });
-        let speedup = warm / cold;
-        assert!(
-            speedup >= 10.0,
-            "{name}: warm cache load only {speedup:.1}x faster than the cold fixpoint \
-             (cold {cold:.2}/s, warm {warm:.2}/s); the proof cache is not skipping work"
-        );
         let _ = write!(
             json,
-            ",\"{name}_proven_sites\":{},\"{name}_cold_analyses_per_sec\":{cold:.2},\
-             \"{name}_warm_loads_per_sec\":{warm:.2},\"{name}_warm_speedup\":{speedup:.1}",
-            cold_analysis.proven.len(),
+            ",\"{name}_proven_sites\":{proven},\"{name}_cold_analyses_per_sec\":{cold:.2}",
         );
-        let _ = write!(
-            summary,
-            "{name}: {} proven; cold {cold:.2}/s, warm {warm:.0}/s ({speedup:.0}x)  ",
-            cold_analysis.proven.len()
-        );
+        let _ = write!(summary, "{name}: {proven} proven; cold {cold:.2}/s  ");
     }
     group.finish();
-    let _ = std::fs::remove_dir_all(&scratch);
 
     let _ = write!(json, ",\"quick\":{}}}", quick());
     json.push('\n');

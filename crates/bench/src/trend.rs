@@ -14,7 +14,7 @@
 //!   root, in filename order. These carry wall-clock throughput numbers
 //!   and are the *documented wall-clock fields*: excluded from exact
 //!   identity comparisons, gated only by a tolerance band. (The analyzer's
-//!   cold/warm throughput rides here via `BENCH_analyze.json`.)
+//!   cold throughput rides here via `BENCH_analyze.json`.)
 //!
 //! [`check_trend`] compares a fresh collection against a checked-in
 //! baseline: campaign and analysis counts must match exactly; `*_per_sec`

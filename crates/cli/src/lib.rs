@@ -57,11 +57,6 @@
 //!                         for `inject` campaign shards (default for the
 //!                         latter: available parallelism); the output is
 //!                         byte-identical for every N (also `-jN`)
-//!   --analysis-cache DIR  content-addressed `ptaint-proofs v1` store: a
-//!                         warm entry keyed by the image hash skips the
-//!                         static fixpoint at boot (and for `analyze`)
-//!   --emit-proofs         (analyze) store the computed proofs into the
-//!                         `--analysis-cache` directory
 //!   --stdin FILE          feed FILE's bytes as standard input (tainted)
 //!   --stdin-text STRING   feed STRING as standard input (tainted)
 //!   --arg STRING          append a command-line argument (repeatable)
@@ -86,7 +81,7 @@
 //!                         short_read,eintr,conn_reset,fragment,data_bit,
 //!                         taint_clear,taint_set,register_bit,cache_line,
 //!                         multi_bit,taint_sweep,decode_slot,proven_flip,
-//!                         proof_cache
+//!                         proof_cache (inert: it never applies)
 //!   --report FILE         (inject) write the campaign JSON to FILE instead
 //!                         of stdout
 //!   --journal-out FILE    record the run's syscall journal (results and
@@ -115,14 +110,10 @@
 //! The process exit code is the guest's exit status; detections exit 42;
 //! any other abnormal stop (crash, step limit, watchdog, replay
 //! divergence) exits 1; usage, read, and build errors exit 2, including an
-//! unreadable or malformed `--journal` file and — for `analyze` — an
-//! unreadable or corrupt `--analysis-cache` entry (the corrupt entry is
-//! re-analyzed cold and the report still printed, never a panic, but the
-//! exit code reports the bad cache and takes priority over exit 3); `analyze`
-//! findings exit 3; a failure to write a requested artifact
-//! (`--trace-out`, `--metrics-out`, `--profile-out`, `--report`,
-//! `--journal-out`, `--emit-proofs`) exits 4 so scripts never mistake
-//! lost data for success.
+//! unreadable or malformed `--journal` file; `analyze` findings exit 3; a
+//! failure to write a requested artifact (`--trace-out`, `--metrics-out`,
+//! `--profile-out`, `--report`, `--journal-out`) exits 4 so scripts never
+//! mistake lost data for success.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -187,12 +178,8 @@ pub struct Options {
     pub engine: Option<Engine>,
     /// Skip taint checks at statically proven-clean sites.
     pub elide_checks: bool,
-    /// Analysis proof-cache directory (`--analysis-cache`).
-    pub analysis_cache: Option<String>,
     /// Analysis fixpoint worker threads (`-j` / `--jobs`).
     pub jobs: Option<usize>,
-    /// Store the computed proofs into the cache (`analyze --emit-proofs`).
-    pub emit_proofs: bool,
     /// Stdin bytes.
     pub stdin: Vec<u8>,
     /// Guest argv (the program name is prepended automatically).
@@ -424,6 +411,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
             }
             "--faults" => {
                 let v = value(&mut it, "--faults")?;
+                let named = opts.fault_kinds.len();
                 for token in v.split(',').filter(|t| !t.is_empty()) {
                     let kind = FaultKind::parse(token).ok_or_else(|| {
                         UsageError(format!(
@@ -432,6 +420,12 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                         ))
                     })?;
                     opts.fault_kinds.push(kind);
+                }
+                if opts.fault_kinds.len() == named {
+                    return Err(UsageError(format!(
+                        "`--faults` list `{v}` names no fault kind (one of: {})",
+                        FaultKind::ALL.map(FaultKind::name).join(", ")
+                    )));
                 }
             }
             "--fork" => opts.no_fork = false,
@@ -451,10 +445,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                     .ok_or_else(|| UsageError(format!("bad metrics interval `{v}`")))?;
                 opts.metrics_interval = Some(n);
             }
-            "--analysis-cache" => {
-                opts.analysis_cache = Some(value(&mut it, "--analysis-cache")?);
-            }
-            "--emit-proofs" => opts.emit_proofs = true,
             "-j" | "--jobs" => {
                 let v = value(&mut it, "--jobs")?;
                 opts.jobs = Some(
@@ -503,11 +493,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
     if opts.metrics_interval.is_some() && opts.trace_out.is_none() {
         return Err(UsageError(
             "`--metrics-interval` needs `--trace-out FILE` (the periodic snapshots land in the JSONL stream)".into(),
-        ));
-    }
-    if opts.emit_proofs && (!opts.analyze || opts.analysis_cache.is_none()) {
-        return Err(UsageError(
-            "`--emit-proofs` belongs to the `analyze` subcommand and needs `--analysis-cache DIR` to store into".into(),
         ));
     }
     if opts.replay && opts.journal_in.is_none() {
@@ -603,16 +588,18 @@ pub fn build_machine(opts: &Options, source: &str) -> Result<Machine, UsageError
         machine = machine.trace_depth(depth);
     }
     for (sym, len) in &opts.watches {
-        if machine.image().symbol(sym).is_none() {
+        let Some(addr) = machine.image().symbol(sym) else {
             return Err(UsageError(format!("no symbol `{sym}` to watch")));
+        };
+        if *len == 0 || addr.checked_add(len - 1).is_none() {
+            return Err(UsageError(format!(
+                "watch `{sym}:{len}` covers no bytes or runs past 0xffffffff"
+            )));
         }
         machine = machine.taint_watch_symbol(sym, *len);
     }
     if opts.no_fork {
         machine = machine.fork_trials(false);
-    }
-    if let Some(dir) = &opts.analysis_cache {
-        machine = machine.analysis_cache(dir);
     }
     if let Some(jobs) = opts.jobs {
         machine = machine.analysis_jobs(jobs);
@@ -775,68 +762,16 @@ fn exit_code(reason: &ExitReason) -> i32 {
     }
 }
 
-/// The `analyze` subcommand: prints the static lint report, optionally
-/// loading from / storing into a `--analysis-cache` directory.
-///
-/// Exit-code contract (the `--help` table): findings exit 3; an
-/// unreadable or corrupt cache entry falls back to a cold analysis — the
-/// report is still printed, never a panic — but exits 2 so scripts learn
-/// the cache needs regenerating (`--emit-proofs`); a failed
-/// `--emit-proofs` write exits [`EXIT_ARTIFACT`]. Exit 2 takes priority
-/// over 4, which takes priority over 3.
+/// The `analyze` subcommand: prints the static lint report; findings
+/// exit 3.
 fn run_analyze_cli(opts: &Options, machine: &Machine) -> (String, i32) {
     let image = machine.image();
-    let mut report = String::new();
-    let mut cache_corrupt = false;
-    let mut cached = None;
-    if let Some(dir) = &opts.analysis_cache {
-        match ptaint::proof_cache::load(std::path::Path::new(dir), image) {
-            Ok(hit) => cached = hit,
-            Err(e) => {
-                let _ = writeln!(
-                    report,
-                    "--- analysis cache: entry unusable, re-analyzing cold: {e}"
-                );
-                cache_corrupt = true;
-            }
-        }
-    }
-    let from_cache = cached.is_some();
-    let analysis = cached.unwrap_or_else(|| match opts.jobs {
+    let analysis = match opts.jobs {
         Some(jobs) => ptaint::analyze_with(image, jobs),
         None => ptaint::analyze(image),
-    });
-    let mut emit_failed = false;
-    if opts.emit_proofs {
-        if let Some(dir) = &opts.analysis_cache {
-            match ptaint::proof_cache::store(std::path::Path::new(dir), image, &analysis) {
-                Ok(path) if !opts.quiet => {
-                    let _ = writeln!(report, "--- proofs: wrote {}", path.display());
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    let _ = writeln!(report, "--- proofs: cannot write into `{dir}`: {e}");
-                    emit_failed = true;
-                }
-            }
-        }
-    }
-    if from_cache && !opts.quiet {
-        let _ = writeln!(
-            report,
-            "--- analysis cache: loaded proofs for image {:016x}",
-            ptaint::proof_cache::image_hash(image)
-        );
-    }
-    report.push_str(&ptaint::render_report(image, &analysis));
-    let code = if cache_corrupt {
-        2
-    } else if emit_failed {
-        EXIT_ARTIFACT
-    } else {
-        i32::from(analysis.stats.flagged_sites > 0) * 3
     };
-    (report, code)
+    let code = i32::from(analysis.stats.flagged_sites > 0) * 3;
+    (ptaint::render_report(image, &analysis), code)
 }
 
 /// The `inject` subcommand: runs a seeded campaign and emits the JSON
@@ -1035,6 +970,16 @@ mod tests {
         // Unknown symbol is a usage error.
         let opts = parse(&["auth.c", "--watch", "nope:4"]).unwrap();
         assert!(build_machine(&opts, source).is_err());
+
+        // So is a range that covers no bytes or wraps past 0xffffffff:
+        // it could never fire.
+        for spec in ["pw:0", "pw:4294967295", "authenticated:4294967295"] {
+            let opts = parse(&["auth.c", "--watch", spec]).unwrap();
+            let err = build_machine(&opts, source).unwrap_err();
+            assert!(err.0.contains("runs past 0xffffffff"), "{spec}: {err}");
+        }
+        let opts = parse(&["auth.c", "--watch", "pw:16", "--quiet"]).unwrap();
+        assert!(build_machine(&opts, source).is_ok());
     }
 
     #[test]
@@ -1076,71 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_proofs_needs_analyze_and_a_cache_dir() {
-        assert!(parse(&["p.c", "--emit-proofs"]).is_err());
-        assert!(parse(&["analyze", "p.c", "--emit-proofs"]).is_err());
-        assert!(parse(&["p.c", "--emit-proofs", "--analysis-cache", "d"]).is_err());
-        let opts = parse(&["analyze", "p.c", "--emit-proofs", "--analysis-cache", "d"]).unwrap();
-        assert!(opts.emit_proofs);
-        assert_eq!(opts.analysis_cache.as_deref(), Some("d"));
-        // A plain run may still point at a cache without emitting.
-        let opts = parse(&["p.c", "--analysis-cache", "d"]).unwrap();
-        assert!(!opts.emit_proofs);
-        assert_eq!(opts.analysis_cache.as_deref(), Some("d"));
-    }
-
-    #[test]
-    fn analyze_cache_round_trips_and_survives_corruption() {
-        let dir = std::env::temp_dir().join("ptaint-cli-analysis-cache-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_s = dir.to_string_lossy().into_owned();
-        let source = "int main() { return 0; }";
-
-        // Cold run with --emit-proofs populates the cache and exits 0.
-        let mut cold =
-            parse(&["analyze", "p.c", "--emit-proofs", "--analysis-cache", "d"]).unwrap();
-        cold.analysis_cache = Some(dir_s.clone());
-        let machine = build_machine(&cold, source).unwrap();
-        let (cold_report, code) = run_machine(&cold, &machine);
-        assert_eq!(code, 0, "{cold_report}");
-        assert!(cold_report.contains("--- proofs: wrote"), "{cold_report}");
-        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
-        assert!(entry.path().extension().is_some_and(|e| e == "proofs"));
-
-        // Warm run loads the entry and renders the identical lint report.
-        let mut warm = parse(&["analyze", "p.c"]).unwrap();
-        warm.analysis_cache = Some(dir_s.clone());
-        let (warm_report, code) = run_machine(&warm, &machine);
-        assert_eq!(code, 0, "{warm_report}");
-        assert!(
-            warm_report.contains("--- analysis cache: loaded"),
-            "{warm_report}"
-        );
-        let lint = |r: &str| {
-            r.lines()
-                .skip_while(|l| l.starts_with("---"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            lint(&cold_report),
-            lint(&warm_report),
-            "warm report must match cold byte-for-byte"
-        );
-
-        // A corrupt entry falls back to a cold analysis (the report is
-        // still rendered) but the exit code reports the bad cache: 2,
-        // taking priority over exit-3-on-findings. Never a panic.
-        std::fs::write(entry.path(), "ptaint-proofs v1\ngarbage\n").unwrap();
-        let (report, code) = run_machine(&warm, &machine);
-        assert_eq!(code, 2, "{report}");
-        assert!(report.contains("entry unusable"), "{report}");
-        assert!(report.contains("ptaint-analyze report"), "{report}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn analyze_jobs_output_is_thread_count_independent() {
         let source = r#"int main() {
             char buf[8];
@@ -1159,36 +1039,6 @@ mod tests {
             report_one, report_four,
             "-j1 and -j4 must render byte-identical reports"
         );
-    }
-
-    #[test]
-    fn emit_proofs_write_failure_exits_4() {
-        let mut opts = parse(&["analyze", "p.c"]).unwrap();
-        opts.emit_proofs = true;
-        opts.analysis_cache = Some("/proc/nonexistent-dir/cache".into());
-        let machine = build_machine(&opts, "int main() { return 0; }").unwrap();
-        let (report, code) = run_machine(&opts, &machine);
-        assert_eq!(code, EXIT_ARTIFACT, "{report}");
-        assert!(report.contains("cannot write"), "{report}");
-    }
-
-    #[test]
-    fn run_mode_uses_the_analysis_cache_at_boot() {
-        let dir = std::env::temp_dir().join("ptaint-cli-run-cache-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        // The boot-time analysis runs for `--elide-checks` (the proofs
-        // back the elided sites), so that is the run mode that exercises
-        // the cache.
-        let mut opts = parse(&["p.c", "--quiet", "--elide-checks"]).unwrap();
-        opts.analysis_cache = Some(dir.to_string_lossy().into_owned());
-        let machine = build_machine(&opts, "int main() { return 7; }").unwrap();
-        // First boot is cold and populates the cache; second boots warm.
-        let (_, code) = run_machine(&opts, &machine);
-        assert_eq!(code, 7);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        let (_, code) = run_machine(&opts, &machine);
-        assert_eq!(code, 7);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1264,6 +1114,12 @@ mod tests {
         assert_eq!(opts.report_out.as_deref(), Some("out.json"));
 
         assert!(parse(&["inject", "p.c", "--faults", "cosmic_ray"]).is_err());
+        // An explicit list that names no kind never widens to all kinds.
+        for empty in ["", ",", ",,"] {
+            let err = parse(&["inject", "p.c", "--faults", empty]).unwrap_err();
+            assert!(err.0.contains("names no fault kind"), "{err}");
+        }
+        assert!(parse(&["inject", "p.c", "--faults", "eintr", "--faults", ""]).is_err());
         assert!(parse(&["p.c", "--seed", "NaN"]).is_err());
         assert!(parse(&["p.c", "--watchdog-ms", "x"]).is_err());
         // Positional-only, like `analyze`.

@@ -41,11 +41,6 @@ fn main() -> ExitCode {
              -j N, --jobs N       worker threads: analysis fixpoint and\n\
                                   inject campaign shards (also -jN);\n\
                                   byte-identical output for any N\n\
-             --analysis-cache DIR ptaint-proofs v1 store keyed by image\n\
-                                  hash; a warm entry skips the static\n\
-                                  fixpoint at boot and under `analyze`\n\
-             --emit-proofs        (analyze) store the computed proofs into\n\
-                                  the --analysis-cache directory\n\
              --stdin FILE         stdin bytes from FILE (tainted)\n\
              --stdin-text STRING  stdin bytes inline (tainted)\n\
              --arg S / --env K=V  guest argv / environment (repeatable)\n\
@@ -59,7 +54,9 @@ fn main() -> ExitCode {
              --watchdog-ms N      wall-clock watchdog on the run\n\
              --seed N             (inject) campaign seed, default 1\n\
              --trials N           (inject) faulted trials, default 32\n\
-             --faults LIST        (inject) comma-separated fault kinds\n\
+             --faults LIST        (inject) comma-separated fault kinds;\n\
+                                  must name at least one (proof_cache is\n\
+                                  inert: it never applies)\n\
              --fork / --no-fork   (inject) fork trials copy-on-write from\n\
                                   one post-boot snapshot (default) or\n\
                                   reboot each from _start; reports are\n\
@@ -85,14 +82,10 @@ fn main() -> ExitCode {
              missing or malformed --journal file, a single-run flag\n\
              (--trace-out, --metrics-out, --metrics-interval,\n\
              --profile-out, --journal-out, --provenance, --pipeline,\n\
-             --trace) given to analyze, inject, replay or --disasm, and,\n\
-             under `analyze`, an unreadable or corrupt\n\
-             --analysis-cache entry (the entry is re-analyzed cold and the\n\
-             report still printed — never a panic — but the exit code\n\
-             reports the bad cache, taking priority over 3); 3 on analyze\n\
-             findings; 4 when a requested artifact file (--trace-out,\n\
-             --metrics-out, --profile-out, --report, --journal-out, or an\n\
-             --emit-proofs entry) cannot be written"
+             --trace) given to analyze, inject, replay or --disasm; 3 on\n\
+             analyze findings; 4 when a requested artifact file\n\
+             (--trace-out, --metrics-out, --profile-out, --report,\n\
+             --journal-out) cannot be written"
         );
         return ExitCode::SUCCESS;
     }

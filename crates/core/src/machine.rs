@@ -8,7 +8,7 @@ use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
 use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules};
 use ptaint_guest::BuildError;
-use ptaint_inject::{CampaignReport, CampaignSpec, Fault, FaultKind, StateInjector, TrialRun};
+use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
     load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
@@ -43,11 +43,10 @@ pub struct Machine {
     engine: Engine,
     elide_checks: bool,
     fork_trials: bool,
-    analysis_cache: Option<std::path::PathBuf>,
     analysis_jobs: Option<usize>,
-    /// The image's `(analysis, cached)` pair, filled by the first elided
-    /// boot and shared by every later boot and every clone.
-    analysis_memo: Arc<OnceLock<(ptaint_analyze::Analysis, bool)>>,
+    /// The image's analysis, filled by the first elided boot and shared by
+    /// every later boot and every clone.
+    analysis_memo: Arc<OnceLock<ptaint_analyze::Analysis>>,
 }
 
 impl Machine {
@@ -98,7 +97,6 @@ impl Machine {
             engine: Engine::default(),
             elide_checks: false,
             fork_trials: true,
-            analysis_cache: None,
             analysis_jobs: None,
             analysis_memo: Arc::default(),
         }
@@ -143,10 +141,8 @@ impl Machine {
     ///
     /// The image is analyzed once per machine, on its first elided boot;
     /// every later boot, snapshot, campaign trial and worker — and every
-    /// clone — reuses that result. Only a new
-    /// [`Machine::analysis_cache`] directory or a
-    /// [`FaultKind::ProofCache`] trial (which must load its corrupted entry)
-    /// analyzes again. [`Machine::analysis`] itself never memoizes.
+    /// clone — reuses that result. [`Machine::analysis`] itself never
+    /// memoizes.
     ///
     /// Elision is armed only under the exact configuration the analysis
     /// models — [`DetectionPolicy::PointerTaintedness`] with the paper's
@@ -156,21 +152,6 @@ impl Machine {
     #[must_use]
     pub fn elide_checks(mut self, on: bool) -> Machine {
         self.elide_checks = on;
-        self
-    }
-
-    /// Points boots at a persistent analysis-proof cache directory
-    /// (`ptaint-proofs v1` entries, content-addressed by image hash): a
-    /// warm boot loads the proven set in milliseconds instead of re-running
-    /// the whole-program fixpoint, and a cold boot stores its result for
-    /// the next one. A corrupt or unreadable entry is reported on stderr
-    /// and falls back to cold analysis — it never panics and never
-    /// silently serves stale proofs (the content hash covers the analyzer
-    /// version and every image byte).
-    #[must_use]
-    pub fn analysis_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Machine {
-        self.analysis_cache = Some(dir.into());
-        self.analysis_memo = Arc::default();
         self
     }
 
@@ -266,14 +247,13 @@ impl Machine {
             cpu.add_taint_watch(*addr, *len, label.clone());
         }
         if self.elision_armed() {
-            let (analysis, cached) = self.analysis_memo.get_or_init(|| self.analysis());
+            let analysis = self.analysis_memo.get_or_init(|| self.analysis());
             if cpu.has_observer() {
                 cpu.emit_event(&Event::StaticAnalysis {
                     functions: analysis.stats.functions as u64,
                     blocks: analysis.stats.blocks as u64,
                     proven: analysis.proven.len() as u64,
                     flagged: analysis.stats.flagged_sites as u64,
-                    cached: *cached,
                 });
             }
             // Watch the whole analyzed program — text *plus* the loader's
@@ -301,32 +281,14 @@ impl Machine {
             && self.rules == TaintRules::PAPER
     }
 
-    /// Produces the image's static analysis per the builder's cache and
-    /// worker settings, reporting whether it was served from the proof
-    /// cache. A cold run stores its result when a cache directory is set;
-    /// a corrupt entry warns on stderr and falls back to cold analysis.
+    /// Runs the image's static analysis on the builder's worker count.
     /// Unlike boots, this never consults or fills the machine's memo.
     #[must_use]
-    pub fn analysis(&self) -> (ptaint_analyze::Analysis, bool) {
-        if let Some(dir) = &self.analysis_cache {
-            match ptaint_analyze::cache::load(dir, &self.image) {
-                Ok(Some(a)) => return (a, true),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("warning: analysis cache entry unusable, re-analyzing: {e}");
-                }
-            }
-        }
-        let a = match self.analysis_jobs {
+    pub fn analysis(&self) -> ptaint_analyze::Analysis {
+        match self.analysis_jobs {
             Some(jobs) => ptaint_analyze::analyze_with(&self.image, jobs),
             None => ptaint_analyze::analyze(&self.image),
-        };
-        if let Some(dir) = &self.analysis_cache {
-            if let Err(e) = ptaint_analyze::cache::store(dir, &self.image, &a) {
-                eprintln!("warning: analysis cache entry not written: {e}");
-            }
         }
-        (a, false)
     }
 
     /// Boots a fresh instance and runs it to completion.
@@ -341,67 +303,7 @@ impl Machine {
     /// classifier consumes.
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        self.trial(Some(fault))
-    }
-
-    /// A rebooted campaign trial: fault-free for `None`, else under
-    /// `fault` (a [`FaultKind::ProofCache`] fault corrupts the proof cache
-    /// before the boot).
-    fn trial(&self, fault: Option<&Fault>) -> TrialRun {
-        match fault {
-            Some(f) if f.kind == FaultKind::ProofCache => self.run_proof_cache_trial(f),
-            _ => run_trial(self.boot(), self.limits(), fault),
-        }
-    }
-
-    /// A [`FaultKind::ProofCache`] trial: flip one salt-chosen bit of the
-    /// on-disk `ptaint-proofs v1` entry *before* boot, then run normally.
-    /// The corrupted copy lives in a private temp directory so the real
-    /// cache (shared by concurrent trials) is never touched. The entry's
-    /// content checksum makes the corrupt load fail, which the boot path
-    /// reports on stderr and survives by re-running the cold analysis —
-    /// that graceful fallback is exactly what this fault class probes. The
-    /// fault is inert (a plain fault-free run) when the machine has no
-    /// proof cache configured, elision is not armed, or no entry exists
-    /// yet on disk.
-    fn run_proof_cache_trial(&self, fault: &Fault) -> TrialRun {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-        let entry = self.analysis_cache.as_ref().and_then(|dir| {
-            let path = ptaint_analyze::cache::path_for(dir, &self.image);
-            std::fs::read(path).ok()
-        });
-        let (Some(mut bytes), true) = (entry, self.elision_armed()) else {
-            // Inert: nothing persistent to corrupt.
-            return self.trial(None);
-        };
-
-        let total = (bytes.len() as u64) * 8;
-        let bit = ptaint_inject::SplitMix64::new(fault.salt).below(total.max(1));
-        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-
-        let tmp = std::env::temp_dir().join(format!(
-            "ptaint-proofcache-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::create_dir_all(&tmp).expect("proof-cache fault temp dir");
-        std::fs::write(ptaint_analyze::cache::path_for(&tmp, &self.image), bytes)
-            .expect("proof-cache fault entry copy");
-
-        // A new cache directory starts a new memo, so this boot loads the
-        // corrupted entry instead of borrowing the shared analysis.
-        let victim = self.clone().analysis_cache(&tmp);
-        let (mut cpu, os) = victim.boot();
-        cpu.note_injected_fault();
-        let run = TrialRun {
-            // Deterministic and path-free, so reports shard-merge cleanly.
-            applied: Some(format!("proofs entry bit {bit} of {total} flipped")),
-            ..run_trial((cpu, os), self.limits(), None)
-        };
-        let _ = std::fs::remove_dir_all(&tmp);
-        run
+        run_trial(self.boot(), self.limits(), Some(fault))
     }
 
     /// Selects how [`Machine::run_campaign`] provisions each trial
@@ -465,12 +367,8 @@ impl Machine {
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
             let snap = self.fork_trials.then(|| self.snapshot());
             move |fault: Option<&Fault>| match &snap {
-                // Proof-cache corruption happens *before* boot, so it can
-                // never ride a post-boot fork — reboot that trial instead.
-                Some(snap) if fault.is_none_or(|f| f.kind != FaultKind::ProofCache) => {
-                    run_trial(snap.fork(), snap.limits, fault)
-                }
-                _ => self.trial(fault),
+                Some(snap) => run_trial(snap.fork(), snap.limits, fault),
+                None => run_trial(self.boot(), self.limits(), fault),
             }
         })
     }
@@ -872,6 +770,44 @@ mod tests {
             cpu.mem().has_dirty_code_pages(),
             "store into the exit stub went unwatched"
         );
+    }
+
+    #[test]
+    fn elided_boots_share_one_analysis_memo() {
+        use ptaint_guest::apps::synthetic;
+
+        let m = Machine::from_c(synthetic::EXP1_SOURCE)
+            .unwrap()
+            .world(synthetic::exp1_attack_world())
+            .elide_checks(true);
+        let early = m.clone();
+        assert!(Arc::ptr_eq(&m.analysis_memo, &early.analysis_memo));
+        assert!(m.analysis_memo.get().is_none(), "nothing booted yet");
+
+        // The first elided boot fills the memo.
+        assert!(m.run().reason.is_detected());
+        let analysis: *const ptaint_analyze::Analysis = m.analysis_memo.get().unwrap();
+        assert!(std::ptr::eq(early.analysis_memo.get().unwrap(), analysis));
+
+        // Later clones, snapshots and campaign workers all borrow it.
+        let late = m.clone();
+        let _snap = late.snapshot();
+        let _ = late.run_campaign_jobs(&CampaignSpec::new(7, 4), 2);
+        for machine in [&early, &late] {
+            assert!(Arc::ptr_eq(&m.analysis_memo, &machine.analysis_memo));
+            assert!(std::ptr::eq(machine.analysis_memo.get().unwrap(), analysis));
+        }
+
+        // Campaign workers fill the shared memo when no boot has yet.
+        let idle = Machine::from_image(m.image().clone()).elide_checks(true);
+        let watcher = idle.clone();
+        let _ = idle.run_campaign_jobs(&CampaignSpec::new(7, 4), 2);
+        assert!(watcher.analysis_memo.get().is_some());
+
+        // A fresh machine over the same image starts its own memo.
+        let fresh = Machine::from_image(m.image().clone()).elide_checks(true);
+        assert!(!Arc::ptr_eq(&m.analysis_memo, &fresh.analysis_memo));
+        assert!(fresh.analysis_memo.get().is_none());
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub enum FaultKind {
     /// the check-elision machinery directly (a flipped bit can falsely
     /// "prove" a site, or revoke a real proof).
     ProvenFlip,
-    /// Flip one bit of the on-disk `ptaint-proofs v1` cache entry before
-    /// boot — corrupts the persistent proof store the warm path trusts.
-    /// Inert when the machine has no proof cache configured.
+    /// Inert: it never applies, and a trial under it runs exactly like a
+    /// fault-free one. The kind keeps its place in [`FaultKind::ALL`] so
+    /// seeded schedules do not shift.
     ProofCache,
 }
 

@@ -232,8 +232,7 @@ fn apply_state_fault(kind: FaultKind, rng: &mut SplitMix64, cpu: &mut Cpu) -> Op
             let bit = rng.next_u64();
             cpu.corrupt_proven_bit(pick, bit)
         }
-        // I/O kinds are scheduled on the kernel; ProofCache fires at boot,
-        // on the machine layer, before this hook ever runs.
+        // I/O kinds are scheduled on the kernel; ProofCache never applies.
         _ => None,
     }
 }
@@ -427,7 +426,8 @@ mod tests {
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::ProofCache, 0, 3);
         inj.on_step(0, &mut cpu);
-        assert!(inj.applied().is_none(), "fires at boot, not at a step");
+        assert!(inj.applied().is_none(), "inert: never applies");
+        assert_eq!(cpu.stats().injected_faults, 0);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   by a [`StateInjector`] hooked into the execution driver.
 //! * **Meta-level** ([`FaultKind::targets_detector`]): faults aimed at the
 //!   detection machinery itself — whole-machine taint sweeps, decode-cache
-//!   slot corruption, ProvenClean-bitmap flips, and on-disk proof-cache
-//!   corruption. Crashes under these classify as
+//!   slot corruption and ProvenClean-bitmap flips. (`proof_cache` is
+//!   inert: it stays in the vocabulary so seeded schedules do not shift.)
+//!   Crashes under these classify as
 //!   [`OutcomeClass::DetectorFault`] ("detector corrupted"), distinct from
 //!   [`OutcomeClass::GuestFault`] ("guest corrupted").
 //!

@@ -412,8 +412,15 @@ impl TaintedMemory {
     ///
     /// # Errors
     ///
-    /// Faults when the range touches the null page.
+    /// Faults when the range touches the null page, or runs past
+    /// `0xffffffff` (it would wrap into the null page; nothing is read).
     pub fn read_taint(&self, addr: u32, len: u32) -> Result<Vec<bool>, MemFault> {
+        if len > 0 && addr.checked_add(len - 1).is_none() {
+            return Err(MemFault {
+                kind: MemFaultKind::NullDeref,
+                addr: 0,
+            });
+        }
         (0..len)
             .map(|i| self.read_u8(addr + i).map(|(_, t)| t))
             .collect()
@@ -631,6 +638,22 @@ mod tests {
         assert!(mem.read_taint(base, 256).unwrap().iter().all(|&t| t));
         assert_eq!(mem.page_count(), 2);
         assert_eq!(mem.tainted_byte_count(), 256);
+    }
+
+    #[test]
+    fn taint_reads_at_the_top_of_the_address_space() {
+        let mut mem = TaintedMemory::new();
+        mem.write_u8(0xffff_ffff, 1, true).unwrap();
+        assert_eq!(mem.read_taint(0xffff_fffe, 2).unwrap(), [false, true]);
+        assert!(mem.read_taint(0xffff_ffff, 0).unwrap().is_empty());
+        // One byte past the top wraps: a fault, never a read of page zero
+        // (and no `len`-sized allocation before it).
+        for (addr, len) in [(0xffff_ffff, 2), (0x1000_0000, u32::MAX)] {
+            let fault = mem.read_taint(addr, len).unwrap_err();
+            assert_eq!((fault.kind, fault.addr), (MemFaultKind::NullDeref, 0));
+        }
+        let raw = TaintedMemory::without_null_guard();
+        assert!(raw.read_taint(0xffff_ffff, 2).is_err());
     }
 
     #[test]

@@ -156,9 +156,6 @@ pub enum Event {
         proven: u64,
         /// Check sites flagged as statically tainted in the lint report.
         flagged: u64,
-        /// Whether the result was served from a persistent proof cache
-        /// (`true`) or computed by a cold fixpoint run (`false`).
-        cached: bool,
     },
     /// The cached engine skipped a pointer-taintedness check at a site the
     /// static analyzer proved clean.
@@ -295,9 +292,8 @@ impl Event {
                 blocks,
                 proven,
                 flagged,
-                cached,
             } => format!(
-                "\"event\":\"static_analysis\",\"functions\":{functions},\"blocks\":{blocks},\"proven\":{proven},\"flagged\":{flagged},\"cached\":{cached}",
+                "\"event\":\"static_analysis\",\"functions\":{functions},\"blocks\":{blocks},\"proven\":{proven},\"flagged\":{flagged}",
             ),
             Event::CheckElided { pc } => {
                 format!("\"event\":\"check_elided\",\"pc\":\"0x{pc:x}\"")

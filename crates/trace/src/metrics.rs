@@ -303,7 +303,6 @@ mod tests {
             blocks: 20,
             proven: 13,
             flagged: 2,
-            cached: false,
         });
         for pc in [0x400010, 0x400010, 0x400024] {
             m.record(&Event::CheckElided { pc });

@@ -76,7 +76,6 @@ fn one_of_each() -> Vec<Event> {
             blocks: 405,
             proven: 1074,
             flagged: 0,
-            cached: false,
         },
         Event::CheckElided { pc: 0x40_0108 },
         Event::FaultInjected {
