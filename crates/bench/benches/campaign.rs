@@ -1,23 +1,17 @@
 //! Fault-injection campaign throughput: trials/sec for a full deterministic
 //! campaign (baseline + seeded faulted trials across every `FaultKind`) on
 //! two workloads — the synthetic Experiment 1 stack smash and the ghttpd
-//! log-handler attack. Both trial mechanisms are measured: the default
-//! forks every trial copy-on-write from one post-boot snapshot; the
-//! `--no-fork` escape hatch reboots each trial from `_start`. The reports
-//! are byte-identical either way, so the gap between the two series is
-//! pure per-trial boot work recovered by forking.
+//! log-handler attack. Every trial forks copy-on-write from one post-boot
+//! snapshot.
 //!
 //! Two configurations are summarized:
 //!
-//! * **plain** (`*_trials_per_sec` reboot / `*_forked_trials_per_sec`
-//!   forked) — the default machine, where boot is a cheap image load and
-//!   the gap is modest.
-//! * **elided** (`*_elided_trials_per_sec` reboot /
-//!   `*_elided_forked_trials_per_sec` forked) — the paper configuration
-//!   with `--elide-checks`. A machine runs the whole-program static taint
-//!   analysis once, on its first elided boot, and every later boot, fork
-//!   and clone reuses it; the byte-identity check before timing pays it,
-//!   so both series measure trials (boot or fork plus run), not analysis.
+//! * **plain** (`*_forked_trials_per_sec`) — the default machine.
+//! * **elided** (`*_elided_forked_trials_per_sec`) — the paper
+//!   configuration with `--elide-checks`. A machine runs the whole-program
+//!   static taint analysis once, on its first elided boot, and every later
+//!   boot, fork and clone reuses it; the warmup run pays it, so the series
+//!   measures trials (fork plus run), not analysis.
 //!
 //! Besides the criterion groups, the machine-readable summary is written
 //! to `BENCH_campaign.json` at the repository root. Set `BENCH_QUICK=1`
@@ -89,57 +83,22 @@ fn bench_campaigns(c: &mut Criterion) {
     group.sample_size(10);
     for name in WORKLOADS {
         let forked = build(name);
-        let rebooted = build(name).fork_trials(false);
         group.bench_function(format!("{name}_forked"), |b| {
             b.iter(|| forked.run_campaign(&spec).records.len())
-        });
-        group.bench_function(format!("{name}_reboot"), |b| {
-            b.iter(|| rebooted.run_campaign(&spec).records.len())
         });
     }
     group.finish();
 
-    // Machine-readable summary for the trend consolidator. Each mode pair
-    // must produce the same report bytes — assert it here so the
-    // throughput comparison is guaranteed to be apples-to-apples.
+    // Machine-readable summary for the trend consolidator: the plain
+    // configuration, then the elided (paper) one.
     let mut fields = Vec::new();
     let mut lines = Vec::new();
-    for name in WORKLOADS {
-        let forked = build(name);
-        let rebooted = build(name).fork_trials(false);
-        assert_eq!(
-            forked.run_campaign(&spec).to_json(),
-            rebooted.run_campaign(&spec).to_json(),
-            "{name}: forked and rebooted campaigns must be byte-identical"
-        );
-        let reboot_rate = trials_per_sec(&rebooted, &spec);
-        let forked_rate = trials_per_sec(&forked, &spec);
-        fields.push((format!("{name}_trials_per_sec"), reboot_rate));
-        fields.push((format!("{name}_forked_trials_per_sec"), forked_rate));
-        lines.push(format!(
-            "{name} plain {reboot_rate:.0} reboot / {forked_rate:.0} forked trials/s ({:.1}x)",
-            forked_rate / reboot_rate
-        ));
-    }
-    // The elided (paper) configuration, same campaign. The byte-identity
-    // check runs each machine's one static analysis, so the timed runs
-    // reuse it.
-    for name in WORKLOADS {
-        let forked = build(name).elide_checks(true);
-        let rebooted = build(name).elide_checks(true).fork_trials(false);
-        assert_eq!(
-            forked.run_campaign(&spec).to_json(),
-            rebooted.run_campaign(&spec).to_json(),
-            "{name}: elided forked and rebooted campaigns must be byte-identical"
-        );
-        let reboot_rate = trials_per_sec(&rebooted, &spec);
-        let forked_rate = trials_per_sec(&forked, &spec);
-        fields.push((format!("{name}_elided_trials_per_sec"), reboot_rate));
-        fields.push((format!("{name}_elided_forked_trials_per_sec"), forked_rate));
-        lines.push(format!(
-            "{name} elided {reboot_rate:.0} reboot / {forked_rate:.0} forked trials/s ({:.1}x)",
-            forked_rate / reboot_rate
-        ));
+    for (elide, key, label) in [(false, "", "plain"), (true, "_elided", "elided")] {
+        for name in WORKLOADS {
+            let rate = trials_per_sec(&build(name).elide_checks(elide), &spec);
+            fields.push((format!("{name}{key}_forked_trials_per_sec"), rate));
+            lines.push(format!("{name} {label} {rate:.0} forked trials/s"));
+        }
     }
     // The sharded runner (campaign engine v2) on the elided ghttpd
     // campaign — the workload where per-trial cost is highest. The

@@ -2,9 +2,10 @@
 
 //! # ptaint-bench — benchmark harness and performance-trend gate
 //!
-//! The criterion benches in `benches/` (`engine`, `overhead`,
-//! `experiments`, `campaign`) each drop a machine-readable `BENCH_*.json`
-//! summary at the repository root. This library consolidates those
+//! Of the criterion benches in `benches/`, `engine`, `campaign` and
+//! `analyze` each drop a machine-readable `BENCH_*.json` summary at the
+//! repository root (`overhead` and `experiments` print only). This
+//! library consolidates those
 //! summaries — together with fixed-seed fault-injection campaign outcome
 //! counts — into a single `TREND.json`, and checks a fresh collection
 //! against the checked-in baseline:

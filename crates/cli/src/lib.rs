@@ -47,7 +47,8 @@
 //!
 //! options:
 //!   --asm                 input is assembly, not mini-C
-//!   --optimize            enable the mini-C peephole optimizer
+//!   --optimize            enable the mini-C peephole optimizer (not
+//!                         with `--asm`)
 //!   --policy P            off | control-only | ptaint     (default: ptaint)
 //!   --engine E            interp | cached                  (default: cached)
 //!   --elide-checks        statically prove check sites clean and skip
@@ -73,10 +74,6 @@
 //!                         stop with a `watchdog expired` outcome
 //!   --seed N              (inject) campaign seed             (default 1)
 //!   --trials N            (inject) faulted trials            (default 32)
-//!   --fork / --no-fork    (inject) fork each trial copy-on-write from one
-//!                         post-boot snapshot (default) or reboot every
-//!                         trial from `_start`; the report is byte-
-//!                         identical either way
 //!   --faults LIST         (inject) comma-separated fault kinds to sample:
 //!                         short_read,eintr,conn_reset,fragment,data_bit,
 //!                         taint_clear,taint_set,register_bit,cache_line,
@@ -106,6 +103,8 @@
 //! `--profile-out`, `--journal-out`, `--provenance`, `--pipeline`,
 //! `--trace`) compose freely on one run; under `analyze`, `inject`,
 //! `replay` or `--disasm`, which make no single run, they are usage errors.
+//! The campaign flags (`--seed`, `--trials`, `--faults`, `--report`) are
+//! usage errors outside `inject`, as `--journal` is outside `replay`.
 //!
 //! The process exit code is the guest's exit status; detections exit 42;
 //! any other abnormal stop (crash, step limit, watchdog, replay
@@ -150,10 +149,6 @@ pub struct Options {
     pub journal_in: Option<String>,
     /// Record the run's syscall journal here (`--journal-out`).
     pub journal_out: Option<String>,
-    /// Reboot campaign trials from `_start` instead of forking them
-    /// copy-on-write from one post-boot snapshot (`--no-fork`, inject
-    /// only; forking is the default and byte-identical).
-    pub no_fork: bool,
     /// Write the profile JSON here (implies profile collection).
     pub profile_out: Option<String>,
     /// Interleave `metrics_snapshot` records into the JSONL stream every N
@@ -428,8 +423,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
                     )));
                 }
             }
-            "--fork" => opts.no_fork = false,
-            "--no-fork" => opts.no_fork = true,
             "--journal" => opts.journal_in = Some(value(&mut it, "--journal")?),
             "--journal-out" => opts.journal_out = Some(value(&mut it, "--journal-out")?),
             "--report" => opts.report_out = Some(value(&mut it, "--report")?),
@@ -503,6 +496,25 @@ pub fn parse_args(args: &[String]) -> Result<Options, UsageError> {
     if opts.journal_in.is_some() && !opts.replay {
         return Err(UsageError(
             "`--journal` only applies to the `replay` subcommand".into(),
+        ));
+    }
+    // Campaign flags shape a campaign; anywhere else they would be dropped.
+    let campaign_flag = [
+        (opts.seed.is_some(), "--seed"),
+        (opts.trials.is_some(), "--trials"),
+        (!opts.fault_kinds.is_empty(), "--faults"),
+        (opts.report_out.is_some(), "--report"),
+    ]
+    .into_iter()
+    .find_map(|(set, flag)| set.then_some(flag));
+    if let (false, Some(flag)) = (opts.inject, campaign_flag) {
+        return Err(UsageError(format!(
+            "`{flag}` only applies to the `inject` subcommand"
+        )));
+    }
+    if opts.asm && opts.optimize {
+        return Err(UsageError(
+            "`--optimize` applies to mini-C only, not `--asm` input".into(),
         ));
     }
     // Flags whose artifact only a single run can produce are usage errors
@@ -597,9 +609,6 @@ pub fn build_machine(opts: &Options, source: &str) -> Result<Machine, UsageError
             )));
         }
         machine = machine.taint_watch_symbol(sym, *len);
-    }
-    if opts.no_fork {
-        machine = machine.fork_trials(false);
     }
     if let Some(jobs) = opts.jobs {
         machine = machine.analysis_jobs(jobs);
@@ -894,6 +903,11 @@ mod tests {
         assert!(parse(&["a.c", "--steps", "NaN"]).is_err());
         assert!(parse(&["a.c", "--engine"]).is_err());
         assert!(parse(&["a.c", "--engine", "jit"]).is_err());
+        // The peephole optimizer runs on mini-C only.
+        let err = parse(&["a.s", "--asm", "--optimize"]).unwrap_err();
+        assert!(err.0.contains("--optimize"), "{err}");
+        assert!(parse(&["--optimize", "a.s", "--asm"]).is_err());
+        assert!(parse(&["a.c", "--optimize"]).unwrap().optimize);
     }
 
     #[test]
@@ -1122,6 +1136,24 @@ mod tests {
         assert!(parse(&["inject", "p.c", "--faults", "eintr", "--faults", ""]).is_err());
         assert!(parse(&["p.c", "--seed", "NaN"]).is_err());
         assert!(parse(&["p.c", "--watchdog-ms", "x"]).is_err());
+        // Campaign flags outside `inject` are usage errors, never dropped.
+        for (flag, value) in [
+            ("--seed", "5"),
+            ("--trials", "3"),
+            ("--faults", "eintr"),
+            ("--report", "r.json"),
+        ] {
+            for mode in [&[][..], &["profile"], &["analyze"]] {
+                let args = [mode, &["p.c", flag, value]].concat();
+                let err = parse(&args).unwrap_err();
+                assert!(
+                    err.0.contains(flag) && err.0.contains("`inject`"),
+                    "{args:?}: {err}"
+                );
+            }
+            assert!(parse(&["replay", "p.c", "--journal", "j", flag, value]).is_err());
+            assert!(parse(&["p.c", "--disasm", flag, value]).is_err());
+        }
         // Positional-only, like `analyze`.
         let opts = parse(&["--asm", "inject"]).unwrap();
         assert!(!opts.inject);
@@ -1369,31 +1401,6 @@ mod tests {
         assert_eq!(code, 42, "{report}");
         assert_eq!(std::fs::read(&t).unwrap(), piped);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fork_flags_toggle_campaign_forking() {
-        assert!(!parse(&["inject", "p.c"]).unwrap().no_fork);
-        assert!(!parse(&["inject", "p.c", "--fork"]).unwrap().no_fork);
-        assert!(parse(&["inject", "p.c", "--no-fork"]).unwrap().no_fork);
-
-        // The escape hatch changes the mechanism, never the report.
-        let mut forked =
-            parse(&["inject", "p.c", "--seed", "3", "--trials", "4", "--quiet"]).unwrap();
-        forked.stdin = b"abcd".to_vec();
-        let mut rebooted = forked.clone();
-        rebooted.no_fork = true;
-        let source = r#"int main() {
-            char b[8];
-            read(0, b, 8);
-            return 0;
-        }"#;
-        let (a, _) = run_machine(&forked, &build_machine(&forked, source).unwrap());
-        let (b, _) = run_machine(&rebooted, &build_machine(&rebooted, source).unwrap());
-        assert_eq!(
-            a, b,
-            "--no-fork must reproduce the forked report byte-for-byte"
-        );
     }
 
     #[test]

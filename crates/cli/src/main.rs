@@ -34,6 +34,7 @@ fn main() -> ExitCode {
              \n\
              --asm                input is assembly\n\
              --optimize           peephole-optimize the generated code\n\
+                                  (mini-C only, not with --asm)\n\
              --policy P           off | control-only | ptaint (default)\n\
              --engine E           interp | cached (default)\n\
              --elide-checks       skip taint checks at statically proven\n\
@@ -57,10 +58,6 @@ fn main() -> ExitCode {
              --faults LIST        (inject) comma-separated fault kinds;\n\
                                   must name at least one (proof_cache is\n\
                                   inert: it never applies)\n\
-             --fork / --no-fork   (inject) fork trials copy-on-write from\n\
-                                  one post-boot snapshot (default) or\n\
-                                  reboot each from _start; reports are\n\
-                                  byte-identical either way\n\
              --report FILE        (inject) write campaign JSON to FILE\n\
              --journal-out FILE   record the syscall journal for `replay`\n\
              --journal FILE       (replay) journal to re-serve the run from\n\
@@ -82,10 +79,11 @@ fn main() -> ExitCode {
              missing or malformed --journal file, a single-run flag\n\
              (--trace-out, --metrics-out, --metrics-interval,\n\
              --profile-out, --journal-out, --provenance, --pipeline,\n\
-             --trace) given to analyze, inject, replay or --disasm; 3 on\n\
-             analyze findings; 4 when a requested artifact file\n\
-             (--trace-out, --metrics-out, --profile-out, --report,\n\
-             --journal-out) cannot be written"
+             --trace) given to analyze, inject, replay or --disasm, or a\n\
+             campaign flag (--seed, --trials, --faults, --report)\n\
+             outside inject; 3 on analyze findings; 4 when a requested\n\
+             artifact file (--trace-out, --metrics-out, --profile-out,\n\
+             --report, --journal-out) cannot be written"
         );
         return ExitCode::SUCCESS;
     }

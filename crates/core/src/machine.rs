@@ -42,7 +42,6 @@ pub struct Machine {
     trace_depth: Option<usize>,
     engine: Engine,
     elide_checks: bool,
-    fork_trials: bool,
     analysis_jobs: Option<usize>,
     /// The image's analysis, filled by the first elided boot and shared by
     /// every later boot and every clone.
@@ -96,7 +95,6 @@ impl Machine {
             trace_depth: None,
             engine: Engine::default(),
             elide_checks: false,
-            fork_trials: true,
             analysis_jobs: None,
             analysis_memo: Arc::default(),
         }
@@ -306,19 +304,6 @@ impl Machine {
         run_trial(self.boot(), self.limits(), Some(fault))
     }
 
-    /// Selects how [`Machine::run_campaign`] provisions each trial
-    /// (default: `true`). With forking on, the campaign boots **once**,
-    /// snapshots the post-boot baseline, and copy-on-write-forks every
-    /// trial from it; with forking off, every trial reboots from `_start`
-    /// (the legacy path, kept as the determinism oracle and benchmark
-    /// baseline). Both modes produce byte-identical reports — pinned by
-    /// tests and the CI fork-determinism gate.
-    #[must_use]
-    pub fn fork_trials(mut self, on: bool) -> Machine {
-        self.fork_trials = on;
-        self
-    }
-
     /// Boots a fresh instance and captures it, pre-execution, as a
     /// [`MachineSnapshot`]: the post-boot baseline that campaign trials
     /// (and any other caller) can cheaply [`MachineSnapshot::fork`] from.
@@ -345,11 +330,11 @@ impl Machine {
 
     /// Runs a whole fault-injection campaign against this workload: one
     /// fault-free baseline plus `spec.trials` seeded injections, classified
-    /// against the baseline's verdict. Trials fork copy-on-write from a
-    /// single post-boot snapshot by default; [`Machine::fork_trials`]`(false)`
-    /// reboots each trial from `_start` instead. The report is byte-
-    /// identical either way. Same as [`Machine::run_campaign_jobs`] with
-    /// one job.
+    /// against the baseline's verdict. The campaign boots once, snapshots
+    /// the post-boot state, and forks every trial copy-on-write from it; a
+    /// forked trial equals a fresh boot under the same fault (pinned per
+    /// trial by `tests/inject.rs`). Same as [`Machine::run_campaign_jobs`]
+    /// with one job.
     #[must_use]
     pub fn run_campaign(&self, spec: &CampaignSpec) -> CampaignReport {
         self.run_campaign_jobs(spec, 1)
@@ -365,11 +350,8 @@ impl Machine {
     #[must_use]
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
-            let snap = self.fork_trials.then(|| self.snapshot());
-            move |fault: Option<&Fault>| match &snap {
-                Some(snap) => run_trial(snap.fork(), snap.limits, fault),
-                None => run_trial(self.boot(), self.limits(), fault),
-            }
+            let snap = self.snapshot();
+            move |fault: Option<&Fault>| run_trial(snap.fork(), snap.limits, fault)
         })
     }
 
@@ -561,8 +543,8 @@ impl MachineSnapshot {
 
 /// Runs one booted instance to completion under `limits` — with `fault`,
 /// when given, scheduled on the kernel and armed as a step hook. Plain
-/// runs, replays and every campaign trial, rebooted or forked, all run
-/// through here.
+/// runs, replays and every campaign trial (forked from a snapshot) all
+/// run through here.
 fn run_trial((mut cpu, mut os): (Cpu, Os), limits: RunLimits, fault: Option<&Fault>) -> TrialRun {
     let mut injector = fault.map(|f| {
         os.set_io_faults(f.io_plan());
@@ -915,31 +897,6 @@ main:   li $v0, 3
         let b = m.run_campaign(&spec).to_json();
         assert_eq!(a, b, "same seed must reproduce the report byte-for-byte");
         assert!(a.contains("\"baseline\":{\"detected\":false"));
-    }
-
-    #[test]
-    fn forked_campaign_matches_rebooted_campaign_byte_for_byte() {
-        use ptaint_inject::CampaignSpec;
-        use ptaint_trace::ToJson;
-        let m = Machine::from_c(
-            r#"int main() {
-                char b[16];
-                int n = read(0, b, 15);
-                b[n] = 0;
-                printf("<%s>", b);
-                return 0;
-            }"#,
-        )
-        .unwrap()
-        .world(WorldConfig::new().stdin(b"benign input".to_vec()))
-        .step_limit(2_000_000);
-        let spec = CampaignSpec::new(0xfeed, 6);
-        let forked = m.run_campaign(&spec).to_json();
-        let rebooted = m.fork_trials(false).run_campaign(&spec).to_json();
-        assert_eq!(
-            forked, rebooted,
-            "fork-per-trial must reproduce the reboot-per-trial report byte-for-byte"
-        );
     }
 
     #[test]

@@ -313,22 +313,16 @@ where
     }
     let baseline = Baseline(make_runner()(None));
     let next = AtomicU64::new(0);
-    let mut slots: Vec<Option<TrialRecord>> = (0..spec.trials).map(|_| None).collect();
-    std::thread::scope(|s| {
+    let mut records = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
             .map(|_| s.spawn(|| baseline.take_trials(spec, &next, &mut make_runner())))
             .collect();
-        for h in handles {
-            for rec in h.join().expect("campaign worker panicked") {
-                let i = usize::try_from(rec.trial).expect("trial index fits usize");
-                slots[i] = Some(rec);
-            }
-        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("campaign worker panicked"))
+            .collect::<Vec<_>>()
     });
-    let records = slots
-        .into_iter()
-        .map(|r| r.expect("every trial slot is filled"))
-        .collect();
+    records.sort_unstable_by_key(|r| r.trial);
     baseline.report(spec, records)
 }
 
@@ -479,6 +473,34 @@ mod tests {
         for (i, rec) in sequential.records.iter().enumerate() {
             assert_eq!(rec.trial, i as u64);
         }
+    }
+
+    #[test]
+    fn sharded_runner_allocates_nothing_per_scheduled_trial() {
+        // A trial count no host could hold slots for: the sharded runner
+        // must start running trials (records grow as they are taken)
+        // rather than reserve room for all of them up front. The runner
+        // panics past a small bound so the sweep ends.
+        const BOUND: u64 = 8;
+        let ran = AtomicU64::new(0);
+        let runner = || {
+            |_: Option<&Fault>| {
+                let n = ran.fetch_add(1, Ordering::Relaxed);
+                assert!(n < BOUND, "trial bound reached");
+                TrialRun {
+                    outcome: outcome(ExitReason::Exited(0)),
+                    io_calls: 1,
+                    applied: None,
+                }
+            }
+        };
+        let spec = CampaignSpec::new(1, u64::MAX);
+        let swept = std::panic::catch_unwind(|| run_campaign_jobs(&spec, 2, runner));
+        assert!(swept.is_err(), "the bounded runner ends the sweep");
+        assert!(
+            ran.load(Ordering::Relaxed) >= BOUND,
+            "trials ran before the sweep ended"
+        );
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Fork determinism on the trend gate's campaign: run the seed-7 GHTTPD
-//! fault-injection campaign with trials forked copy-on-write from the
-//! post-boot snapshot (the default) or rebooted from `_start`, and emit
-//! the byte-deterministic campaign report JSON on stdout. The CI trend
-//! gate runs both modes and `cmp`s the reports — the trial mechanism must
-//! be invisible in the bytes.
+//! The trend gate's campaign: run the seed-7 GHTTPD fault-injection
+//! campaign, every trial forked copy-on-write from one post-boot snapshot,
+//! and emit the byte-deterministic campaign report JSON on stdout. CI
+//! uploads it as an artifact. That a forked trial equals a fresh boot under
+//! the same fault is pinned per trial by `tests/inject.rs`.
 //!
 //! ```sh
-//! cargo run --example fork_campaign -- forked   # campaign JSON, forked trials
-//! cargo run --example fork_campaign -- reboot   # same campaign, rebooted trials
-//! cargo run --example fork_campaign -- journal  # baseline run's syscall journal
+//! cargo run --example fork_campaign              # campaign JSON
+//! cargo run --example fork_campaign -- journal   # baseline run's syscall journal
 //! ```
 //!
 //! `journal` records the unfaulted baseline run's syscall journal
@@ -29,14 +27,8 @@ fn main() {
         .policy(DetectionPolicy::PointerTaintedness);
 
     match std::env::args().nth(1).as_deref() {
-        Some("forked") | None => {
+        None => {
             let report = machine.run_campaign(&CampaignSpec::new(SEED, TRIALS));
-            println!("{}", report.to_json());
-        }
-        Some("reboot") => {
-            let report = machine
-                .fork_trials(false)
-                .run_campaign(&CampaignSpec::new(SEED, TRIALS));
             println!("{}", report.to_json());
         }
         Some("journal") => {
@@ -53,7 +45,7 @@ fn main() {
             print!("{}", journal.to_text());
         }
         Some(other) => {
-            eprintln!("fork_campaign: unknown mode `{other}` (forked | reboot | journal)");
+            eprintln!("fork_campaign: unknown mode `{other}` (no argument | journal)");
             std::process::exit(2);
         }
     }

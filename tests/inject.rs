@@ -163,8 +163,8 @@ fn detector_corruption_campaign_reports_zero_missed() {
 }
 
 /// `ProofCache` is kept in [`FaultKind::ALL`] only so seeded schedules do
-/// not shift; it never applies. On exp1, plain and elided, a rebooted and
-/// a forked `proof_cache` trial both equal a fault-free trial.
+/// not shift; it never applies. On exp1, plain and elided, a `proof_cache`
+/// trial on a fresh boot and on a fork both equal a fault-free trial.
 #[test]
 fn proof_cache_fault_is_inert() {
     let plain = Machine::from_c(synthetic::EXP1_SOURCE)
@@ -183,7 +183,7 @@ fn proof_cache_fault_is_inert() {
                 step,
                 salt: 0x5eed,
             };
-            assert_eq!(m.run_injected(&fault), clean, "rebooted, step {step}");
+            assert_eq!(m.run_injected(&fault), clean, "fresh boot, step {step}");
             assert_eq!(snap.run_injected(&fault), clean, "forked, step {step}");
         }
     }
@@ -217,11 +217,41 @@ fn elided_machine_analyzes_its_image_once() {
 
     let first = first.to_json();
     assert_eq!(m.run_campaign(&spec).to_json(), first);
-    assert_eq!(
-        m.clone().fork_trials(false).run_campaign(&spec).to_json(),
-        first
-    );
     assert_eq!(build().run_campaign(&spec).to_json(), first);
+}
+
+/// Every campaign trial forks from one post-boot snapshot; this pins that a
+/// fork is a fresh boot, trial by trial. On the seed-7, 32-trial schedule
+/// over exp1 and the ghttpd attack, plain and elided, each scheduled fault
+/// run on a fork equals the same fault run on a fresh boot in the whole
+/// `TrialRun`: exit reason, output, every `ExecStats` counter, I/O calls
+/// serviced and the injector's landing detail.
+#[test]
+fn every_forked_trial_equals_a_fresh_boot() {
+    let exp1 = Machine::from_c(synthetic::EXP1_SOURCE)
+        .unwrap()
+        .world(synthetic::exp1_attack_world());
+    let ghttpd = Machine::from_c(ghttpd::SOURCE).unwrap();
+    let ghttpd = ghttpd.clone().world(ghttpd::attack_world(ghttpd.image()));
+    let spec = CampaignSpec::new(7, 32);
+    for (name, plain) in [("exp1", exp1), ("ghttpd", ghttpd)] {
+        for m in [plain.clone(), plain.elide_checks(true)] {
+            let snap = m.snapshot();
+            let baseline = snap.run();
+            assert_eq!(m.run(), baseline.outcome, "{name}: baseline");
+            let hints = (baseline.outcome.stats.instructions, baseline.io_calls);
+            let campaign = m.run_campaign(&spec);
+            for trial in 0..spec.trials {
+                let fault = spec.fault_for_trial(trial, hints.0, hints.1);
+                assert_eq!(campaign.records[trial as usize].fault, fault);
+                assert_eq!(
+                    m.run_injected(&fault),
+                    snap.run_injected(&fault),
+                    "{name}: trial {trial}, {fault:?}"
+                );
+            }
+        }
+    }
 }
 
 fn fuzz_corpus() -> Vec<Machine> {
