@@ -13,14 +13,12 @@
 //!   boot, fork and clone reuses it; the warmup run pays it, so the series
 //!   measures trials (fork plus run), not analysis.
 //!
-//! Besides the criterion groups, the machine-readable summary is written
-//! to `BENCH_campaign.json` at the repository root. Set `BENCH_QUICK=1`
-//! to shrink the campaigns for CI smoke runs.
+//! The machine-readable summary is written to `BENCH_campaign.json` at the
+//! repository root. Set `BENCH_QUICK=1` to shrink the campaigns for CI
+//! smoke runs.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ptaint::{CampaignSpec, Machine, ToJson};
+use ptaint_bench::{best_per_sec, quick};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 /// Faulted trials per campaign: full runs average over a broad fault
@@ -31,10 +29,6 @@ fn trials() -> u64 {
     } else {
         32
     }
-}
-
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
 }
 
 /// Campaign seed: fixed so every run samples the identical fault schedule
@@ -58,41 +52,17 @@ fn build(name: &str) -> Machine {
 
 const WORKLOADS: [&str; 2] = ["exp1", "ghttpd"];
 
-/// Trials/sec over several whole-campaign runs, reporting the best (least
-/// noise-disturbed) run after one warmup.
+/// Best-of-3 runs/sec of `machine`'s whole campaign, counting the
+/// unfaulted baseline run along with the faulted trials.
 fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> f64 {
-    // Count the unfaulted baseline run along with the faulted trials.
-    let runs = machine.run_campaign(spec).records.len() as f64 + 1.0;
-    let mut best = f64::MIN;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let report = machine.run_campaign(spec);
-        let elapsed = start.elapsed();
-        assert_eq!(report.records.len() as f64 + 1.0, runs);
-        best = best.max(runs / elapsed.as_secs_f64());
-    }
-    best
+    best_per_sec(3, || machine.run_campaign(spec).records.len() as u64 + 1).1
 }
 
-fn bench_campaigns(c: &mut Criterion) {
+fn main() {
     let spec = CampaignSpec::new(SEED, trials());
-
-    let mut group = c.benchmark_group("campaign");
-    // Each campaign runs the unfaulted baseline plus `trials()` faulted runs.
-    group.throughput(Throughput::Elements(trials() + 1));
-    group.sample_size(10);
-    for name in WORKLOADS {
-        let forked = build(name);
-        group.bench_function(format!("{name}_forked"), |b| {
-            b.iter(|| forked.run_campaign(&spec).records.len())
-        });
-    }
-    group.finish();
-
-    // Machine-readable summary for the trend consolidator: the plain
-    // configuration, then the elided (paper) one.
     let mut fields = Vec::new();
     let mut lines = Vec::new();
+    // The plain configuration, then the elided (paper) one.
     for (elide, key, label) in [(false, "", "plain"), (true, "_elided", "elided")] {
         for name in WORKLOADS {
             let rate = trials_per_sec(&build(name).elide_checks(elide), &spec);
@@ -106,27 +76,26 @@ fn bench_campaigns(c: &mut Criterion) {
     // then reuses that analysis, so the series measures scheduler
     // throughput, and on multi-core hosts the work-stealing shards add
     // core-count scaling on top. Byte-identity with the sequential report
-    // is asserted before timing, so the comparison is apples-to-apples by
-    // construction.
+    // is asserted on the untimed warmup run, so the comparison is
+    // apples-to-apples by construction.
     {
         let m = build("ghttpd").elide_checks(true);
         let jobs = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        let sequential = m.run_campaign(&spec);
-        assert_eq!(
-            m.run_campaign_jobs(&spec, jobs).to_json(),
-            sequential.to_json(),
-            "ghttpd: sharded and sequential campaigns must be byte-identical"
-        );
-        let runs = sequential.records.len() as f64 + 1.0;
-        let mut best = f64::MIN;
-        for _ in 0..3 {
-            let start = Instant::now();
+        let sequential = m.run_campaign(&spec).to_json();
+        let mut warmup = true;
+        let (_, rate) = best_per_sec(3, || {
             let report = m.run_campaign_jobs(&spec, jobs);
-            assert_eq!(report.records.len() as f64 + 1.0, runs);
-            best = best.max(runs / start.elapsed().as_secs_f64());
-        }
-        fields.push(("campaign_sharded_trials_per_sec".to_owned(), best));
-        lines.push(format!("ghttpd elided sharded -j{jobs} {best:.0} trials/s"));
+            if std::mem::take(&mut warmup) {
+                assert_eq!(
+                    report.to_json(),
+                    sequential,
+                    "ghttpd: sharded and sequential campaigns must be byte-identical"
+                );
+            }
+            report.records.len() as u64 + 1
+        });
+        fields.push(("campaign_sharded_trials_per_sec".to_owned(), rate));
+        lines.push(format!("ghttpd elided sharded -j{jobs} {rate:.0} trials/s"));
     }
     let mut json = format!("{{\"bench\":\"campaign\",\"trials\":{}", trials());
     for (field, rate) in &fields {
@@ -145,6 +114,3 @@ fn bench_campaigns(c: &mut Criterion) {
         lines.join("; ")
     );
 }
-
-criterion_group!(benches, bench_campaigns);
-criterion_main!(benches);

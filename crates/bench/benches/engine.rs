@@ -7,16 +7,14 @@
 //! the guest starts: assembling the three CVE daemons' compiled units, and
 //! the whole `ptaint_guest::build` (compile plus assemble).
 //!
-//! Besides the criterion groups, a machine-readable summary is written to
-//! `BENCH_engine.json` at the repository root (guest steps, steps/sec per
-//! engine, speedup, Table 3 steps/sec, CVE assembles/sec and builds/sec).
-//! Set `BENCH_QUICK=1` to shrink the loop, run the guests at input scale 1
-//! and take fewer toolchain rounds for CI smoke runs.
+//! The machine-readable summary is written to `BENCH_engine.json` at the
+//! repository root (guest steps, steps/sec per engine, speedup, Table 3
+//! steps/sec, CVE assembles/sec and builds/sec). Set `BENCH_QUICK=1` to
+//! shrink the loop, run the guests at input scale 1 and take fewer
+//! toolchain rounds for CI smoke runs.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ptaint::{Engine, ExitReason, Machine};
+use ptaint_bench::{best_per_sec, quick};
 use ptaint_guest::apps::{ghttpd, null_httpd, wu_ftpd};
 use ptaint_guest::{workloads, CRT0_ASM, LIBC_C, SYSCALL_STUBS_ASM};
 
@@ -28,10 +26,6 @@ fn iterations() -> u32 {
     } else {
         500_000
     }
-}
-
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
 }
 
 /// A counted loop of `iters` iterations that exits with status 0.
@@ -48,20 +42,13 @@ fn tight_loop(iters: u32) -> Machine {
     .expect("assembles")
 }
 
-/// Steps/sec over several whole-program runs, reporting the best (least
-/// noise-disturbed) run after one warmup.
-fn steps_per_sec(machine: &Machine) -> f64 {
-    let warmup = machine.run();
-    assert_eq!(warmup.reason, ExitReason::Exited(0));
-    let mut best = f64::MIN;
-    for _ in 0..5 {
-        let start = Instant::now();
+/// Guest steps of one whole-program run and the best-of-5 steps/sec.
+fn steps_per_sec(machine: &Machine) -> (u64, f64) {
+    best_per_sec(5, || {
         let out = machine.run();
-        let elapsed = start.elapsed();
         assert_eq!(out.reason, ExitReason::Exited(0));
-        best = best.max(out.stats.instructions as f64 / elapsed.as_secs_f64());
-    }
-    best
+        out.stats.instructions
+    })
 }
 
 /// Input scale of the Table 3 series: the suite's scale 10 for full runs,
@@ -88,10 +75,10 @@ fn table3_machines() -> Vec<Machine> {
         .collect()
 }
 
-/// Guest steps and best-of-5 steps/sec for one pass over all six guests
-/// (after one warmup pass); every guest must exit 0 without an alert.
+/// Guest steps and best-of-5 steps/sec for one pass over all six guests;
+/// every guest must exit 0 without an alert.
 fn table3_steps_per_sec(machines: &[Machine]) -> (u64, f64) {
-    let pass = || -> u64 {
+    best_per_sec(5, || {
         machines
             .iter()
             .map(|m| {
@@ -100,15 +87,7 @@ fn table3_steps_per_sec(machines: &[Machine]) -> (u64, f64) {
                 out.stats.instructions
             })
             .sum()
-    };
-    let steps = pass();
-    let mut best = f64::MIN;
-    for _ in 0..5 {
-        let start = Instant::now();
-        assert_eq!(pass(), steps, "guest runs are deterministic");
-        best = best.max(steps as f64 / start.elapsed().as_secs_f64());
-    }
-    (steps, best)
+    })
 }
 
 /// The three CVE daemons' sources, as `ptaint-run` rebuilds them.
@@ -123,18 +102,14 @@ fn toolchain_rounds() -> u32 {
     }
 }
 
-/// Per second over the best of [`toolchain_rounds`] rounds (after one
-/// warmup), where one round runs `f` once per item.
-fn best_per_sec<T>(items: &[T], f: impl Fn(&T)) -> f64 {
-    let round = || items.iter().for_each(&f);
-    round();
-    let mut best = f64::MIN;
-    for _ in 0..toolchain_rounds() {
-        let start = Instant::now();
-        round();
-        best = best.max(items.len() as f64 / start.elapsed().as_secs_f64());
-    }
-    best
+/// Items per second over the best of [`toolchain_rounds`] rounds, where
+/// one round runs `f` once per item.
+fn items_per_sec<T>(items: &[T], f: impl Fn(&T)) -> f64 {
+    best_per_sec(toolchain_rounds(), || {
+        items.iter().for_each(&f);
+        items.len() as u64
+    })
+    .1
 }
 
 /// Assemblies/sec of the CVE daemons' compiled units (libc, daemon, crt0
@@ -147,81 +122,22 @@ fn cve_assembles_per_sec() -> f64 {
             format!("{compiled}\n{CRT0_ASM}\n{SYSCALL_STUBS_ASM}\n")
         })
         .collect();
-    best_per_sec(&units, |unit| {
+    items_per_sec(&units, |unit| {
         ptaint::assemble(unit).expect("assembles");
     })
 }
 
 /// Whole `ptaint_guest::build`s/sec of the CVE daemons.
 fn cve_builds_per_sec() -> f64 {
-    best_per_sec(&CVE_SOURCES, |source| {
+    items_per_sec(&CVE_SOURCES, |source| {
         ptaint_guest::build(source).expect("builds");
     })
 }
 
-/// Quick-mode micro-assert: the chunked `write_bytes`/`set_taint_range`
-/// fast paths (one page lookup per crossed page) must agree byte-for-byte
-/// with a per-byte reference on a page-straddling range. Runs in CI smoke
-/// mode so a fast-path regression fails the bench before it can skew any
-/// throughput number.
-fn assert_chunked_write_parity() {
-    use ptaint::TaintedMemory;
-    let base = 0x1000_0ff0; // straddles a page boundary
-    let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
-
-    let mut chunked = TaintedMemory::new();
-    chunked.write_bytes(base, &data, true).expect("writes");
-    chunked
-        .set_taint_range(base + 8, 48, false)
-        .expect("clears taint");
-
-    let mut reference = TaintedMemory::new();
-    for (i, &b) in data.iter().enumerate() {
-        reference
-            .write_u8(base + i as u32, b, true)
-            .expect("writes");
-    }
-    for i in 0..48u32 {
-        let addr = base + 8 + i;
-        let (value, _) = reference.read_u8(addr).expect("reads");
-        reference.write_u8(addr, value, false).expect("clears");
-    }
-
-    for i in 0..64u32 {
-        let addr = base + i;
-        assert_eq!(
-            chunked.read_u8(addr).expect("reads"),
-            reference.read_u8(addr).expect("reads"),
-            "chunked write paths diverged from the per-byte reference at {addr:#x}"
-        );
-    }
-}
-
-fn bench_engines(c: &mut Criterion) {
-    if quick() {
-        assert_chunked_write_parity();
-    }
+fn main() {
     let machine = tight_loop(iterations());
-    let steps = machine.run().stats.instructions;
-
-    let mut group = c.benchmark_group("engine");
-    group.throughput(Throughput::Elements(steps));
-    group.sample_size(10);
-    for (name, engine) in [("interp", Engine::Interp), ("cached", Engine::Cached)] {
-        let m = machine.clone().engine(engine);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let out = m.run();
-                assert_eq!(out.reason, ExitReason::Exited(0));
-                out.stats.instructions
-            })
-        });
-    }
-    group.finish();
-
-    // Machine-readable summary for the roadmap's before/after record.
-    let interp = steps_per_sec(&machine.clone().engine(Engine::Interp));
-    let cached = steps_per_sec(&machine.clone().engine(Engine::Cached));
+    let (steps, interp) = steps_per_sec(&machine.clone().engine(Engine::Interp));
+    let (_, cached) = steps_per_sec(&machine.engine(Engine::Cached));
     let (table3_steps, table3) = table3_steps_per_sec(&table3_machines());
     let assembles = cve_assembles_per_sec();
     let builds = cve_builds_per_sec();
@@ -255,6 +171,3 @@ fn bench_engines(c: &mut Criterion) {
         table3_scale()
     );
 }
-
-criterion_group!(benches, bench_engines);
-criterion_main!(benches);

@@ -10,17 +10,74 @@
 //!                      exit 1 on any violation, 2 on usage/baseline errors
 //! ```
 //!
-//! `TREND_TOLERANCE=0.4` overrides the default throughput tolerance band.
+//! `TREND_TOLERANCE=0.4` overrides the default throughput tolerance band;
+//! a value that is not a number in `[0, 1)` is a usage error. The mode,
+//! the tolerance and the baseline are all checked before the (slow)
+//! collection runs.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use ptaint_bench::{check_trend, collect_trend, render_trend, Value, DEFAULT_TOLERANCE};
 
+/// What to do with the fresh collection.
+enum Mode {
+    Print,
+    Write,
+    Check { baseline: Value, tolerance: f64 },
+}
+
+/// Parses the mode argument, and for `check` the tolerance and the
+/// baseline at `baseline_path`; the error is the message for exit 2.
+fn mode(arg: &str, baseline_path: &Path) -> Result<Mode, String> {
+    match arg {
+        "print" => Ok(Mode::Print),
+        "write" => Ok(Mode::Write),
+        "check" => {
+            let tolerance = match std::env::var_os("TREND_TOLERANCE") {
+                None => DEFAULT_TOLERANCE,
+                Some(t) => t
+                    .to_string_lossy()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|t| (0.0..1.0).contains(t))
+                    .ok_or_else(|| {
+                        format!(
+                            "bad TREND_TOLERANCE `{}` (expected a number in [0, 1))",
+                            t.to_string_lossy()
+                        )
+                    })?,
+            };
+            let text = std::fs::read_to_string(baseline_path).map_err(|e| {
+                format!(
+                    "cannot read baseline {}: {e} (run `trend write` first)",
+                    baseline_path.display()
+                )
+            })?;
+            let baseline = Value::parse(&text)
+                .map_err(|e| format!("baseline {} is not JSON: {e}", baseline_path.display()))?;
+            Ok(Mode::Check {
+                baseline,
+                tolerance,
+            })
+        }
+        other => Err(format!(
+            "unknown mode `{other}` (expected print | write | check)"
+        )),
+    }
+}
+
 fn main() -> ExitCode {
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let baseline_path = root.join("TREND.json");
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "print".into());
+    let arg = std::env::args().nth(1).unwrap_or_else(|| "print".into());
+    let mode = match mode(&arg, &baseline_path) {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!("trend: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut notes = Vec::new();
     let current = collect_trend(root, &mut notes);
@@ -28,12 +85,12 @@ fn main() -> ExitCode {
         eprintln!("trend: note: {note}");
     }
 
-    match mode.as_str() {
-        "print" => {
+    match mode {
+        Mode::Print => {
             print!("{}", render_trend(&current));
             ExitCode::SUCCESS
         }
-        "write" => {
+        Mode::Write => {
             if let Err(e) = std::fs::write(&baseline_path, render_trend(&current)) {
                 eprintln!("trend: cannot write {}: {e}", baseline_path.display());
                 return ExitCode::from(2);
@@ -41,32 +98,10 @@ fn main() -> ExitCode {
             println!("trend: wrote {}", baseline_path.display());
             ExitCode::SUCCESS
         }
-        "check" => {
-            let text = match std::fs::read_to_string(&baseline_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!(
-                        "trend: cannot read baseline {}: {e} (run `trend write` first)",
-                        baseline_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            let baseline = match Value::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!(
-                        "trend: baseline {} is not JSON: {e}",
-                        baseline_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            let tolerance = std::env::var("TREND_TOLERANCE")
-                .ok()
-                .and_then(|t| t.parse::<f64>().ok())
-                .filter(|t| (0.0..1.0).contains(t))
-                .unwrap_or(DEFAULT_TOLERANCE);
+        Mode::Check {
+            baseline,
+            tolerance,
+        } => {
             let gate = check_trend(&baseline, &current, tolerance);
             for skip in &gate.skipped {
                 println!("trend: skipped: {skip}");
@@ -85,10 +120,6 @@ fn main() -> ExitCode {
             } else {
                 ExitCode::FAILURE
             }
-        }
-        other => {
-            eprintln!("trend: unknown mode `{other}` (expected print | write | check)");
-            ExitCode::from(2)
         }
     }
 }

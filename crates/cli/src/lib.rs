@@ -8,6 +8,7 @@
 //! ptaint-run inject program.c [options]
 //! ptaint-run profile program.c [options]
 //! ptaint-run replay program.c --journal FILE [options]
+//! ```
 //!
 //! The `analyze` subcommand runs the static taint dataflow analysis
 //! (`ptaint-analyze`) over the built image and prints the lint report —
@@ -45,60 +46,6 @@
 //! effects (stdout, transcripts) are not re-performed. Like `analyze`,
 //! the keyword is positional.
 //!
-//! options:
-//!   --asm                 input is assembly, not mini-C
-//!   --optimize            enable the mini-C peephole optimizer (not
-//!                         with `--asm`)
-//!   --policy P            off | control-only | ptaint     (default: ptaint)
-//!   --engine E            interp | cached                  (default: cached)
-//!   --elide-checks        statically prove check sites clean and skip
-//!                         their taint checks at runtime (cached engine,
-//!                         ptaint policy only)
-//!   -j N, --jobs N        worker threads, for the analysis fixpoint and
-//!                         for `inject` campaign shards (default for the
-//!                         latter: available parallelism); the output is
-//!                         byte-identical for every N (also `-jN`)
-//!   --stdin FILE          feed FILE's bytes as standard input (tainted)
-//!   --stdin-text STRING   feed STRING as standard input (tainted)
-//!   --arg STRING          append a command-line argument (repeatable)
-//!   --env NAME=VALUE      append an environment string (repeatable)
-//!   --file PATH=HOSTFILE  mount HOSTFILE at PATH in the guest FS (repeatable)
-//!   --session FILE        one network client session; FILE holds one
-//!                         message per line, with `\xNN` hex escapes and
-//!                         `\\` for raw bytes (repeatable)
-//!   --watch SYMBOL:LEN    annotate SYMBOL (never-tainted, §5.3 extension)
-//!   --caches              model the two-level cache hierarchy
-//!   --pipeline            run through the 5-stage pipeline timing model
-//!   --steps N             step budget (default 500M)
-//!   --watchdog-ms N       wall-clock watchdog: runs exceeding N milliseconds
-//!                         stop with a `watchdog expired` outcome
-//!   --seed N              (inject) campaign seed             (default 1)
-//!   --trials N            (inject) faulted trials            (default 32)
-//!   --faults LIST         (inject) comma-separated fault kinds to sample:
-//!                         short_read,eintr,conn_reset,fragment,data_bit,
-//!                         taint_clear,taint_set,register_bit,cache_line,
-//!                         multi_bit,taint_sweep,decode_slot,proven_flip,
-//!                         proof_cache (inert: it never applies)
-//!   --report FILE         (inject) write the campaign JSON to FILE instead
-//!                         of stdout
-//!   --journal-out FILE    record the run's syscall journal (results and
-//!                         delivered input bytes) to FILE for `replay`
-//!   --journal FILE        (replay) the journal to re-serve the run from
-//!   --trace-out FILE      write the structured event stream (JSONL) to FILE
-//!   --metrics-out FILE    write the aggregated metrics snapshot (JSON) to FILE
-//!   --metrics-interval N  interleave a `metrics_snapshot` record into the
-//!                         JSONL stream every N retired instructions
-//!                         (time-series metrics; needs --trace-out)
-//!   --profile-out FILE    write the profile JSON (per-PC histogram, taint
-//!                         heatmap, syscall table, collapsed stacks) to FILE
-//!   --provenance          track taint provenance; on a detection, print the
-//!                         forensic chain from input byte to flagged pointer
-//!   --trace               print the last retired instructions after the run
-//!   --trace-depth N       depth of the recently-retired diagnostic ring
-//!   --disasm              print the program disassembly and exit
-//!   --quiet               suppress the banner and statistics
-//! ```
-//!
 //! The artifact flags (`--trace-out`, `--metrics-out`, `--metrics-interval`,
 //! `--profile-out`, `--journal-out`, `--provenance`, `--pipeline`,
 //! `--trace`) compose freely on one run; under `analyze`, `inject`,
@@ -106,13 +53,8 @@
 //! The campaign flags (`--seed`, `--trials`, `--faults`, `--report`) are
 //! usage errors outside `inject`, as `--journal` is outside `replay`.
 //!
-//! The process exit code is the guest's exit status; detections exit 42;
-//! any other abnormal stop (crash, step limit, watchdog, replay
-//! divergence) exits 1; usage, read, and build errors exit 2, including an
-//! unreadable or malformed `--journal` file; `analyze` findings exit 3; a
-//! failure to write a requested artifact (`--trace-out`, `--metrics-out`,
-//! `--profile-out`, `--report`, `--journal-out`) exits 4 so scripts never
-//! mistake lost data for success.
+//! [`USAGE`] is the option and exit-code reference; `ptaint-run --help`
+//! prints it.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -124,6 +66,90 @@ use ptaint::{
 
 /// Exit code for a failure to persist a requested artifact.
 pub const EXIT_ARTIFACT: i32 = 4;
+
+/// The `ptaint-run --help` text: usage lines, subcommands, every flag
+/// [`parse_args`] accepts, and the exit codes.
+pub const USAGE: &str = r"ptaint-run <program.c|program.s> [options]
+ptaint-run analyze <program.c|program.s> [options]
+ptaint-run inject <program.c|program.s> [options]
+ptaint-run profile <program.c|program.s> [options]
+ptaint-run replay <program.c|program.s> --journal FILE [options]
+
+analyze              print the static taint lint report and
+                     exit (0 clean, 3 with findings); only
+                     recognized as the first argument (use
+                     `ptaint-run ./analyze` to run a file of
+                     that name), like every subcommand
+inject               run a deterministic fault-injection
+                     campaign (baseline + --trials seeded
+                     faults) and emit the JSON report; same
+                     seed => byte-identical report
+profile              run with the profiler and print
+                     the top-N report: hot blocks/pcs, taint
+                     hotspots, syscall table, call paths
+replay               re-execute a run from a syscall journal
+                     recorded with --journal-out; bit-exact
+                     retrace, no world attached; a guest that
+                     leaves the recording stops with a
+                     `replay diverged` outcome
+
+--asm                input is assembly
+--optimize           peephole-optimize the generated code
+                     (mini-C only, not with --asm)
+--policy P           off | control-only | ptaint (default)
+--engine E           interp | cached (default)
+--elide-checks       skip taint checks at statically proven
+                     clean sites (ptaint policy only)
+-j N, --jobs N       worker threads: analysis fixpoint and
+                     inject campaign shards (also -jN;
+                     default for inject: available
+                     parallelism); byte-identical output
+                     for any N
+--stdin FILE         stdin bytes from FILE (tainted)
+--stdin-text STRING  stdin bytes inline (tainted)
+--arg S / --env K=V  guest argv / environment (repeatable)
+--file PATH=HOST     mount HOST file at guest PATH (repeatable)
+--session FILE       scripted client, one message per line
+                     (\xNN hex escapes and \\ for raw payload
+                     bytes; repeatable)
+--watch SYMBOL:LEN   annotate never-tainted data (§5.3)
+--caches             model L1/L2 caches
+--pipeline           5-stage pipeline timing model
+--steps N            step budget (default 500M)
+--watchdog-ms N      wall-clock watchdog on the run
+--seed N             (inject) campaign seed, default 1
+--trials N           (inject) faulted trials, default 32
+--faults LIST        (inject) comma-separated fault kinds;
+                     must name at least one (proof_cache is
+                     inert: it never applies)
+--report FILE        (inject) write campaign JSON to FILE
+--journal-out FILE   record the syscall journal for `replay`
+--journal FILE       (replay) journal to re-serve the run from
+--trace-out FILE     write the event stream (JSONL) to FILE
+--metrics-out FILE   write the metrics snapshot (JSON) to FILE
+--metrics-interval N interleave a metrics_snapshot record into
+                     the JSONL stream every N retired
+                     instructions (needs --trace-out)
+--profile-out FILE   write the profile JSON to FILE (counts
+                     only; byte-deterministic)
+--provenance         print the forensic taint chain on detection
+--trace              print the last retired instructions after
+                     the run (also printed on a detection)
+--trace-depth N      depth of that retired-instruction ring
+--disasm             print disassembly and exit
+--quiet              program output only
+
+exit code: guest status; 42 on a security detection; 1 on any
+other abnormal stop (crash, step limit, watchdog, replay
+divergence); 2 on usage/read/build errors, including a
+missing or malformed --journal file, a single-run flag
+(--trace-out, --metrics-out, --metrics-interval,
+--profile-out, --journal-out, --provenance, --pipeline,
+--trace) given to analyze, inject, replay or --disasm, or a
+campaign flag (--seed, --trials, --faults, --report)
+outside inject; 3 on analyze findings; 4 when a requested
+artifact file (--trace-out, --metrics-out, --profile-out,
+--report, --journal-out) cannot be written";
 
 /// Rows per section in the `profile` subcommand's printed report.
 const PROFILE_TOP_N: usize = 10;
