@@ -7,6 +7,12 @@
 //! that may name a later label (instructions and `.word` expressions) are
 //! kept, in source order, for pass 2, which encodes them directly into the
 //! image. Errors therefore come pass 1 first, then pass 2 in source order.
+//!
+//! A [`Prelude`] enters pass 1 as a whole: at the source's first `.data`
+//! line its data part's bytes and labels are put in place and its
+//! unresolved `.word`s queued, and at the first `.text` line the same
+//! happens for its text part. Its line count is added to the line counter,
+//! so every line number is the one the spliced unit would have.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -16,6 +22,7 @@ use ptaint_isa::{
     STACK_TOP, TEXT_BASE,
 };
 
+use crate::prelude::{Fixup, Part, Prelude};
 use crate::Image;
 
 /// An assembly error with the 1-based source line it occurred on.
@@ -210,7 +217,7 @@ struct Span {
 /// allocation, so it stores [`Span`]s rather than `&str`s: 48 bytes an
 /// entry instead of 88.
 #[derive(Debug)]
-enum Deferred {
+enum Deferred<'a> {
     Insn {
         addr: u32,
         line: u32,
@@ -224,12 +231,34 @@ enum Deferred {
         line: u32,
         expr: Span,
     },
+    /// A prelude statement, at its line in the unit.
+    Fixup {
+        fixup: &'a Fixup<'a>,
+        line: u32,
+    },
 }
 
-const _: () = assert!(std::mem::size_of::<Deferred>() <= 48);
+const _: () = assert!(std::mem::size_of::<Deferred<'_>>() <= 48);
 
 /// One or two machine instructions, the most any statement expands to.
 type Encoded = (Instr, Option<Instr>);
+
+/// The image's segments while pass 2 fills them in.
+struct Segments {
+    text: Vec<u32>,
+    lines: Vec<u32>,
+    data: Vec<u8>,
+}
+
+impl Segments {
+    /// Stores the `.word` value `v` at `addr`.
+    fn word(&mut self, addr: u32, v: i64, line: u32) -> Result<(), AsmError> {
+        let v = to_u32(v, line)?;
+        let off = (addr - DATA_BASE) as usize;
+        self.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+}
 
 /// Assembles a complete source file into an [`Image`].
 ///
@@ -240,23 +269,90 @@ type Encoded = (Instr, Option<Instr>);
 /// out-of-range immediates or branch targets, and segments that outgrow
 /// the address space.
 pub fn assemble(source: &str) -> Result<Image, AsmError> {
-    if u32::try_from(source.len()).is_err() {
-        return Err(AsmError::new(0, "source is larger than 4 GiB"));
-    }
-    let mut asm = Assembler::new(source);
-    // Lines end at `\n`, found by the line scan itself; a `\r` before it
-    // is trailing whitespace like any other.
-    let (mut start, mut line) = (0, 0);
-    while start < source.len() {
-        line += 1;
-        start = asm.parse_line(start, line)? + 1;
+    assemble_with(&Prelude::EMPTY, source)
+}
+
+/// Assembles `source` as though `prelude`'s data part stood right after the
+/// source's first `.data` line and its text part right after its first
+/// `.text` line. Line numbers, in errors and in [`Image::lines`], count the
+/// prelude's lines where they stand.
+///
+/// With [`Prelude::EMPTY`] this is [`assemble`]. The prelude's statements
+/// were laid out when it was built; those that named a label it did not
+/// define are encoded here, in their place in source order.
+///
+/// # Errors
+///
+/// Every error [`assemble`] reports for the spliced unit, plus an error
+/// when a prelude part has no line to follow, or when the source emits
+/// code before its first `.text` line (it would move the prelude's code).
+pub fn assemble_with(prelude: &Prelude<'_>, source: &str) -> Result<Image, AsmError> {
+    let mut asm = Assembler::pass_one(source, prelude, None)?;
+    for (part, spliced, section) in [
+        (&prelude.data_part, asm.data_spliced, "data"),
+        (&prelude.text_part, asm.text_spliced, "text"),
+    ] {
+        if !spliced && part.lines > 0 {
+            return Err(AsmError::new(
+                asm.line,
+                format!("no `.{section}` line to place the prelude's {section} part after"),
+            ));
+        }
     }
     asm.bind_pending(asm.cursor());
     asm.encode_deferred()
 }
 
+/// What building a prelude records in pass 1: each label with its line,
+/// and each section switch with its line and whether a label was waiting
+/// for an address there.
+#[derive(Default)]
+struct Record<'a> {
+    labels: Vec<(&'a str, u32)>,
+    switches: Vec<(Section, u32, bool)>,
+}
+
+/// Builds a [`Prelude`] from `source`, which holds nothing but comments
+/// before a `.data` line, then the data part, a `.text` line and the text
+/// part, with no label left waiting for an address at the end of a part.
+pub(crate) fn build_prelude(source: &str) -> Result<Prelude<'_>, AsmError> {
+    static EMPTY: Prelude<'static> = Prelude::EMPTY;
+    let mut asm = Assembler::pass_one(source, &EMPTY, Some(Record::default()))?;
+    let record = asm.record.take().unwrap_or_default();
+    let misshapen = |line| {
+        AsmError::new(
+            line,
+            "a prelude is a `.data` line, its data, a `.text` line and its code",
+        )
+    };
+    let (data_line, text_line) = match record.switches[..] {
+        [(Section::Data, d, false), (Section::Text, t, false)] => (d, t),
+        [] => return Err(misshapen(asm.line)),
+        [.., (_, line, _)] => return Err(misshapen(line)),
+    };
+    if !asm.pending_labels.is_empty() {
+        return Err(misshapen(asm.line));
+    }
+    if let Some(Deferred::Insn { line, .. }) = asm.deferred.first() {
+        if *line < data_line {
+            return Err(misshapen(*line));
+        }
+    }
+    Ok(asm.into_prelude(&record.labels, data_line, text_line))
+}
+
 struct Assembler<'a> {
     source: &'a str,
+    prelude: &'a Prelude<'a>,
+    /// The line being parsed, as numbered in the unit: a spliced prelude
+    /// part's lines are counted where they stand.
+    line: u32,
+    data_spliced: bool,
+    text_spliced: bool,
+    /// The line the prelude's text part follows.
+    text_splice_line: u32,
+    /// Set while building a prelude.
+    record: Option<Record<'a>>,
     section: Section,
     text_cursor: u32,
     data_cursor: u32,
@@ -267,13 +363,27 @@ struct Assembler<'a> {
     data: Vec<u8>,
     /// Reused buffer for decoding `.ascii`/`.asciiz` literals.
     literal: Vec<u8>,
-    deferred: Vec<Deferred>,
+    deferred: Vec<Deferred<'a>>,
 }
 
 impl<'a> Assembler<'a> {
-    fn new(source: &'a str) -> Assembler<'a> {
-        Assembler {
+    /// Pass 1 over `source`, with `prelude` spliced in.
+    fn pass_one(
+        source: &'a str,
+        prelude: &'a Prelude<'a>,
+        record: Option<Record<'a>>,
+    ) -> Result<Assembler<'a>, AsmError> {
+        if u32::try_from(source.len()).is_err() {
+            return Err(AsmError::new(0, "source is larger than 4 GiB"));
+        }
+        let mut asm = Assembler {
             source,
+            prelude,
+            line: 0,
+            data_spliced: false,
+            text_spliced: false,
+            text_splice_line: 0,
+            record,
             section: Section::Text,
             text_cursor: TEXT_BASE,
             data_cursor: DATA_BASE,
@@ -282,7 +392,15 @@ impl<'a> Assembler<'a> {
             data: Vec::new(),
             literal: Vec::new(),
             deferred: Vec::new(),
+        };
+        // Lines end at `\n`, found by the line scan itself; a `\r` before it
+        // is trailing whitespace like any other.
+        let mut start = 0;
+        while start < source.len() {
+            asm.line += 1;
+            start = asm.parse_line(start, asm.line)? + 1;
         }
+        Ok(asm)
     }
 
     /// The span of `part`, a slice of the source.
@@ -321,6 +439,68 @@ impl<'a> Assembler<'a> {
             return Err(AsmError::new(line, format!("duplicate label `{name}`")));
         }
         self.pending_labels.push(name);
+        if let Some(record) = &mut self.record {
+            record.labels.push((name, line));
+        }
+        Ok(())
+    }
+
+    /// Switches to `section` at `line`; the first switch to a section puts
+    /// the prelude's part for it right after that line.
+    fn switch(&mut self, section: Section, line: u32) -> Result<(), AsmError> {
+        if let Some(record) = &mut self.record {
+            record
+                .switches
+                .push((section, line, !self.pending_labels.is_empty()));
+        }
+        self.bind_pending(self.cursor());
+        self.section = section;
+        let prelude = self.prelude;
+        let (part, spliced) = match section {
+            Section::Data => (&prelude.data_part, &mut self.data_spliced),
+            Section::Text => (&prelude.text_part, &mut self.text_spliced),
+        };
+        if std::mem::replace(spliced, true) || part.lines == 0 {
+            return Ok(());
+        }
+        match section {
+            // Data needs a `.data` line, so none precedes the first one.
+            Section::Data => {
+                self.data.extend_from_slice(&prelude.data);
+                self.data_cursor = prelude.data_end;
+            }
+            Section::Text => {
+                if self.text_cursor != TEXT_BASE {
+                    return Err(AsmError::new(
+                        line,
+                        "code before the first `.text` line would move the prelude's code",
+                    ));
+                }
+                self.text_cursor = TEXT_BASE + 4 * prelude.text.len() as u32;
+                self.text_splice_line = line;
+            }
+        }
+        self.splice_part(part, line)
+    }
+
+    /// Binds `part`'s labels and queues its fixups as though its lines
+    /// followed `line`.
+    fn splice_part(&mut self, part: &'a Part<'a>, line: u32) -> Result<(), AsmError> {
+        self.symbols.reserve(part.labels.len());
+        for &(name, at, addr) in &part.labels {
+            if self.symbols.insert(name, addr).is_some() {
+                return Err(AsmError::new(
+                    line + at,
+                    format!("duplicate label `{name}`"),
+                ));
+            }
+        }
+        self.deferred
+            .extend(part.fixups.iter().map(|fixup| Deferred::Fixup {
+                fixup,
+                line: line + fixup.line,
+            }));
+        self.line += part.lines;
         Ok(())
     }
 
@@ -426,14 +606,8 @@ impl<'a> Assembler<'a> {
 
     fn parse_directive(&mut self, name: &str, args: &'a str, line: u32) -> Result<(), AsmError> {
         match name {
-            "text" => {
-                self.bind_pending(self.cursor());
-                self.section = Section::Text;
-            }
-            "data" => {
-                self.bind_pending(self.cursor());
-                self.section = Section::Data;
-            }
+            "text" => self.switch(Section::Text, line)?,
+            "data" => self.switch(Section::Data, line)?,
             "globl" | "global" | "ent" | "end" => { /* accepted, no effect */ }
             "align" => {
                 let n: u32 = args
@@ -516,42 +690,15 @@ impl<'a> Assembler<'a> {
     }
 
     /// Pass 2: encodes the deferred statements in source order, straight
-    /// into the image.
+    /// into the image, after the prelude's code.
     fn encode_deferred(mut self) -> Result<Image, AsmError> {
-        let words = ((self.text_cursor - TEXT_BASE) / 4) as usize;
-        let mut text = vec![0; words];
-        let mut lines = vec![0; words];
-        let mut data = std::mem::take(&mut self.data);
-        data.resize((self.data_cursor - DATA_BASE) as usize, 0);
+        let mut out = self.layout();
+        let base = self.text_splice_line;
+        for (dst, &line) in out.lines.iter_mut().zip(&self.prelude.lines) {
+            *dst = base + line;
+        }
         for item in &self.deferred {
-            match *item {
-                Deferred::Word { addr, line, expr } => {
-                    let v = to_u32(self.eval(self.text(expr), line)?, line)?;
-                    let off = (addr - DATA_BASE) as usize;
-                    data[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                }
-                Deferred::Insn {
-                    addr,
-                    line,
-                    op,
-                    mnemonic,
-                    ops,
-                    count,
-                } => {
-                    let ops = Operands {
-                        slots: ops.map(|op| self.text(op)),
-                        count: count as usize,
-                    };
-                    let (first, second) = self.encode(addr, line, op, self.text(mnemonic), &ops)?;
-                    let i = ((addr - TEXT_BASE) / 4) as usize;
-                    text[i] = first.encode();
-                    lines[i] = line;
-                    if let Some(second) = second {
-                        text[i + 1] = second.encode();
-                        lines[i + 1] = line;
-                    }
-                }
-            }
+            self.place(item, &mut out)?;
         }
         let symbols: HashMap<String, u32> = self
             .symbols
@@ -563,13 +710,150 @@ impl<'a> Assembler<'a> {
             .find_map(|name| self.symbols.get(name).copied())
             .unwrap_or(TEXT_BASE);
         Ok(Image {
-            text,
-            data,
+            text: out.text,
+            data: out.data,
             entry,
             symbols,
-            lines,
+            lines: out.lines,
             ..Image::new()
         })
+    }
+
+    /// The segments as pass 1 left them, the prelude's code in front.
+    fn layout(&mut self) -> Segments {
+        let words = ((self.text_cursor - TEXT_BASE) / 4) as usize;
+        let mut text = vec![0; words];
+        text[..self.prelude.text.len()].copy_from_slice(&self.prelude.text);
+        let mut data = std::mem::take(&mut self.data);
+        data.resize((self.data_cursor - DATA_BASE) as usize, 0);
+        Segments {
+            text,
+            lines: vec![0; words],
+            data,
+        }
+    }
+
+    /// Encodes one queued statement into `out`.
+    fn place(&self, item: &Deferred<'a>, out: &mut Segments) -> Result<(), AsmError> {
+        let (addr, line, op, mnemonic, ops) = match *item {
+            Deferred::Word { addr, line, expr } => {
+                return out.word(addr, self.eval(self.text(expr), line)?, line);
+            }
+            Deferred::Insn {
+                addr,
+                line,
+                op,
+                mnemonic,
+                ops,
+                count,
+            } => {
+                let ops = Operands {
+                    slots: ops.map(|op| self.text(op)),
+                    count: count as usize,
+                };
+                (addr, line, op, self.text(mnemonic), ops)
+            }
+            Deferred::Fixup { fixup, line } => {
+                if fixup.mnemonic == ".word" {
+                    return out.word(fixup.addr, self.eval(fixup.ops[0], line)?, line);
+                }
+                let ops = Operands {
+                    slots: fixup.ops,
+                    count: fixup.count as usize,
+                };
+                let op = Op::resolve(fixup.mnemonic);
+                (fixup.addr, line, op, fixup.mnemonic, ops)
+            }
+        };
+        let (first, second) = self.encode(addr, line, op, mnemonic, &ops)?;
+        let i = ((addr - TEXT_BASE) / 4) as usize;
+        out.text[i] = first.encode();
+        out.lines[i] = line;
+        if let Some(second) = second {
+            out.text[i + 1] = second.encode();
+            out.lines[i + 1] = line;
+        }
+        Ok(())
+    }
+
+    /// Pass 2 for a prelude: encodes what it can, and keeps the statements
+    /// that fail (most name a label the prelude does not define) as fixups
+    /// for the unit's pass 2, which reports whatever error is left. Lines
+    /// become relative to the part's switch line.
+    fn into_prelude(
+        mut self,
+        labels: &[(&'a str, u32)],
+        data_line: u32,
+        text_line: u32,
+    ) -> Prelude<'a> {
+        let mut out = self.layout();
+        let mut parts = [
+            Part {
+                lines: text_line - data_line - 1,
+                ..Part::default()
+            },
+            Part {
+                lines: self.line - text_line,
+                ..Part::default()
+            },
+        ];
+        // The part a line is in, and the line counted from its switch.
+        let part_of = |line: u32| {
+            if line < text_line {
+                (0, line - data_line)
+            } else {
+                (1, line - text_line)
+            }
+        };
+        for &(name, line) in labels {
+            let (part, at) = part_of(line);
+            parts[part].labels.push((name, at, self.symbols[name]));
+        }
+        for item in &self.deferred {
+            if self.place(item, &mut out).is_ok() {
+                continue;
+            }
+            let fixup = match *item {
+                Deferred::Word { addr, line, expr } => Fixup {
+                    addr,
+                    line,
+                    mnemonic: ".word",
+                    ops: [self.text(expr), "", ""],
+                    count: 1,
+                },
+                Deferred::Insn {
+                    addr,
+                    line,
+                    mnemonic,
+                    ops,
+                    count,
+                    ..
+                } => Fixup {
+                    addr,
+                    line,
+                    mnemonic: self.text(mnemonic),
+                    ops: ops.map(|op| self.text(op)),
+                    count,
+                },
+                Deferred::Fixup { fixup, line } => Fixup { line, ..*fixup },
+            };
+            let (part, at) = part_of(fixup.line);
+            parts[part].fixups.push(Fixup { line: at, ..fixup });
+        }
+        let lines = out
+            .lines
+            .iter()
+            .map(|&l| l.saturating_sub(text_line))
+            .collect();
+        let [data_part, text_part] = parts;
+        Prelude {
+            data: out.data,
+            data_end: self.data_cursor,
+            text: out.text,
+            lines,
+            data_part,
+            text_part,
+        }
     }
 
     /// Evaluates an operand expression: integer/char literal, `sym`,

@@ -31,6 +31,10 @@
 //! source order. Mnemonics are case-insensitive; whitespace is anything
 //! [`char::is_whitespace`] accepts.
 //!
+//! A unit's fixed leading globals and code (the guest libc) can be
+//! assembled once into a [`Prelude`]; [`assemble_with`] then assembles the
+//! rest of the unit after it, and [`assemble`] is its empty-prelude case.
+//!
 //! ```
 //! use ptaint_asm::assemble;
 //!
@@ -51,7 +55,9 @@
 mod assemble;
 mod disasm;
 mod image;
+mod prelude;
 
-pub use assemble::{assemble, AsmError};
+pub use assemble::{assemble, assemble_with, AsmError};
 pub use disasm::disassemble;
 pub use image::Image;
+pub use prelude::Prelude;

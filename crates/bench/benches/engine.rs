@@ -2,16 +2,26 @@
 //! the predecoded/cached engine on a tight counted loop — the workload
 //! where decode cost dominates and the decode cache pays off most — plus
 //! the cached engine on the six Table 3 guests under full detection, where
-//! taint memory traffic, syscalls and real control flow weigh in too. Two
-//! toolchain series time what every `ptaint-run` invocation pays before
-//! the guest starts: assembling the three CVE daemons' compiled units, and
-//! the whole `ptaint_guest::build` (compile plus assemble).
+//! taint memory traffic, syscalls and real control flow weigh in too.
+//! Interp and cached runs of the loop alternate, so drift of a shared host
+//! hits both sides of each pair; `speedup` is the median of the per-pair
+//! ratios, and each engine's steps/sec its best run.
+//!
+//! Two toolchain series follow. `cve_builds_per_sec` times what every
+//! `ptaint-run` invocation pays before the guest starts: the whole
+//! `ptaint_guest::build` of the three CVE daemons, which compiles and
+//! assembles only the daemon, crt0 and the stubs after the prebuilt libc.
+//! `cve_assembles_per_sec` is the assembler's throughput on the daemons'
+//! whole compiled units, libc included: a full-unit assembly that
+//! `ptaint-run` no longer pays.
 //!
 //! The machine-readable summary is written to `BENCH_engine.json` at the
 //! repository root (guest steps, steps/sec per engine, speedup, Table 3
 //! steps/sec, CVE assembles/sec and builds/sec). Set `BENCH_QUICK=1` to
 //! shrink the loop, run the guests at input scale 1 and take fewer
 //! toolchain rounds for CI smoke runs.
+
+use std::time::Instant;
 
 use ptaint::{Engine, ExitReason, Machine};
 use ptaint_bench::{best_per_sec, quick};
@@ -42,13 +52,32 @@ fn tight_loop(iters: u32) -> Machine {
     .expect("assembles")
 }
 
-/// Guest steps of one whole-program run and the best-of-5 steps/sec.
-fn steps_per_sec(machine: &Machine) -> (u64, f64) {
-    best_per_sec(5, || {
-        let out = machine.run();
+/// Timed interp/cached pairs of the tight loop, after one untimed run
+/// of each.
+const LOOP_PAIRS: usize = 9;
+
+/// The tight loop under both engines, run alternately: guest steps, the
+/// best interp and cached steps/sec, and the median of the per-pair
+/// cached/interp ratios.
+fn tight_loop_series(machine: &Machine) -> (u64, f64, f64, f64) {
+    let interp = machine.clone().engine(Engine::Interp);
+    let cached = machine.clone().engine(Engine::Cached);
+    let run = |m: &Machine| {
+        let start = Instant::now();
+        let out = m.run();
+        let secs = start.elapsed().as_secs_f64();
         assert_eq!(out.reason, ExitReason::Exited(0));
-        out.stats.instructions
-    })
+        (out.stats.instructions, out.stats.instructions as f64 / secs)
+    };
+    let (steps, _) = run(&interp);
+    assert_eq!(run(&cached).0, steps, "engines retire the same steps");
+    let pairs: Vec<(f64, f64)> = (0..LOOP_PAIRS)
+        .map(|_| (run(&interp).1, run(&cached).1))
+        .collect();
+    let best = |side: fn(&(f64, f64)) -> f64| pairs.iter().map(side).fold(f64::MIN, f64::max);
+    let mut ratios: Vec<f64> = pairs.iter().map(|(i, c)| c / i).collect();
+    ratios.sort_by(f64::total_cmp);
+    (steps, best(|p| p.0), best(|p| p.1), ratios[LOOP_PAIRS / 2])
 }
 
 /// Input scale of the Table 3 series: the suite's scale 10 for full runs,
@@ -112,8 +141,9 @@ fn items_per_sec<T>(items: &[T], f: impl Fn(&T)) -> f64 {
     .1
 }
 
-/// Assemblies/sec of the CVE daemons' compiled units (libc, daemon, crt0
-/// and syscall stubs: what `ptaint_guest::build` hands the assembler).
+/// Assemblies/sec of the CVE daemons' whole compiled units (libc, daemon,
+/// crt0 and syscall stubs): the assembler's throughput. `ptaint_guest::build`
+/// assembles only the part after the prebuilt libc.
 fn cve_assembles_per_sec() -> f64 {
     let units: Vec<String> = CVE_SOURCES
         .iter()
@@ -135,9 +165,7 @@ fn cve_builds_per_sec() -> f64 {
 }
 
 fn main() {
-    let machine = tight_loop(iterations());
-    let (steps, interp) = steps_per_sec(&machine.clone().engine(Engine::Interp));
-    let (_, cached) = steps_per_sec(&machine.engine(Engine::Cached));
+    let (steps, interp, cached, speedup) = tight_loop_series(&tight_loop(iterations()));
     let (table3_steps, table3) = table3_steps_per_sec(&table3_machines());
     let assembles = cve_assembles_per_sec();
     let builds = cve_builds_per_sec();
@@ -152,7 +180,7 @@ fn main() {
         steps,
         interp,
         cached,
-        cached / interp,
+        speedup,
         table3_scale(),
         table3_steps,
         table3,
@@ -167,7 +195,7 @@ fn main() {
          cached {cached:.0} steps/s, speedup {:.2}x; Table 3 (scale {}) \
          {table3_steps} guest steps, {table3:.0} steps/s; CVE daemons \
          {assembles:.1} assembles/s, {builds:.1} builds/s -> {path}",
-        cached / interp,
+        speedup,
         table3_scale()
     );
 }

@@ -25,16 +25,27 @@ use crate::CcError;
 /// Returns a [`CcError`] for semantic errors: unknown names, bad types,
 /// wrong arity, assignment to rvalues, and aggregates used as values.
 pub fn compile_program(program: &Program) -> Result<String, CcError> {
-    let mut cg = Codegen::new(program);
+    let mut cg = Codegen::new(program, Decls::default());
     cg.run()?;
     Ok(cg.finish())
 }
 
-#[derive(Clone)]
-struct FuncSig {
-    ret: Type,
-    params: Vec<Type>,
-    variadic: bool,
+/// What one item's code generation leaves for the items after it: the
+/// file-scope names, the string literals interned so far and the label
+/// counter. A unit prefix hands these on as its [`Prelude`](crate::Prelude).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Decls {
+    pub(crate) globals: HashMap<String, Type>,
+    pub(crate) funcs: HashMap<String, FuncSig>,
+    pub(crate) strings: Vec<(String, Vec<u8>)>,
+    pub(crate) label_count: u32,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FuncSig {
+    pub(crate) ret: Type,
+    pub(crate) params: Vec<Type>,
+    pub(crate) variadic: bool,
 }
 
 #[derive(Clone)]
@@ -45,7 +56,7 @@ struct LocalSlot {
     ty: Type,
 }
 
-struct Codegen<'a> {
+pub(crate) struct Codegen<'a> {
     program: &'a Program,
     structs: &'a HashMap<String, StructDef>,
     globals: HashMap<String, Type>,
@@ -66,16 +77,18 @@ struct Codegen<'a> {
 }
 
 impl<'a> Codegen<'a> {
-    fn new(program: &'a Program) -> Codegen<'a> {
+    /// A generator for `program`'s items, continuing after the items that
+    /// left `decls`.
+    pub(crate) fn new(program: &'a Program, decls: Decls) -> Codegen<'a> {
         Codegen {
             program,
             structs: &program.structs,
-            globals: HashMap::new(),
-            funcs: HashMap::new(),
+            globals: decls.globals,
+            funcs: decls.funcs,
             text: String::new(),
             data: String::new(),
-            strings: Vec::new(),
-            label_count: 0,
+            strings: decls.strings,
+            label_count: decls.label_count,
             body: String::new(),
             scopes: Vec::new(),
             frame_next: 8,
@@ -114,8 +127,10 @@ impl<'a> Codegen<'a> {
 
     // ---------------- driver ----------------
 
-    fn run(&mut self) -> Result<(), CcError> {
+    pub(crate) fn run(&mut self) -> Result<(), CcError> {
         // Collect signatures and global types first (forward references).
+        // A name keeps its first declaration: a later one must match it
+        // exactly, so no item can change how an earlier one compiled.
         for item in &self.program.items {
             match item {
                 Item::Func {
@@ -131,19 +146,25 @@ impl<'a> Codegen<'a> {
                         params: params.iter().map(|(t, _)| t.clone()).collect(),
                         variadic: *variadic,
                     };
-                    if let Some(prev) = self.funcs.get(name) {
-                        if prev.params.len() != sig.params.len() || prev.variadic != sig.variadic {
-                            return Err(CcError::new(
-                                *line,
-                                format!("conflicting declarations of `{name}`"),
-                            ));
-                        }
+                    if self.globals.contains_key(name)
+                        || self.funcs.get(name).is_some_and(|prev| *prev != sig)
+                    {
+                        return Err(CcError::new(
+                            *line,
+                            format!("conflicting declarations of `{name}`"),
+                        ));
                     }
                     self.funcs.insert(name.clone(), sig);
                 }
                 Item::Global { ty, name, line, .. } => {
                     // Validate the size eagerly.
                     let _ = self.size_of(ty, *line)?;
+                    if self.funcs.contains_key(name) {
+                        return Err(CcError::new(
+                            *line,
+                            format!("conflicting declarations of `{name}`"),
+                        ));
+                    }
                     if self.globals.insert(name.clone(), ty.clone()).is_some() {
                         return Err(CcError::new(*line, format!("duplicate global `{name}`")));
                     }
@@ -174,11 +195,31 @@ impl<'a> Codegen<'a> {
         Ok(())
     }
 
-    fn finish(mut self) -> String {
+    /// The unit's assembly: globals, then every string literal, then code.
+    pub(crate) fn finish(self) -> String {
+        self.assembly(&self.strings)
+    }
+
+    /// The declarations left for later items, and the assembly of this
+    /// prefix's globals and code. Its string literals are left out: they
+    /// belong after the globals of the whole unit, so the continuation's
+    /// [`finish`](Self::finish) emits them.
+    pub(crate) fn into_prelude(self) -> (Decls, String) {
+        let asm = self.assembly(&[]);
+        let decls = Decls {
+            globals: self.globals,
+            funcs: self.funcs,
+            strings: self.strings,
+            label_count: self.label_count,
+        };
+        (decls, asm)
+    }
+
+    fn assembly(&self, strings: &[(String, Vec<u8>)]) -> String {
         let mut out = String::new();
         out.push_str("# generated by ptaint-cc\n        .data\n");
         out.push_str(&self.data);
-        for (label, bytes) in std::mem::take(&mut self.strings) {
+        for (label, bytes) in strings {
             let _ = writeln!(out, "{label}:");
             let mut text_bytes = bytes.clone();
             text_bytes.push(0);

@@ -126,10 +126,15 @@ pub enum TokenKind {
 /// Returns a [`CcError`] for unterminated literals/comments and unknown
 /// characters.
 pub fn lex(source: &str) -> Result<Vec<Token>, CcError> {
+    lex_from(source, 1)
+}
+
+/// [`lex`] for a source whose first line is `line`: the continuation of a
+/// unit prefix that ended at a line break.
+pub(crate) fn lex_from(source: &str, mut line: u32) -> Result<Vec<Token>, CcError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
-    let mut line = 1u32;
 
     macro_rules! push {
         ($kind:expr) => {

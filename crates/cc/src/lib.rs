@@ -41,7 +41,10 @@
 //!   Figure 2.
 //! * Return value in `$v0`; `$v0`, `$t0`, `$t1`, `$t9`, `$at` are clobbered.
 //!
-//! The output is textual assembly for [`ptaint_asm::assemble`].
+//! The output is textual assembly for [`ptaint_asm::assemble`]. A fixed
+//! unit prefix (the guest libc) can be compiled once with
+//! [`compile_prelude`]; [`compile_with`] then compiles the rest of the
+//! unit from that state, and [`compile`] is its empty-prelude case.
 //!
 //! ```
 //! let asm = ptaint_cc::compile(r#"
@@ -58,12 +61,14 @@ mod codegen;
 mod lexer;
 mod opt;
 mod parser;
+mod prelude;
 
 pub use ast::{BinOp, Expr, ExprKind, GlobalInit, Item, Program, Stmt, Type, UnOp};
 pub use codegen::compile_program;
 pub use lexer::{lex, Token, TokenKind};
 pub use opt::{compile_optimized, optimize_asm};
 pub use parser::parse;
+pub use prelude::{compile_prelude, compile_with, Prelude};
 
 /// A compilation error with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +103,5 @@ impl std::error::Error for CcError {}
 /// Returns a [`CcError`] naming the offending line for lexical, syntactic,
 /// and semantic (type/name) errors.
 pub fn compile(source: &str) -> Result<String, CcError> {
-    let tokens = lex(source)?;
-    let program = parse(&tokens)?;
-    compile_program(&program)
+    compile_with(Prelude::default(), source)
 }

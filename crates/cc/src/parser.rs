@@ -13,10 +13,20 @@ use crate::CcError;
 /// Returns a [`CcError`] at the offending line for syntax errors, duplicate
 /// or unknown struct names, and malformed declarators.
 pub fn parse(tokens: &[Token]) -> Result<Program, CcError> {
+    parse_with(tokens, HashMap::new())
+}
+
+/// [`parse`] continuing after a unit prefix that defined `structs`: the
+/// returned [`Program`] holds only the new items, and its struct table the
+/// prefix's structs plus the new ones.
+pub(crate) fn parse_with(
+    tokens: &[Token],
+    structs: HashMap<String, StructDef>,
+) -> Result<Program, CcError> {
     Parser {
         tokens,
         pos: 0,
-        structs: HashMap::new(),
+        structs,
     }
     .program()
 }

@@ -7,7 +7,10 @@
 //! * [`runtime`] — crt0, syscall stubs, the guest libc (written in mini-C,
 //!   including the vulnerable `malloc`/`free` with classic unlink, `printf`
 //!   with `%n`, unbounded `scanf("%s")`/`gets`/`strcpy`), and the
-//!   [`runtime::build`] pipeline producing loadable images;
+//!   [`runtime::build`] pipeline producing loadable images. Libc is
+//!   compiled and assembled once per cargo build by `build.rs`; `build`
+//!   compiles and assembles only the application, crt0 and the stubs
+//!   after it;
 //! * [`apps`] — the paper's victim programs: the synthetic exp1/exp2/exp3
 //!   of Figure 2, the real-world-style network daemons of §5.1.2 (WU-FTPD,
 //!   NULL HTTPD, GHTTPD, traceroute), and the Table 4 false-negative trio —

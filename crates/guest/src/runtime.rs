@@ -1,5 +1,11 @@
 //! The guest runtime: program entry, syscall stubs, and the build pipeline
 //! (mini-C → assembly → image).
+//!
+//! What is prebuilt: [`LIBC_C`], compiled and assembled by `build.rs` at
+//! cargo-build time into the compiler's state after libc and libc's laid-out
+//! globals and code (plain and optimized), embedded here. What is built per
+//! call: the application, crt0 and the syscall stubs, continuing from that
+//! state (see [`build`], which also defines the line numbers errors carry).
 
 use std::fmt;
 
@@ -167,35 +173,66 @@ impl From<AsmError> for BuildError {
 /// Compiles `app_c` together with the guest libc and links it with the
 /// runtime (crt0 + syscall stubs) into a loadable [`Image`].
 ///
-/// The libc and the application are compiled as a single translation unit
-/// (mini-C has no linker-level symbol management), so application sources
-/// must not redefine libc names.
+/// The libc and the application form a single translation unit,
+/// `{LIBC_C}\n{app_c}\n` (mini-C has no linker-level symbol management),
+/// so application sources must not redeclare libc names differently, or
+/// define a libc function again. Its assembly is laid out as `.data`
+/// [libc globals | app globals | strings] and `.text` [libc | app | crt0 |
+/// stubs].
+///
+/// Libc's part of that unit is fixed, so `build.rs` compiles and assembles
+/// it once per cargo build (`ptaint_cc::compile_prelude`,
+/// `ptaint_asm::Prelude`). Here only the application is lexed, parsed and
+/// compiled, continuing from libc's declarations, and only its assembly,
+/// crt0 and the stubs are assembled, continuing from libc's laid-out
+/// globals and code. The image is the one the whole unit assembles to.
 ///
 /// # Errors
 ///
-/// Returns a [`BuildError`] on compile or assembly failure. Line numbers in
-/// compile errors refer to the concatenated unit; libc occupies the leading
-/// lines.
+/// Returns a [`BuildError`] on compile or assembly failure, the one the
+/// whole unit gives. Line numbers in compile errors refer to the unit:
+/// libc occupies the leading lines, so app line `k` is reported as line
+/// `LIBC_C.lines().count() + 1 + k`. Line numbers in assembly errors (and
+/// [`Image::lines`]) refer to the unit's assembly.
 pub fn build(app_c: &str) -> Result<Image, BuildError> {
-    let unit = format!("{LIBC_C}\n{app_c}\n");
-    let compiled = ptaint_cc::compile(&unit)?;
-    let full = format!("{compiled}\n{CRT0_ASM}\n{SYSCALL_STUBS_ASM}\n");
-    Ok(ptaint_asm::assemble(&full)?)
+    link(&compile(app_c)?, LIBC_ASM)
 }
 
 /// Like [`build`], but runs the mini-C peephole optimizer over the
 /// generated assembly. Used by the optimizer study; the paper experiments
 /// run unoptimized code because attack payload calibration depends on the
-/// exact frame geometry.
+/// exact frame geometry. Libc comes prebuilt through the optimizer too:
+/// its rewrites never span two functions, so libc's optimized code is the
+/// same alone as in the unit.
 ///
 /// # Errors
 ///
 /// Same conditions as [`build`].
 pub fn build_optimized(app_c: &str) -> Result<Image, BuildError> {
-    let unit = format!("{LIBC_C}\n{app_c}\n");
-    let compiled = ptaint_cc::compile_optimized(&unit)?;
-    let full = format!("{compiled}\n{CRT0_ASM}\n{SYSCALL_STUBS_ASM}\n");
-    Ok(ptaint_asm::assemble(&full)?)
+    link(
+        &ptaint_cc::optimize_asm(&compile(app_c)?),
+        LIBC_ASM_OPTIMIZED,
+    )
+}
+
+/// Libc as `build.rs` compiled it: the compiler's state after it, and its
+/// assembled globals and code, plain and optimized.
+const LIBC_CC: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/libc.cc"));
+const LIBC_ASM: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/libc.asm"));
+const LIBC_ASM_OPTIMIZED: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/libc_opt.asm"));
+
+/// Compiles `app_c` as the rest of the unit after libc.
+fn compile(app_c: &str) -> Result<String, CcError> {
+    let libc =
+        ptaint_cc::Prelude::from_bytes(LIBC_CC).expect("build.rs embeds libc's compiler state");
+    ptaint_cc::compile_with(libc, &format!("{app_c}\n"))
+}
+
+/// Assembles the app's `compiled` code, crt0 and the stubs after `libc`.
+fn link(compiled: &str, libc: &[u8]) -> Result<Image, BuildError> {
+    let libc = ptaint_asm::Prelude::from_bytes(libc).expect("build.rs embeds libc's assembly");
+    let source = format!("{compiled}\n{CRT0_ASM}\n{SYSCALL_STUBS_ASM}\n");
+    Ok(ptaint_asm::assemble_with(&libc, &source)?)
 }
 
 #[cfg(test)]
