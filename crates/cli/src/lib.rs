@@ -113,7 +113,8 @@ replay               re-execute a run from a syscall journal
                      (\xNN hex escapes and \\ for raw payload
                      bytes; repeatable)
 --watch SYMBOL:LEN   annotate never-tainted data (§5.3)
---caches             model L1/L2 caches
+--caches             model L1/L2 caches; print each level's
+                     hits, misses and evictions
 --pipeline           5-stage pipeline timing model
 --steps N            step budget (default 500M)
 --watchdog-ms N      wall-clock watchdog on the run
@@ -704,6 +705,20 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
     if !opts.quiet {
         let _ = writeln!(report, "--- outcome: {}", outcome.reason);
         let _ = writeln!(report, "--- stats: {}", outcome.stats);
+        let levels: Vec<String> = (1..)
+            .zip(&run.caches)
+            .filter_map(|(level, stats)| {
+                stats.map(|c| {
+                    format!(
+                        "L{level} {} hits, {} misses, {} evictions",
+                        c.hits, c.misses, c.evictions
+                    )
+                })
+            })
+            .collect();
+        if !levels.is_empty() {
+            let _ = writeln!(report, "--- caches: {}", levels.join("; "));
+        }
         if let Some(p) = &run.pipeline {
             let _ = writeln!(
                 report,
@@ -1130,6 +1145,22 @@ mod tests {
     }
 
     #[test]
+    fn caches_flag_reports_each_level_from_the_cache_model() {
+        let source = "int main() { char b[8]; read(0, b, 8); return b[0]; }";
+        let opts = parse(&["p.c", "--caches", "--stdin-text", "x"]).unwrap();
+        let (report, _) = run_machine(&opts, &build_machine(&opts, source).unwrap());
+        let line = report
+            .lines()
+            .find(|l| l.starts_with("--- caches: "))
+            .unwrap_or_else(|| panic!("no caches line: {report}"));
+        assert!(line.contains("L1 ") && line.contains("; L2 "), "{line}");
+        assert!(line.ends_with(" evictions"), "{line}");
+        let flat = parse(&["p.c"]).unwrap();
+        let (report, _) = run_machine(&flat, &build_machine(&flat, source).unwrap());
+        assert!(!report.contains("--- caches:"), "{report}");
+    }
+
+    #[test]
     fn inject_subcommand_parses_campaign_flags() {
         let opts = parse(&[
             "inject",
@@ -1484,6 +1515,12 @@ mod tests {
         let (report, code) = run_machine(&bad, &build_machine(&bad, source).unwrap());
         assert_eq!(code, 2, "{report}");
         assert!(report.contains("bad journal"), "{report}");
+        // So is a complete record with a trailing field.
+        let recorded = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&garbled, format!("{} junk\n", recorded.trim_end())).unwrap();
+        let (report, code) = run_machine(&bad, &build_machine(&bad, source).unwrap());
+        assert_eq!(code, 2, "{report}");
+        assert!(report.contains("trailing field `junk`"), "{report}");
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&garbled);

@@ -74,7 +74,9 @@ pub use ptaint_inject::{
     classify, classify_fault, CampaignReport, CampaignSpec, Fault, FaultKind, OutcomeClass,
     SplitMix64, StateInjector, TrialRecord, TrialRun,
 };
-pub use ptaint_mem::{CacheConfig, HierarchyConfig, MemorySystem, TaintedMemory, WordTaint};
+pub use ptaint_mem::{
+    CacheConfig, CacheStats, HierarchyConfig, MemorySystem, TaintedMemory, WordTaint,
+};
 pub use ptaint_os::{
     load, load_with_observer, run_to_exit, run_to_exit_with, DeliveredInput, ExitReason, IoFault,
     IoFaultPlan, JournalEntry, JournalFormatError, NetSession, Os, ReplayDivergence, RunLimits,

@@ -9,7 +9,7 @@ use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
 use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules};
 use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
-use ptaint_mem::HierarchyConfig;
+use ptaint_mem::{CacheStats, HierarchyConfig};
 use ptaint_os::{
     load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
 };
@@ -406,7 +406,7 @@ impl Machine {
         }
         // Each branch owns (and drops) the CPU, releasing its observer
         // handle before the sinks are consumed below.
-        let ((outcome, tail), pipeline) = if cfg.pipeline {
+        let ((outcome, tail, caches), pipeline) = if cfg.pipeline {
             let mut pipe = Pipeline::new(cpu);
             let run = self.drive(&mut pipe, &mut os);
             (run, Some(pipe.report()))
@@ -429,6 +429,7 @@ impl Machine {
         RunArtifacts {
             outcome,
             tail,
+            caches,
             trace,
             profile,
             journal,
@@ -437,10 +438,16 @@ impl Machine {
     }
 
     /// Runs `stepper` to completion and collects what only the live CPU
-    /// holds: the disassembled tail.
-    fn drive<S: Steppable>(&self, stepper: &mut S, os: &mut Os) -> (RunOutcome, Vec<String>) {
+    /// holds: the disassembled tail and the cache statistics.
+    fn drive<S: Steppable>(
+        &self,
+        stepper: &mut S,
+        os: &mut Os,
+    ) -> (RunOutcome, Vec<String>, [Option<CacheStats>; 2]) {
         let outcome = run_to_exit_with(stepper, os, self.limits(), &mut ());
-        (outcome, self.render_tail(stepper.cpu()))
+        let mem = stepper.cpu().mem();
+        let caches = [mem.l1_stats(), mem.l2_stats()];
+        (outcome, self.render_tail(stepper.cpu()), caches)
     }
 
     /// [`Machine::run_with`] with only the trace sinks `cfg` enables:
@@ -583,6 +590,9 @@ pub struct RunArtifacts {
     /// The disassembled execution tail (most recently retired
     /// instructions, oldest first) — the `--trace` view of `ptaint-run`.
     pub tail: Vec<String>,
+    /// The cache model's own statistics, L1 then L2; `None` for a level
+    /// the memory hierarchy does not model.
+    pub caches: [Option<CacheStats>; 2],
     /// What the enabled trace sinks collected (empty when none ran).
     pub trace: TraceReport,
     /// The merged, symbolized profile — per-PC and per-symbol retirement

@@ -249,11 +249,9 @@ impl Cpu {
         self.engine
     }
 
-    /// Attaches (or detaches) the structured-event observer. The same
-    /// observer is handed to the memory system so cache probes report to it
-    /// too. With no observer (the default) every hook is a `None` check.
+    /// Attaches (or detaches) the structured-event observer. With no
+    /// observer (the default) every hook is a `None` check.
     pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.mem.set_observer(observer.clone());
         self.observer = observer;
     }
 
@@ -609,18 +607,13 @@ impl Cpu {
     }
 
     /// Enters degraded mode: drops every cached page and every proof,
-    /// bumps [`ExecStats::integrity_failures`], emits a
-    /// [`Event::DegradedMode`] trace event, and keeps executing with all
-    /// checks in force. Corrupted elision state fails safe, never silent.
-    fn degrade(&mut self, reason: &str) {
+    /// bumps [`ExecStats::integrity_failures`], and keeps executing with
+    /// all checks in force. Corrupted elision state fails safe, never
+    /// silent.
+    fn degrade(&mut self) {
         self.stats.integrity_failures += 1;
         self.degraded = true;
         self.dcache.degrade();
-        if self.observer.is_some() {
-            self.emit_event(&Event::DegradedMode {
-                reason: reason.to_owned(),
-            });
-        }
     }
 
     /// Fault-injection hook: flips one bit in the *primary* ProvenClean
@@ -797,17 +790,18 @@ impl Cpu {
         // mismatch the cache degrades — proofs dropped, pages refilled
         // from authoritative memory — and execution continues with
         // every check in force.
-        if self.stats.instructions & (INTEGRITY_STRIDE - 1) == 0 && self.stats.instructions != 0 {
-            if let Some(reason) = self.dcache.verify_sweep() {
-                self.degrade(&reason);
-            }
+        if self.stats.instructions & (INTEGRITY_STRIDE - 1) == 0
+            && self.stats.instructions != 0
+            && self.dcache.verify_sweep().is_some()
+        {
+            self.degrade();
         }
         let hit = self.dcache.lookup(pc)?;
-        if let Some(reason) = self.dcache.take_compromised() {
+        if self.dcache.take_compromised().is_some() {
             // A proven-bit replica mismatch at lookup: degrade now
             // (dropping this page with the rest) and fall through to the
             // authoritative fetch+decode path.
-            self.degrade(&reason);
+            self.degrade();
             return None;
         }
         self.stats.decode_cache_hits += 1;

@@ -5,7 +5,6 @@ use ptaint_cpu::Cpu;
 use ptaint_isa::{Reg, PAGE_SIZE};
 use ptaint_mem::WordTaint;
 use ptaint_os::StepHook;
-use ptaint_trace::Event;
 
 use crate::fault::{Fault, FaultKind};
 use crate::rng::SplitMix64;
@@ -19,8 +18,7 @@ const TAINT_CLEAR_WINDOW: u32 = 256;
 
 /// A one-shot state corrupter. Attach to [`ptaint_os::run_to_exit_with`],
 /// which it wakes only at step `fault.step`: there it applies the fault (if
-/// the targeted state exists), bumps `ExecStats::injected_faults`, and
-/// emits a `fault_injected` trace event when an observer is attached.
+/// the targeted state exists) and bumps `ExecStats::injected_faults`.
 #[derive(Debug)]
 pub struct StateInjector {
     fault: Fault,
@@ -58,12 +56,6 @@ impl StepHook for StateInjector {
         let mut rng = SplitMix64::new(self.fault.salt);
         if let Some(detail) = apply_state_fault(self.fault.kind, &mut rng, cpu) {
             cpu.note_injected_fault();
-            if cpu.has_observer() {
-                cpu.emit_event(&Event::FaultInjected {
-                    kind: self.fault.kind.name(),
-                    detail: detail.clone(),
-                });
-            }
             self.applied = Some(detail);
         }
     }

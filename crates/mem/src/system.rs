@@ -4,7 +4,6 @@ use std::collections::HashSet;
 use std::fmt;
 
 use ptaint_isa::PAGE_SIZE;
-use ptaint_trace::{Event, SharedObserver};
 
 use crate::{Cache, CacheConfig, CacheStats, MemFault, TaintedMemory, WordTaint};
 
@@ -59,7 +58,6 @@ pub struct MemorySystem {
     mem: TaintedMemory,
     l1: Option<Cache>,
     l2: Option<Cache>,
-    observer: Option<SharedObserver>,
     /// Pages registered by a decode cache: a store into one of these moves
     /// it to `dirty_code_pages` (self-modifying-code coherence).
     code_watches: HashSet<u32>,
@@ -78,7 +76,6 @@ impl fmt::Debug for MemorySystem {
             .field("mem", &self.mem)
             .field("l1", &self.l1)
             .field("l2", &self.l2)
-            .field("observer", &self.observer.is_some())
             .field("code_watches", &self.code_watches.len())
             .finish()
     }
@@ -98,19 +95,11 @@ impl MemorySystem {
             mem: TaintedMemory::new(),
             l1: cfg.l1.map(Cache::new),
             l2: cfg.l2.map(Cache::new),
-            observer: None,
             code_watches: HashSet::new(),
             watched_lo: u32::MAX,
             watched_hi: 0,
             dirty_code_pages: Vec::new(),
         }
-    }
-
-    /// Attaches an observer that receives a [`Event::CacheAccess`] for every
-    /// cache-level probe. With no observer attached (the default) the probe
-    /// paths pay only a `None` check.
-    pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.observer = observer;
     }
 
     /// A system with no caches.
@@ -123,16 +112,13 @@ impl MemorySystem {
     /// pages with the parent (see [`TaintedMemory::fork`]), the L1/L2 line
     /// arrays and their statistics are deep-copied (they are bounded in
     /// size), and the self-modifying-code watch state carries over so a
-    /// forked decode cache keeps its coherence contract. The observer is
-    /// *not* inherited — observers are single-timeline sinks; attach a fresh
-    /// one per fork if tracing is wanted.
+    /// forked decode cache keeps its coherence contract.
     #[must_use]
     pub fn fork(&self) -> MemorySystem {
         MemorySystem {
             mem: self.mem.fork(),
             l1: self.l1.clone(),
             l2: self.l2.clone(),
-            observer: None,
             code_watches: self.code_watches.clone(),
             watched_lo: self.watched_lo,
             watched_hi: self.watched_hi,
@@ -259,25 +245,12 @@ impl MemorySystem {
         // Validate the access against memory first so faulting addresses are
         // never cached.
         let authoritative = self.mem.read_u8(addr)?;
-        // The caches are mutably borrowed below, so snapshot the observer
-        // handle up front (a `None` copy in the common untraced case).
-        let observer = self.observer.clone();
-        let emit = |level: u8, hit: bool| {
-            if let Some(obs) = &observer {
-                obs.borrow_mut()
-                    .on_event(&Event::CacheAccess { level, addr, hit });
-            }
-        };
         if let Some(l1) = &mut self.l1 {
-            let probe = l1.probe_read(addr);
-            emit(1, probe.is_some());
-            if let Some(hit) = probe {
+            if let Some(hit) = l1.probe_read(addr) {
                 return Ok(hit);
             }
             if let Some(l2) = &mut self.l2 {
-                let l2_hit = l2.probe_read(addr).is_some();
-                emit(2, l2_hit);
-                if !l2_hit {
+                if l2.probe_read(addr).is_none() {
                     Self::fill_from_memory(&self.mem, l2, addr)?;
                 }
             }
@@ -285,9 +258,7 @@ impl MemorySystem {
             return Ok(authoritative);
         }
         if let Some(l2) = &mut self.l2 {
-            let probe = l2.probe_read(addr);
-            emit(2, probe.is_some());
-            if let Some(hit) = probe {
+            if let Some(hit) = l2.probe_read(addr) {
                 return Ok(hit);
             }
             Self::fill_from_memory(&self.mem, l2, addr)?;

@@ -41,18 +41,6 @@ pub enum IoFault {
 }
 
 impl IoFault {
-    /// Machine-readable kind name, used in `fault_injected` trace events
-    /// and campaign reports.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            IoFault::ShortRead { .. } => "short_read",
-            IoFault::Eintr => "eintr",
-            IoFault::Reset => "conn_reset",
-            IoFault::Fragment { .. } => "fragment",
-        }
-    }
-
     /// The delivery cap, for the two truncating kinds.
     #[must_use]
     pub const fn keep(self) -> Option<u32> {
@@ -115,11 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_caps() {
-        assert_eq!(IoFault::ShortRead { keep: 1 }.name(), "short_read");
-        assert_eq!(IoFault::Eintr.name(), "eintr");
-        assert_eq!(IoFault::Reset.name(), "conn_reset");
-        assert_eq!(IoFault::Fragment { keep: 8 }.name(), "fragment");
+    fn caps() {
         assert_eq!(IoFault::Fragment { keep: 8 }.keep(), Some(8));
         assert_eq!(IoFault::Reset.keep(), None);
     }

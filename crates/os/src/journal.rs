@@ -212,6 +212,9 @@ impl SyscallJournal {
                 }
                 None => unreachable!("empty lines are skipped above"),
             }
+            if let Some(extra) = fields.next() {
+                return Err(err(format!("trailing field `{extra}`")));
+            }
         }
         Ok(journal)
     }
@@ -336,6 +339,18 @@ mod tests {
         let double_data =
             "ptaint-journal v1\nsyscall 3 0 0 0 -> 1\ndata 0 read 0 00\ndata 0 read 0 00\n";
         assert!(SyscallJournal::from_text(double_data).is_err());
+        let trailing_syscall = "ptaint-journal v1\nsyscall 4 1 2 3 -> 5 junk\n";
+        assert_eq!(
+            SyscallJournal::from_text(trailing_syscall)
+                .unwrap_err()
+                .line,
+            2
+        );
+        let trailing_data = "ptaint-journal v1\nsyscall 3 0 0 0 -> 1\ndata 0 read 0 00 ff\n";
+        assert_eq!(
+            SyscallJournal::from_text(trailing_data).unwrap_err().line,
+            3
+        );
     }
 
     #[test]

@@ -301,29 +301,16 @@ impl Os {
     }
 
     /// Advances the delivery-call counter and looks up the scheduled fault.
-    fn next_io_fault(&mut self) -> (u64, Option<IoFault>) {
+    fn next_io_fault(&mut self) -> Option<IoFault> {
         let idx = self.io_calls;
         self.io_calls += 1;
-        (idx, self.io_faults.at(idx))
+        self.io_faults.at(idx)
     }
 
-    /// Books an applied I/O fault: bumps the CPU's counter, emits the
-    /// `fault_injected` event, and passes `result` through to the guest.
-    fn apply_io_fault(
-        &mut self,
-        cpu: &mut Cpu,
-        idx: u64,
-        fault: IoFault,
-        fd: i32,
-        result: i32,
-    ) -> i32 {
+    /// Books an applied I/O fault on the CPU's counter and passes `result`
+    /// through to the guest.
+    fn apply_io_fault(cpu: &mut Cpu, result: i32) -> i32 {
         cpu.note_injected_fault();
-        if cpu.has_observer() {
-            cpu.emit_event(&Event::FaultInjected {
-                kind: fault.name(),
-                detail: format!("io call#{idx} fd={fd} -> {result}"),
-            });
-        }
         result
     }
 
@@ -438,17 +425,6 @@ impl Os {
         }
     }
 
-    /// Mirrors a parked divergence into the trace stream, when observed.
-    fn emit_divergence(cpu: &Cpu, d: &ReplayDivergence) {
-        if cpu.has_observer() {
-            cpu.emit_event(&Event::ReplayDivergence {
-                index: d.index as u64,
-                expected: d.expected.clone(),
-                actual: d.actual.clone(),
-            });
-        }
-    }
-
     /// Services one syscall from the journal instead of the world. The
     /// guest's call must match the next recorded entry exactly (number and
     /// all three arguments); any departure — including running past the
@@ -472,26 +448,21 @@ impl Os {
         };
         let index = *cursor;
         let Some(entry) = journal.entries.get(index) else {
-            let d = ReplayDivergence {
+            *divergence = Some(ReplayDivergence {
                 index,
                 expected: "<end of journal>".to_string(),
                 actual,
-            };
-            *divergence = Some(d.clone());
-            Os::emit_divergence(cpu, &d);
+            });
             return;
         };
         if entry.number != number || entry.args != args {
-            let d = ReplayDivergence {
+            *divergence = Some(ReplayDivergence {
                 index,
                 expected: entry.describe(),
                 actual,
-            };
-            *divergence = Some(d.clone());
-            Os::emit_divergence(cpu, &d);
+            });
             return;
         }
-        let entry = entry.clone();
         *cursor += 1;
 
         if let Some(d) = &entry.delivered {
@@ -499,32 +470,14 @@ impl Os {
             // A write fault here means guest memory diverged from the
             // recorded timeline (the recorded delivery succeeded).
             if cpu.mem_mut().write_bytes(d.buf, &d.data, true).is_err() {
-                let diverged = ReplayDivergence {
+                *divergence = Some(ReplayDivergence {
                     index,
                     expected: format!("{} delivering {} bytes", entry.describe(), d.data.len()),
                     actual: format!("{actual} with a faulting buffer"),
-                };
-                let JournalMode::Replay { divergence, .. } = &mut self.journal else {
-                    unreachable!("mode is stable across delivery");
-                };
-                *divergence = Some(diverged.clone());
-                Os::emit_divergence(cpu, &diverged);
+                });
                 return;
             }
             self.tainted_input_bytes += d.data.len() as u64;
-            if cpu.has_observer() && !d.data.is_empty() {
-                // Mirror `deliver_tainted`'s labelling so a traced replay
-                // produces the same provenance events as the recording.
-                let name: &'static str = if d.source == "recv" { "recv" } else { "read" };
-                let seq = self.source_seq.entry(name).or_insert(0);
-                *seq += 1;
-                cpu.emit_event(&Event::TaintSource {
-                    kind: "syscall",
-                    label: format!("{name}#{seq} fd={}", d.fd),
-                    base: d.buf,
-                    len: d.data.len() as u32,
-                });
-            }
         }
         if Sys::from_number(number) == Some(Sys::Exit) {
             self.exit_status = Some(args[0] as i32);
@@ -532,14 +485,6 @@ impl Os {
 
         cpu.regs_mut()
             .set(Reg::V0, entry.result as u32, WordTaint::CLEAN);
-        if cpu.has_observer() {
-            cpu.emit_event(&Event::Syscall {
-                pc: cpu.pc().wrapping_sub(4),
-                number,
-                name: Sys::from_number(number).map_or("unknown", Sys::name),
-                result: entry.result,
-            });
-        }
     }
 
     /// Copies `data` into the guest buffer **marking every byte tainted** —
@@ -601,12 +546,12 @@ impl Os {
         if let Source::Conn(session) = source {
             return self.recv_from_session(cpu, session, buf, len, "read", fd);
         }
-        let (idx, fault) = self.next_io_fault();
+        let fault = self.next_io_fault();
         match fault {
-            Some(IoFault::Eintr) => self.apply_io_fault(cpu, idx, IoFault::Eintr, fd, EINTR),
+            Some(IoFault::Eintr) => Os::apply_io_fault(cpu, EINTR),
             // No connection behind stdin/files: a reset degrades to a plain
             // transient error, nothing is consumed.
-            Some(IoFault::Reset) => self.apply_io_fault(cpu, idx, IoFault::Reset, fd, -1),
+            Some(IoFault::Reset) => Os::apply_io_fault(cpu, -1),
             _ => {
                 let cap = match fault.and_then(IoFault::keep) {
                     Some(keep) => len.min(keep as usize),
@@ -633,7 +578,7 @@ impl Os {
                 };
                 let n = self.deliver_tainted(cpu, buf, &data, "read", fd);
                 match fault {
-                    Some(f) => self.apply_io_fault(cpu, idx, f, fd, n),
+                    Some(_) => Os::apply_io_fault(cpu, n),
                     None => n,
                 }
             }
@@ -733,20 +678,20 @@ impl Os {
         if self.sessions.get(session).is_none() {
             return -1;
         }
-        let (idx, fault) = self.next_io_fault();
+        let fault = self.next_io_fault();
         let state = match self.sessions.get_mut(session) {
             Some(s) => s,
             None => return -1,
         };
         match fault {
             Some(IoFault::Eintr) => {
-                return self.apply_io_fault(cpu, idx, IoFault::Eintr, fd, EINTR);
+                return Os::apply_io_fault(cpu, EINTR);
             }
             Some(IoFault::Reset) => {
                 // Connection reset by peer: the rest of the scripted session
                 // is gone for good.
                 state.incoming.clear();
-                return self.apply_io_fault(cpu, idx, IoFault::Reset, fd, -1);
+                return Os::apply_io_fault(cpu, -1);
             }
             _ => {}
         }
@@ -767,7 +712,7 @@ impl Os {
         }
         let n = self.deliver_tainted(cpu, buf, &msg, name, fd);
         match fault {
-            Some(f) => self.apply_io_fault(cpu, idx, f, fd, n),
+            Some(_) => Os::apply_io_fault(cpu, n),
             None => n,
         }
     }

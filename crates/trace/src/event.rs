@@ -136,15 +136,6 @@ pub enum Event {
         /// Result value written back to `$v0`.
         result: i32,
     },
-    /// A cache level was probed.
-    CacheAccess {
-        /// Cache level (1 or 2).
-        level: u8,
-        /// The probed byte address.
-        addr: u32,
-        /// Whether the probe hit.
-        hit: bool,
-    },
     /// The static taint analyzer finished a pass over the guest image
     /// (emitted once at boot when check elision is enabled).
     StaticAnalysis {
@@ -163,31 +154,6 @@ pub enum Event {
         /// Address of the instruction whose check was skipped.
         pc: u32,
     },
-    /// The fault-injection harness applied a fault to this run.
-    FaultInjected {
-        /// Fault kind name (e.g. `"taint_clear"`, `"short_read"`).
-        kind: &'static str,
-        /// Human-readable description of what was corrupted.
-        detail: String,
-    },
-    /// The periodic decode-cache integrity check tripped: the CPU dropped
-    /// every static proof, disabled check elision, and continues in
-    /// full-check (degraded) mode for the rest of the run.
-    DegradedMode {
-        /// What the integrity check found (replica mismatch, checksum
-        /// mismatch, …).
-        reason: String,
-    },
-    /// A replayed run issued a syscall its journal did not record, so
-    /// replay stopped with a structured divergence.
-    ReplayDivergence {
-        /// 0-based journal index where replay stopped.
-        index: u64,
-        /// The recorded call at that index (or `<end of journal>`).
-        expected: String,
-        /// The call the guest actually issued.
-        actual: String,
-    },
 }
 
 impl Event {
@@ -201,12 +167,8 @@ impl Event {
             Event::PointerCheck { .. } => "pointer_check",
             Event::Alert { .. } => "alert",
             Event::Syscall { .. } => "syscall",
-            Event::CacheAccess { .. } => "cache_access",
             Event::StaticAnalysis { .. } => "static_analysis",
             Event::CheckElided { .. } => "check_elided",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::DegradedMode { .. } => "degraded_mode",
-            Event::ReplayDivergence { .. } => "replay_divergence",
         }
     }
 
@@ -284,9 +246,6 @@ impl Event {
                 "\"event\":\"syscall\",\"pc\":\"0x{pc:x}\",\"number\":{number},\"name\":{},\"result\":{result}",
                 escape(name),
             ),
-            Event::CacheAccess { level, addr, hit } => format!(
-                "\"event\":\"cache_access\",\"level\":{level},\"addr\":\"0x{addr:x}\",\"hit\":{hit}",
-            ),
             Event::StaticAnalysis {
                 functions,
                 blocks,
@@ -298,24 +257,6 @@ impl Event {
             Event::CheckElided { pc } => {
                 format!("\"event\":\"check_elided\",\"pc\":\"0x{pc:x}\"")
             }
-            Event::FaultInjected { kind, detail } => format!(
-                "\"event\":\"fault_injected\",\"kind\":{},\"detail\":{}",
-                escape(kind),
-                escape(detail),
-            ),
-            Event::DegradedMode { reason } => format!(
-                "\"event\":\"degraded_mode\",\"reason\":{}",
-                escape(reason),
-            ),
-            Event::ReplayDivergence {
-                index,
-                expected,
-                actual,
-            } => format!(
-                "\"event\":\"replay_divergence\",\"index\":{index},\"expected\":{},\"actual\":{}",
-                escape(expected),
-                escape(actual),
-            ),
         }
     }
 }

@@ -106,7 +106,7 @@ impl TraceHub {
         }
     }
 
-    /// A hub wrapped for sharing with the emulator's observer slots.
+    /// A hub wrapped for sharing with the emulator's observer slot.
     #[must_use]
     pub fn shared(cfg: &TraceConfig) -> Rc<RefCell<TraceHub>> {
         Rc::new(RefCell::new(TraceHub::new(cfg)))
@@ -174,10 +174,11 @@ mod tests {
     #[test]
     fn disabled_hub_collects_nothing() {
         let mut hub = TraceHub::new(&TraceConfig::default());
-        hub.on_event(&Event::CacheAccess {
-            level: 1,
-            addr: 0,
-            hit: true,
+        hub.on_event(&Event::Syscall {
+            pc: 0,
+            number: 4001,
+            name: "exit",
+            result: 0,
         });
         let report = hub.into_report();
         assert!(report.jsonl.is_none());

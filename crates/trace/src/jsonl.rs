@@ -71,16 +71,17 @@ mod tests {
     fn lines_carry_monotonic_sequence_numbers() {
         let mut sink = JsonlSink::new();
         for i in 0..3u32 {
-            sink.record(&Event::CacheAccess {
-                level: 1,
-                addr: i,
-                hit: false,
+            sink.record(&Event::Syscall {
+                pc: i * 4,
+                number: 4001,
+                name: "exit",
+                result: 0,
             });
         }
         let text = String::from_utf8(sink.into_bytes()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"seq\":0,\"event\":\"cache_access\""));
+        assert!(lines[0].starts_with("{\"seq\":0,\"event\":\"syscall\""));
         assert!(lines[2].starts_with("{\"seq\":2,"));
         assert!(lines.iter().all(|l| l.ends_with('}')));
     }

@@ -49,7 +49,7 @@ pub use event::{Event, Loc, Transfer};
 pub use hub::{TraceConfig, TraceHub, TraceReport};
 pub use json::ToJson;
 pub use jsonl::JsonlSink;
-pub use metrics::{LevelCounters, MetricsCollector, MetricsSnapshot, DENSITY_WINDOW};
+pub use metrics::{MetricsCollector, MetricsSnapshot, DENSITY_WINDOW};
 pub use provenance::{ForensicChain, ProvenanceTracker, SourceInfo, DEFAULT_RING_DEPTH};
 
 /// Receives the structured event stream from the emulator.
@@ -63,6 +63,7 @@ pub trait Observer {
 }
 
 /// The shape the emulator holds observers in. The emulator is
-/// single-threaded, so `Rc<RefCell<…>>` is the right amount of machinery:
-/// the CPU, memory system, and OS model each hold a clone.
+/// single-threaded, so `Rc<RefCell<…>>` is the right amount of machinery.
+/// The CPU holds the only clone inside the emulator; the OS model and the
+/// loader emit through it.
 pub type SharedObserver = Rc<RefCell<dyn Observer>>;

@@ -7,28 +7,6 @@ use std::collections::BTreeMap;
 /// Retire-count width of one taint-density window.
 pub const DENSITY_WINDOW: u64 = 1024;
 
-/// Hit/miss counters for one cache level, as observed through events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelCounters {
-    /// Probes that hit.
-    pub hits: u64,
-    /// Probes that missed.
-    pub misses: u64,
-}
-
-impl LevelCounters {
-    /// Fraction of probes that hit, or 0 when the level was never probed.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Aggregated view of one run, produced by [`MetricsCollector::snapshot`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -52,17 +30,11 @@ pub struct MetricsSnapshot {
     pub alerts_by_kind: BTreeMap<&'static str, u64>,
     /// Syscalls handled, by mnemonic.
     pub syscalls: BTreeMap<&'static str, u64>,
-    /// L1/L2 probe counters (index 0 = L1).
-    pub cache: [LevelCounters; 2],
     /// Pointer-taintedness checks skipped at statically proven-clean sites.
     pub elided_checks: u64,
     /// Check sites the static analyzer proved clean (from the boot-time
     /// [`Event::StaticAnalysis`] summary; zero when analysis never ran).
     pub statically_proven: u64,
-    /// Faults the injection harness applied (zero outside campaigns).
-    pub faults_injected: u64,
-    /// Applied faults broken down by fault-kind name.
-    pub faults_by_kind: BTreeMap<&'static str, u64>,
     /// Tainted-retire fraction per [`DENSITY_WINDOW`]-instruction window,
     /// in execution order — the taint-density-over-time histogram.
     pub taint_density: Vec<f64>,
@@ -87,9 +59,7 @@ impl ToJson for MetricsSnapshot {
                 "{{\"retired\":{},\"tainted_retired\":{},\"taint_sources\":{},",
                 "\"source_bytes\":{},\"propagations\":{},\"propagations_by_rule\":{},",
                 "\"pointer_checks\":{},\"alerts\":{},\"alerts_by_kind\":{},",
-                "\"syscalls\":{},\"cache\":[{{\"hits\":{},\"misses\":{}}},{{\"hits\":{},\"misses\":{}}}],",
-                "\"elided_checks\":{},\"statically_proven\":{},",
-                "\"faults_injected\":{},\"faults_by_kind\":{},",
+                "\"syscalls\":{},\"elided_checks\":{},\"statically_proven\":{},",
                 "\"taint_density\":[{}]}}"
             ),
             self.retired,
@@ -102,14 +72,8 @@ impl ToJson for MetricsSnapshot {
             self.alerts,
             map(&self.alerts_by_kind),
             map(&self.syscalls),
-            self.cache[0].hits,
-            self.cache[0].misses,
-            self.cache[1].hits,
-            self.cache[1].misses,
             self.elided_checks,
             self.statically_proven,
-            self.faults_injected,
-            map(&self.faults_by_kind),
             density.join(","),
         )
     }
@@ -160,26 +124,10 @@ impl MetricsCollector {
             Event::Syscall { name, .. } => {
                 *self.snap.syscalls.entry(name).or_insert(0) += 1;
             }
-            Event::CacheAccess { level, hit, .. } => {
-                let idx = usize::from(*level).saturating_sub(1).min(1);
-                if *hit {
-                    self.snap.cache[idx].hits += 1;
-                } else {
-                    self.snap.cache[idx].misses += 1;
-                }
-            }
             Event::StaticAnalysis { proven, .. } => {
                 self.snap.statically_proven += proven;
             }
             Event::CheckElided { .. } => self.snap.elided_checks += 1,
-            Event::FaultInjected { kind, .. } => {
-                self.snap.faults_injected += 1;
-                *self.snap.faults_by_kind.entry(kind).or_insert(0) += 1;
-            }
-            // Replay divergences and degraded-mode transitions carry no
-            // counters of their own (degradations are counted in
-            // `ExecStats::integrity_failures`).
-            Event::ReplayDivergence { .. } | Event::DegradedMode { .. } => {}
         }
     }
 
@@ -272,27 +220,6 @@ mod tests {
         assert_eq!(snap.source_bytes, 16);
         let json = snap.to_json();
         assert!(json.contains("\"syscalls\":{\"recv\":2}"), "{json}");
-    }
-
-    #[test]
-    fn fault_injection_counters_fold_by_kind() {
-        let mut m = MetricsCollector::new();
-        for kind in ["taint_clear", "short_read", "taint_clear"] {
-            m.record(&Event::FaultInjected {
-                kind,
-                detail: "x".to_string(),
-            });
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.faults_injected, 3);
-        assert_eq!(snap.faults_by_kind.get("taint_clear"), Some(&2));
-        let json = snap.to_json();
-        assert!(
-            json.contains(
-                "\"faults_injected\":3,\"faults_by_kind\":{\"short_read\":1,\"taint_clear\":2}"
-            ),
-            "{json}"
-        );
     }
 
     #[test]

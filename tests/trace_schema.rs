@@ -7,6 +7,7 @@ use ptaint::{
 };
 use ptaint_isa::{Instr, MemWidth, Reg};
 use ptaint_trace::{Event, JsonlSink, Loc, MetricsCollector, ToJson, Transfer};
+use std::collections::BTreeMap;
 
 /// One hand-built event of every variant, in a fixed order.
 fn one_of_each() -> Vec<Event> {
@@ -66,11 +67,6 @@ fn one_of_each() -> Vec<Event> {
             instr: probe,
             tainted: true,
         },
-        Event::CacheAccess {
-            level: 1,
-            addr: 0x1000_0000,
-            hit: false,
-        },
         Event::StaticAnalysis {
             functions: 26,
             blocks: 405,
@@ -78,18 +74,6 @@ fn one_of_each() -> Vec<Event> {
             flagged: 0,
         },
         Event::CheckElided { pc: 0x40_0108 },
-        Event::FaultInjected {
-            kind: "taint_clear",
-            detail: "taint cleared on [0x10000000, +256)".to_string(),
-        },
-        Event::DegradedMode {
-            reason: "proven bitmap replica mismatch on page 0x00400000".to_string(),
-        },
-        Event::ReplayDivergence {
-            index: 7,
-            expected: "syscall 4003 (0x0, 0x10000000, 0x40)".to_string(),
-            actual: "syscall 4001 (0x7, 0x0, 0x0)".to_string(),
-        },
     ]
 }
 
@@ -178,33 +162,27 @@ fn keys_of(line: &str) -> Vec<String> {
     keys
 }
 
-/// The pinned field order for each event discriminant (after `"seq"`).
-fn pinned_keys(event: &str) -> &'static [&'static str] {
-    match event {
-        "retire" => &["event", "pc", "instr", "tainted"],
-        "taint_source" => &["event", "kind", "label", "base", "len"],
-        "taint_propagate" => &["event", "pc", "instr", "rule", "dst", "srcs", "taint"],
-        "pointer_check" => &["event", "pc", "instr", "reg", "value", "taint", "flagged"],
-        "alert" => &[
-            "event", "pc", "instr", "kind", "policy", "reg", "value", "taint",
-        ],
-        "syscall" => &["event", "pc", "number", "name", "result"],
-        "cache_access" => &["event", "level", "addr", "hit"],
-        "static_analysis" => &[
-            "event",
-            "functions",
-            "blocks",
-            "proven",
-            "flagged",
-            "cached",
-        ],
-        "check_elided" => &["event", "pc"],
-        "fault_injected" => &["event", "kind", "detail"],
-        "degraded_mode" => &["event", "reason"],
-        "replay_divergence" => &["event", "index", "expected", "actual"],
-        "metrics_snapshot" => &["event", "retired", "metrics"],
-        other => panic!("unknown event discriminant `{other}`"),
-    }
+/// The record kind of one JSONL line: its `"event"` value.
+fn event_name(line: &str) -> &str {
+    let start = line.find("\"event\":\"").expect("event discriminant") + "\"event\":\"".len();
+    let len = line[start..].find('"').expect("closing quote");
+    &line[start..start + len]
+}
+
+/// The pinned field order (after `"seq"`) of every record kind, read off
+/// its line in the golden file, which holds exactly one line per kind.
+fn pinned_keys() -> BTreeMap<String, Vec<String>> {
+    let golden = include_str!("golden/trace_events.jsonl");
+    let pinned: BTreeMap<String, Vec<String>> = golden
+        .lines()
+        .map(|line| (event_name(line).to_string(), keys_of(line)[1..].to_vec()))
+        .collect();
+    assert_eq!(
+        pinned.len(),
+        golden.lines().count(),
+        "one golden line per kind"
+    );
+    pinned
 }
 
 #[test]
@@ -231,7 +209,8 @@ fn real_run_stream_matches_the_pinned_schema() {
     );
 
     let jsonl = String::from_utf8(report.jsonl.expect("jsonl enabled")).unwrap();
-    let mut counts = std::collections::BTreeMap::new();
+    let pinned = pinned_keys();
+    let mut counts = BTreeMap::new();
     for (i, line) in jsonl.lines().enumerate() {
         let keys = keys_of(line);
         assert_eq!(keys[0], "seq", "line {i}: {line}");
@@ -245,9 +224,11 @@ fn real_run_stream_matches_the_pinned_schema() {
             .map(String::as_str)
             .expect("event discriminant");
         assert_eq!(event, "event", "line {i}: {line}");
-        let name_start = line.find("\"event\":\"").unwrap() + "\"event\":\"".len();
-        let name = &line[name_start..name_start + line[name_start..].find('"').unwrap()];
-        assert_eq!(&keys[1..], pinned_keys(name), "line {i}: {line}");
+        let name = event_name(line);
+        let expected = pinned
+            .get(name)
+            .unwrap_or_else(|| panic!("unknown event discriminant `{name}`"));
+        assert_eq!(&keys[1..], expected, "line {i}: {line}");
         *counts.entry(name.to_string()).or_insert(0u64) += 1;
     }
 
@@ -259,13 +240,13 @@ fn real_run_stream_matches_the_pinned_schema() {
         "pointer_check",
         "alert",
         "syscall",
-        "cache_access",
     ] {
         assert!(counts.contains_key(expected), "no `{expected}` in stream");
     }
     // The stream records the guest, not the engine: decode-cache activity
-    // is counted in `ExecStats`, and snapshots and forks are host events.
-    for host in ["decode_cache", "snapshot", "fork"] {
+    // is counted in `ExecStats`, cache probes in the cache model's own
+    // `CacheStats`, and snapshots and forks are host events.
+    for host in ["decode_cache", "cache_access", "snapshot", "fork"] {
         assert!(!counts.contains_key(host), "`{host}` in stream");
     }
 
@@ -315,7 +296,7 @@ fn metrics_interval_interleaves_pinned_snapshot_records() {
             continue;
         }
         let keys = keys_of(line);
-        assert_eq!(&keys[1..], pinned_keys("metrics_snapshot"), "{line}");
+        assert_eq!(&keys[1..], pinned_keys()["metrics_snapshot"], "{line}");
         let at = line.find("\"retired\":").unwrap() + "\"retired\":".len();
         let digits: String = line[at..]
             .chars()
