@@ -1,8 +1,9 @@
 //! Fault-injection campaign throughput: trials/sec for a full deterministic
 //! campaign (baseline + seeded faulted trials across every `FaultKind`) on
 //! two workloads — the synthetic Experiment 1 stack smash and the ghttpd
-//! log-handler attack. Every trial forks copy-on-write from one post-boot
-//! snapshot.
+//! log-handler attack. The baseline records a checkpoint ladder as it runs,
+//! and every trial forks copy-on-write from the last rung before its fault,
+//! so it skips the fault-free prefix the baseline already ran.
 //!
 //! Two configurations are summarized:
 //!
@@ -11,7 +12,12 @@
 //!   configuration with `--elide-checks`. A machine runs the whole-program
 //!   static taint analysis once, on its first elided boot, and every later
 //!   boot, fork and clone reuses it; the warmup run pays it, so the series
-//!   measures trials (fork plus run), not analysis.
+//!   measures the ladder and the trials, not analysis.
+//!
+//! Two deterministic rows count what the ladder saves:
+//! `exp1_skipped_steps` and `ghttpd_skipped_steps` sum, over the seed-7
+//! trials, the step of the rung each trial starts from — the baseline
+//! prefix steps the trials did not re-run.
 //!
 //! The machine-readable summary is written to `BENCH_campaign.json` at the
 //! repository root. Set `BENCH_QUICK=1` to shrink the campaigns for CI
@@ -58,10 +64,24 @@ fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> f64 {
     best_per_sec(3, || machine.run_campaign(spec).records.len() as u64 + 1).1
 }
 
+/// Baseline prefix steps `machine`'s campaign trials skip: the sum of the
+/// step of the rung each trial starts from.
+fn skipped_steps(machine: &Machine, spec: &CampaignSpec) -> u64 {
+    let (ladder, baseline) = machine.ladder();
+    let hints = (baseline.outcome.stats.instructions, baseline.io_calls);
+    (0..spec.trials)
+        .map(|trial| {
+            let fault = spec.fault_for_trial(trial, hints.0, hints.1);
+            ladder.rung_for(&fault).step()
+        })
+        .sum()
+}
+
 fn main() {
     let spec = CampaignSpec::new(SEED, trials());
     let mut fields = Vec::new();
     let mut lines = Vec::new();
+    let skipped = WORKLOADS.map(|name| (name, skipped_steps(&build(name), &spec)));
     // The plain configuration, then the elided (paper) one.
     for (elide, key, label) in [(false, "", "plain"), (true, "_elided", "elided")] {
         for name in WORKLOADS {
@@ -104,6 +124,10 @@ fn main() {
         } else {
             json.push_str(&format!(",\"{field}\":{rate:.2}"));
         }
+    }
+    for (name, steps) in skipped {
+        json.push_str(&format!(",\"{name}_skipped_steps\":{steps}"));
+        lines.push(format!("{name} trials skip {steps} prefix steps"));
     }
     json.push_str(&format!(",\"quick\":{}}}\n", quick()));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");

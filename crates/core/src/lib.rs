@@ -56,7 +56,7 @@ pub mod cert;
 pub mod experiments;
 mod machine;
 
-pub use machine::{Machine, MachineSnapshot, RunArtifacts, RunConfig};
+pub use machine::{CheckpointLadder, Machine, MachineSnapshot, RunArtifacts, RunConfig};
 
 // The user-facing vocabulary, re-exported from the substrate crates.
 pub use ptaint_analyze::{
@@ -78,9 +78,9 @@ pub use ptaint_mem::{
     CacheConfig, CacheStats, HierarchyConfig, MemorySystem, TaintedMemory, WordTaint,
 };
 pub use ptaint_os::{
-    load, load_with_observer, run_to_exit, run_to_exit_with, DeliveredInput, ExitReason, IoFault,
-    IoFaultPlan, JournalEntry, JournalFormatError, NetSession, Os, ReplayDivergence, RunLimits,
-    RunOutcome, StepHook, Sys, SyscallJournal, WorldConfig, EINTR,
+    load, load_with_observer, resume_to_exit_with, run_to_exit, run_to_exit_with, DeliveredInput,
+    ExitReason, IoFault, IoFaultPlan, JournalEntry, JournalFormatError, NetSession, Os,
+    ReplayDivergence, RunLimits, RunOutcome, StepHook, Sys, SyscallJournal, WorldConfig, EINTR,
 };
 pub use ptaint_profile::{
     EventProfile, ProfileReport, SymbolCount, SymbolTable, SyscallRow, TaintSite,

@@ -11,7 +11,8 @@ use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
 use ptaint_mem::{CacheStats, HierarchyConfig};
 use ptaint_os::{
-    load_with_observer, run_to_exit_with, Os, RunLimits, RunOutcome, SyscallJournal, WorldConfig,
+    load_with_observer, resume_to_exit_with, run_to_exit_with, Os, RunLimits, RunOutcome, StepHook,
+    SyscallJournal, WorldConfig,
 };
 use ptaint_profile::{EventProfile, ProfileReport, SymbolTable};
 use ptaint_trace::{Event, Observer, SharedObserver, TraceConfig, TraceHub, TraceReport};
@@ -292,7 +293,7 @@ impl Machine {
     /// Boots a fresh instance and runs it to completion.
     #[must_use]
     pub fn run(&self) -> RunOutcome {
-        run_trial(self.boot(), self.limits(), None).outcome
+        run_trial(self.boot(), self.limits(), 0, None).outcome
     }
 
     /// Boots a fresh instance and runs it under one injected [`Fault`]:
@@ -301,11 +302,11 @@ impl Machine {
     /// classifier consumes.
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        run_trial(self.boot(), self.limits(), Some(fault))
+        run_trial(self.boot(), self.limits(), 0, Some(fault))
     }
 
     /// Boots a fresh instance and captures it, pre-execution, as a
-    /// [`MachineSnapshot`]: the post-boot baseline that campaign trials
+    /// [`MachineSnapshot`]: the post-boot checkpoint (step 0) that trials
     /// (and any other caller) can cheaply [`MachineSnapshot::fork`] from.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
@@ -314,7 +315,35 @@ impl Machine {
             cpu,
             os,
             limits: self.limits(),
+            step: 0,
         }
+    }
+
+    /// Runs the fault-free baseline from a fresh boot and records a
+    /// [`CheckpointLadder`] along it in the same pass. Returns the ladder
+    /// and the baseline's trial result, which equals
+    /// [`MachineSnapshot::run`] on the post-boot snapshot: recording only
+    /// forks, it never changes the run.
+    #[must_use]
+    pub fn ladder(&self) -> (CheckpointLadder, TrialRun) {
+        let boot = self.snapshot();
+        let (mut cpu, mut os) = boot.fork();
+        let mut recorder = RungRecorder {
+            rungs: vec![boot],
+            stride: FIRST_STRIDE,
+        };
+        let outcome = run_to_exit_with(&mut cpu, &mut os, self.limits(), &mut recorder);
+        let baseline = TrialRun {
+            outcome,
+            io_calls: os.io_call_count(),
+            applied: None,
+        };
+        (
+            CheckpointLadder {
+                rungs: recorder.rungs,
+            },
+            baseline,
+        )
     }
 
     /// Boots a fresh instance and re-serves `journal` byte-exactly instead
@@ -325,33 +354,49 @@ impl Machine {
     pub fn replay(&self, journal: SyscallJournal) -> RunOutcome {
         let (cpu, mut os) = self.boot();
         os.start_replay(journal);
-        run_trial((cpu, os), self.limits(), None).outcome
+        run_trial((cpu, os), self.limits(), 0, None).outcome
     }
 
     /// Runs a whole fault-injection campaign against this workload: one
     /// fault-free baseline plus `spec.trials` seeded injections, classified
-    /// against the baseline's verdict. The campaign boots once, snapshots
-    /// the post-boot state, and forks every trial copy-on-write from it; a
-    /// forked trial equals a fresh boot under the same fault (pinned per
-    /// trial by `tests/inject.rs`). Same as [`Machine::run_campaign_jobs`]
-    /// with one job.
+    /// against the baseline's verdict. The baseline records a
+    /// [`CheckpointLadder`] as it runs ([`Machine::ladder`]), and each trial
+    /// forks copy-on-write from the last rung before its fault
+    /// ([`CheckpointLadder::rung_for`]), so it skips the fault-free prefix
+    /// instead of re-running it. A trial started from a rung equals a fresh
+    /// boot under the same fault in its whole [`TrialRun`] (pinned per
+    /// trial by `tests/inject.rs`), so the report is byte-identical to one
+    /// whose trials all boot. Same as [`Machine::run_campaign_jobs`] with
+    /// one job.
     #[must_use]
     pub fn run_campaign(&self, spec: &CampaignSpec) -> CampaignReport {
         self.run_campaign_jobs(spec, 1)
     }
 
     /// Runs the campaign of [`Machine::run_campaign`] on `jobs` worker
-    /// threads: each worker takes its own post-boot snapshot (boots are
-    /// deterministic, so every worker's snapshot is bit-identical) and
-    /// steals trial indices from a shared counter. Records merge in trial
-    /// order, so the report is **byte-identical** for every `jobs` value;
-    /// `jobs <= 1` runs on the calling thread. Workers borrow the machine's
-    /// one static analysis (see [`Machine::elide_checks`]).
+    /// threads, the calling thread among them. A [`Cpu`] is not `Send`, so
+    /// each worker records its own ladder with one baseline run (boots are
+    /// deterministic, so every worker's ladder is bit-identical; the
+    /// calling thread's is the campaign baseline's) and steals trial
+    /// indices from a shared counter. Records merge in trial order, so the
+    /// report is **byte-identical** for every `jobs` value; `jobs <= 1`
+    /// runs on the calling thread alone. Workers borrow the machine's one
+    /// static analysis (see [`Machine::elide_checks`]).
     #[must_use]
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
         ptaint_inject::run_campaign_jobs(spec, jobs, || {
-            let snap = self.snapshot();
-            move |fault: Option<&Fault>| run_trial(snap.fork(), snap.limits, fault)
+            let mut ladder = None;
+            move |fault: Option<&Fault>| match fault {
+                None => {
+                    let (rungs, baseline) = self.ladder();
+                    ladder = Some(rungs);
+                    baseline
+                }
+                Some(fault) => ladder
+                    .get_or_insert_with(|| self.ladder().0)
+                    .rung_for(fault)
+                    .run_injected(fault),
+            }
         })
     }
 
@@ -503,61 +548,174 @@ impl Machine {
     }
 }
 
-/// A booted, pre-execution machine captured as a copy-on-write baseline.
+/// A booted machine captured at one step of its run as a copy-on-write
+/// checkpoint: the post-boot snapshot ([`Machine::snapshot`], step 0) or a
+/// rung of a [`CheckpointLadder`].
 ///
-/// Produced by [`Machine::snapshot`]. Every [`MachineSnapshot::fork`]
-/// yields an independent `(Cpu, Os)` pair whose memory shares pages with
-/// the snapshot until written (see `ptaint_mem`'s COW model); kernel state
-/// is copied outright (it is small), and the decode cache is rebuilt on
-/// demand with a private copy of the proven-clean set, so a forked run is
-/// bit-identical to a fresh boot of the same machine — stats, traces, and
+/// Every [`MachineSnapshot::fork`] yields an independent `(Cpu, Os)` pair
+/// whose memory shares pages with the snapshot until written (see
+/// `ptaint_mem`'s COW model); kernel state is copied outright (it is
+/// small), and the decode cache is copied privately, warm pages and
+/// proven-clean stamps included. So a fork resumed at the snapshot's step
+/// runs bit-identically to the straight run from boot — stats, traces and
 /// campaign reports included.
 #[derive(Debug)]
 pub struct MachineSnapshot {
     cpu: Cpu,
     os: Os,
     limits: RunLimits,
+    step: u64,
 }
 
 impl MachineSnapshot {
-    /// Forks an independent, runnable machine instance off the baseline.
+    /// Forks an independent, runnable machine instance off the checkpoint.
+    /// It has run [`MachineSnapshot::step`] steps; resume it with
+    /// [`ptaint_os::resume_to_exit_with`] to keep counting from boot.
     #[must_use]
     pub fn fork(&self) -> (Cpu, Os) {
         (self.cpu.fork(), self.os.fork())
     }
 
-    /// Forks and runs to completion under the machine's limits — the
-    /// baseline trial of a forked campaign.
+    /// Steps the machine had run since boot when this checkpoint was taken.
+    #[must_use]
+    pub fn step(&self) -> u64 {
+        self.step
+    }
+
+    /// Taint-delivering I/O calls the kernel had serviced by this
+    /// checkpoint.
+    #[must_use]
+    pub fn io_calls(&self) -> u64 {
+        self.os.io_call_count()
+    }
+
+    /// Whether a trial under `fault` may start here: its fault is still
+    /// ahead. A state kind triggers at step `fault.step`; an I/O kind lands
+    /// on taint-delivering call `fault.io_call`.
+    fn precedes(&self, fault: &Fault) -> bool {
+        if fault.kind.is_io() {
+            self.io_calls() <= fault.io_call
+        } else {
+            self.step <= fault.step
+        }
+    }
+
+    /// Forks and runs to completion under the machine's limits, resuming
+    /// at the checkpoint's step: from the post-boot snapshot, the baseline
+    /// trial of a campaign.
     #[must_use]
     pub fn run(&self) -> TrialRun {
-        run_trial(self.fork(), self.limits, None)
+        run_trial(self.fork(), self.limits, self.step, None)
     }
 
-    /// Forks and runs under one injected [`Fault`] — the forked
-    /// counterpart of [`Machine::run_injected`], producing bit-identical
-    /// [`TrialRun`]s.
+    /// Forks and runs under one injected [`Fault`], resuming at the
+    /// checkpoint's step — the forked counterpart of
+    /// [`Machine::run_injected`], producing bit-identical [`TrialRun`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault is not ahead of the checkpoint: a state kind
+    /// whose `fault.step` is before [`MachineSnapshot::step`], or an I/O
+    /// kind whose `fault.io_call` is before [`MachineSnapshot::io_calls`].
     #[must_use]
     pub fn run_injected(&self, fault: &Fault) -> TrialRun {
-        run_trial(self.fork(), self.limits, Some(fault))
+        assert!(
+            self.precedes(fault),
+            "{fault:?} triggers before the checkpoint at step {} ({} I/O calls)",
+            self.step,
+            self.io_calls()
+        );
+        run_trial(self.fork(), self.limits, self.step, Some(fault))
     }
 
-    /// Baseline pages currently shared copy-on-write with live forks.
+    /// Checkpoint pages currently shared copy-on-write with live forks.
     #[must_use]
     pub fn pages_shared(&self) -> usize {
         self.cpu.mem().pages_shared()
     }
 }
 
-/// Runs one booted instance to completion under `limits` — with `fault`,
-/// when given, scheduled on the kernel and armed as a step hook. Plain
-/// runs, replays and every campaign trial (forked from a snapshot) all
-/// run through here.
-fn run_trial((mut cpu, mut os): (Cpu, Os), limits: RunLimits, fault: Option<&Fault>) -> TrialRun {
+/// Steps between rungs when a ladder starts recording.
+const FIRST_STRIDE: u64 = 128;
+
+/// Rungs a ladder holds before it doubles its stride.
+const MAX_RUNGS: usize = 32;
+
+/// Checkpoints along one fault-free run, recorded by [`Machine::ladder`]:
+/// rung 0 is the post-boot snapshot, and a rung is kept at every multiple
+/// of a stride. The stride starts at 128 steps; whenever 32 rungs are held
+/// it doubles and every rung off the new stride is dropped, so one pass
+/// keeps 16–32 evenly spaced rungs over any run of 2,048 steps or more.
+#[derive(Debug)]
+pub struct CheckpointLadder {
+    rungs: Vec<MachineSnapshot>,
+}
+
+impl CheckpointLadder {
+    /// The rungs, in step order.
+    #[must_use]
+    pub fn rungs(&self) -> &[MachineSnapshot] {
+        &self.rungs
+    }
+
+    /// The last rung a trial under `fault` may start from: for a state
+    /// kind, the last rung whose step is at most `fault.step`; for an I/O
+    /// kind, the last rung whose I/O call count is at most `fault.io_call`,
+    /// so the targeted call is still ahead. Rung 0 precedes every fault.
+    #[must_use]
+    pub fn rung_for(&self, fault: &Fault) -> &MachineSnapshot {
+        // Steps and I/O counts grow along the ladder, so the rungs that
+        // precede the fault are a prefix.
+        let ahead = self.rungs.partition_point(|rung| rung.precedes(fault));
+        &self.rungs[ahead.max(1) - 1]
+    }
+}
+
+/// The step hook that records a [`CheckpointLadder`] during the baseline.
+struct RungRecorder {
+    rungs: Vec<MachineSnapshot>,
+    stride: u64,
+}
+
+impl StepHook for RungRecorder {
+    fn on_step(&mut self, step: u64, cpu: &mut Cpu, os: &Os) {
+        self.rungs.push(MachineSnapshot {
+            cpu: cpu.fork(),
+            os: os.fork(),
+            limits: self.rungs[0].limits,
+            step,
+        });
+        if self.rungs.len() == MAX_RUNGS {
+            self.stride *= 2;
+            let stride = self.stride;
+            self.rungs.retain(|rung| rung.step % stride == 0);
+        }
+    }
+
+    /// Wakes at the next multiple of the stride after boot (rung 0 is the
+    /// post-boot snapshot).
+    fn next_wake(&self, step: u64) -> u64 {
+        step.max(1)
+            .checked_next_multiple_of(self.stride)
+            .unwrap_or(u64::MAX)
+    }
+}
+
+/// Runs one booted or forked instance to completion under `limits`,
+/// resuming at `start` steps since boot — with `fault`, when given,
+/// scheduled on the kernel and armed as a step hook. Plain runs, replays
+/// and every campaign trial all run through here.
+fn run_trial(
+    (mut cpu, mut os): (Cpu, Os),
+    limits: RunLimits,
+    start: u64,
+    fault: Option<&Fault>,
+) -> TrialRun {
     let mut injector = fault.map(|f| {
         os.set_io_faults(f.io_plan());
         StateInjector::new(*f)
     });
-    let outcome = run_to_exit_with(&mut cpu, &mut os, limits, &mut injector);
+    let outcome = resume_to_exit_with(&mut cpu, &mut os, limits, start, &mut injector);
     TrialRun {
         outcome,
         io_calls: os.io_call_count(),

@@ -636,15 +636,14 @@ impl Cpu {
     /// ([`MemorySystem::fork`]). Writes on either side never alias the
     /// other.
     ///
-    /// The decode cache is **rebuilt on demand** rather than shared: the
-    /// fork starts with no decoded pages and a private copy of the
-    /// analyzer's proven-clean set, exactly the state a fresh boot has
-    /// after [`Cpu::install_proven_checks`]. Sharing decoded pages would
-    /// couple the proof machinery across timelines — a self-modifying
-    /// store in one fork must never revoke (or preserve) proofs in
-    /// another. Forked from a pre-execution snapshot, the child is
-    /// bit-identical to a fresh boot by construction, decode-cache
-    /// counters included.
+    /// The decode cache is **copied**, not shared: the fork gets a private
+    /// deep copy of every decoded page, proven-clean stamp and the
+    /// analyzer's proven set. Sharing would couple the proof machinery
+    /// across timelines — a self-modifying store in one fork must never
+    /// revoke (or preserve) proofs in another. The copy holds what a fresh
+    /// run holds at this step, so a fork taken at any step runs on exactly
+    /// as the source would, decode-cache counters included. A
+    /// pre-execution fork copies an empty cache.
     ///
     /// The observer is deliberately *not* inherited — it is a
     /// single-timeline sink; attach a fresh one to the fork if needed.
@@ -665,7 +664,7 @@ impl Cpu {
             observer: None,
             last_step_tainted: self.last_step_tainted,
             engine: self.engine,
-            dcache: self.dcache.fork_rebuild(),
+            dcache: self.dcache.clone(),
             degraded: self.degraded,
         }
     }
@@ -1961,9 +1960,31 @@ loop:   lw $t1, 0($t0)
         assert_eq!(child.regs(), fresh.regs());
         assert_eq!(child.pc(), fresh.pc());
         // From a pre-execution fork even the decode-cache counters match a
-        // fresh boot: the fork rebuilds its cache on demand.
+        // fresh boot: the fork copies the source's (empty) cache.
         assert_eq!(child.stats(), fresh.stats());
         assert_eq!(child.recent_trace(), fresh.recent_trace());
+    }
+
+    #[test]
+    fn mid_run_fork_carries_the_warm_decode_cache() {
+        // Forked mid-loop, the child copies the source's decoded pages and
+        // counters, so both finish with identical stats: a rebuilt cache
+        // would miss again on the loop's page.
+        let src = "main:  li $t0, 0
+        loop:             addiu $t0, $t0, 1
+                          li $t2, 25
+                          bne $t0, $t2, loop
+                          break 0";
+        let mut cpu = boot(src, DetectionPolicy::PointerTaintedness);
+        for _ in 0..30 {
+            cpu.step().unwrap();
+        }
+        assert!(cpu.stats().decode_cache_misses > 0);
+        let mut child = cpu.fork();
+        run(&mut child, 1000).unwrap();
+        run(&mut cpu, 1000).unwrap();
+        assert_eq!(child.regs(), cpu.regs());
+        assert_eq!(child.stats(), cpu.stats());
     }
 
     #[test]

@@ -37,6 +37,7 @@ fn slot_hash(slot: usize, d: &DecodedInsn) -> u64 {
 }
 
 /// One predecoded text page.
+#[derive(Clone)]
 struct DecodedPage {
     slots: Box<[Option<DecodedInsn>; SLOTS]>,
     /// One bit per slot: the static analyzer proved this instruction's
@@ -106,6 +107,13 @@ impl DecodedPage {
 /// A one-entry "last page" shortcut keeps the hot loop free of hash lookups
 /// while execution stays within one page; invalidated slot arrays go on a
 /// free list and are reused by later fills.
+///
+/// A fork takes a private deep copy ([`Clone`]): every page, stamp and
+/// proof is the fork's own, so one timeline's invalidation can never
+/// revoke (or fail to revoke) a proof in another, and the copy holds
+/// exactly what the source held at that step — what a fresh run holds
+/// there, too.
+#[derive(Clone)]
 pub(crate) struct DecodeCache {
     index: HashMap<u32, usize>,
     pages: Vec<DecodedPage>,
@@ -131,29 +139,6 @@ impl DecodeCache {
             free: Vec::new(),
             last: None,
             proven: HashSet::new(),
-            compromised: None,
-            sweep_cursor: 0,
-        }
-    }
-
-    /// The fork-side decode cache: **rebuilt on demand**, not shared.
-    ///
-    /// Decoded pages are cheap to refill (one linear predecode per text
-    /// page), but the proven-clean machinery is not fork-safe to share:
-    /// `invalidate` drops the *whole* proven set, and a shared set would let
-    /// one timeline's self-modifying store revoke (or, worse, fail to
-    /// revoke) proofs in another. So a fork starts with zero decoded pages
-    /// and a private clone of the master proven set exactly as the analyzer
-    /// installed it at boot — the same state a fresh boot produces — and
-    /// proofs can never survive an invalidation across the fork boundary
-    /// because no proof state is shared at all.
-    pub(crate) fn fork_rebuild(&self) -> DecodeCache {
-        DecodeCache {
-            index: HashMap::new(),
-            pages: Vec::new(),
-            free: Vec::new(),
-            last: None,
-            proven: self.proven.clone(),
             compromised: None,
             sweep_cursor: 0,
         }

@@ -290,37 +290,36 @@ where
 /// deterministic merge.
 ///
 /// The baseline runs first on the calling thread (its shape bounds fault
-/// placement, exactly as in the sequential runner). Workers then *steal*
-/// trial indices from a shared atomic counter — each trial's fault derives
-/// from the spec and the trial index alone, so any worker can run any
-/// trial — and the classified records are reassembled **in trial order**.
-/// The report is therefore byte-identical for every `jobs` value,
-/// including `jobs == 1` (which delegates to [`run_campaign`] outright);
-/// the CI `cmp` gate pins `-j1` vs `-j4`, the same contract as the
-/// analyzer's parallel fixpoint driver.
+/// placement, exactly as in the sequential runner). The calling thread and
+/// `jobs - 1` spawned workers then *steal* trial indices from a shared
+/// atomic counter — each trial's fault derives from the spec and the trial
+/// index alone, so any worker can run any trial — and the classified
+/// records are reassembled **in trial order**. The report is therefore
+/// byte-identical for every `jobs` value, including `jobs == 1` (which
+/// spawns nothing); the CI `cmp` gate pins `-j1` vs `-j4`, the same
+/// contract as the analyzer's parallel fixpoint driver.
 ///
 /// `make_runner` is called once per worker, **on that worker's thread** —
-/// the runner itself need not be `Send` (a `Machine` snapshot boots a
-/// thread-local CPU).
+/// the runner itself need not be `Send` (a `Machine` boots a thread-local
+/// CPU). The calling thread keeps the runner that ran the baseline.
 pub fn run_campaign_jobs<R, F>(spec: &CampaignSpec, jobs: usize, make_runner: F) -> CampaignReport
 where
     R: FnMut(Option<&Fault>) -> TrialRun,
     F: Fn() -> R + Sync,
 {
     let n = jobs.clamp(1, usize::try_from(spec.trials).unwrap_or(usize::MAX).max(1));
-    if n == 1 {
-        return run_campaign(spec, make_runner());
-    }
-    let baseline = Baseline(make_runner()(None));
+    let mut runner = make_runner();
+    let baseline = Baseline(runner(None));
     let next = AtomicU64::new(0);
     let mut records = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
+        let workers: Vec<_> = (1..n)
             .map(|_| s.spawn(|| baseline.take_trials(spec, &next, &mut make_runner())))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
+        let mut records = baseline.take_trials(spec, &next, &mut runner);
+        for worker in workers {
+            records.extend(worker.join().expect("campaign worker panicked"));
+        }
+        records
     });
     records.sort_unstable_by_key(|r| r.trial);
     baseline.report(spec, records)

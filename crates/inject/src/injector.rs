@@ -4,7 +4,7 @@
 use ptaint_cpu::Cpu;
 use ptaint_isa::{Reg, PAGE_SIZE};
 use ptaint_mem::WordTaint;
-use ptaint_os::StepHook;
+use ptaint_os::{Os, StepHook};
 
 use crate::fault::{Fault, FaultKind};
 use crate::rng::SplitMix64;
@@ -48,7 +48,7 @@ impl StateInjector {
 }
 
 impl StepHook for StateInjector {
-    fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
+    fn on_step(&mut self, step: u64, cpu: &mut Cpu, _os: &Os) {
         if self.fired || self.fault.kind.is_io() || step < self.fault.step {
             return;
         }
@@ -239,6 +239,11 @@ mod tests {
         Cpu::new(MemorySystem::flat(), DetectionPolicy::PointerTaintedness)
     }
 
+    /// The kernel a hook sees; the injector never reads it.
+    fn kernel() -> Os {
+        Os::new(ptaint_os::WorldConfig::new())
+    }
+
     fn hook(kind: FaultKind, step: u64, salt: u64) -> StateInjector {
         StateInjector::new(Fault {
             kind,
@@ -253,16 +258,16 @@ mod tests {
         let mut cpu = cpu();
         cpu.mem_mut().set_taint_range(0x5000, 16, true).unwrap();
         let mut inj = hook(FaultKind::TaintClear, 3, 1);
-        inj.on_step(0, &mut cpu); // before trigger: inert
+        inj.on_step(0, &mut cpu, &kernel()); // before trigger: inert
         assert!(inj.applied().is_none());
-        inj.on_step(3, &mut cpu);
+        inj.on_step(3, &mut cpu, &kernel());
         let detail = inj.applied().expect("taint existed, must apply");
         assert!(detail.starts_with("taint cleared"), "{detail}");
         assert!(cpu.mem().tainted_ranges().is_empty());
         assert_eq!(cpu.stats().injected_faults, 1);
         // One-shot: a second trigger step must not re-fire.
         cpu.mem_mut().set_taint_range(0x5000, 4, true).unwrap();
-        inj.on_step(4, &mut cpu);
+        inj.on_step(4, &mut cpu, &kernel());
         assert_eq!(cpu.stats().injected_faults, 1);
     }
 
@@ -272,7 +277,7 @@ mod tests {
         let mut inj = hook(FaultKind::RegisterBit, 7, 1);
         assert_eq!((inj.next_wake(0), inj.next_wake(7)), (7, 7));
         assert_eq!(inj.next_wake(9), 9, "a late start wakes at once");
-        inj.on_step(7, &mut cpu);
+        inj.on_step(7, &mut cpu, &kernel());
         assert_eq!(inj.next_wake(8), u64::MAX, "fired: never again");
         // I/O kinds are the kernel's: the step hook never wakes for them.
         assert_eq!(hook(FaultKind::ShortRead, 7, 1).next_wake(0), u64::MAX);
@@ -282,7 +287,7 @@ mod tests {
     fn taint_clear_without_taint_is_a_clean_no_op() {
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::TaintClear, 0, 1);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none());
         assert_eq!(cpu.stats().injected_faults, 0);
     }
@@ -292,7 +297,7 @@ mod tests {
         let mut cpu = cpu();
         cpu.mem_mut().write_u8(0x5000, 0xAA, true).unwrap();
         let mut inj = hook(FaultKind::DataBit, 0, 99);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().unwrap().contains("data bit"));
         let (value, tainted) = cpu.mem().memory().read_u8(0x5000).unwrap();
         assert_ne!(value, 0xAA);
@@ -308,7 +313,7 @@ mod tests {
         for salt in 0..64 {
             let mut cpu = cpu();
             let mut inj = hook(FaultKind::RegisterBit, 0, salt);
-            inj.on_step(0, &mut cpu);
+            inj.on_step(0, &mut cpu, &kernel());
             let detail = inj.applied().unwrap();
             seen_value_flip |= detail.contains("value bit");
             seen_shadow |= detail.contains("shadow taint");
@@ -322,7 +327,7 @@ mod tests {
         let mut seen = 0;
         for salt in 0..8 {
             let mut inj = hook(FaultKind::TaintSet, 0, salt);
-            inj.on_step(0, &mut cpu);
+            inj.on_step(0, &mut cpu, &kernel());
             seen += inj.applied().is_some() as u32;
         }
         assert_eq!(seen, 8);
@@ -333,7 +338,7 @@ mod tests {
         // Flat hierarchy: no caches, fault finds no target.
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::CacheLine, 0, 5);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none());
 
         // Two-level hierarchy with a touched line: fault lands.
@@ -345,7 +350,7 @@ mod tests {
         cpu.mem_mut().read_u8(0x5000).unwrap(); // miss-fill a valid line
         for salt in 0..8 {
             let mut inj = hook(FaultKind::CacheLine, 0, salt);
-            inj.on_step(0, &mut cpu);
+            inj.on_step(0, &mut cpu, &kernel());
             if let Some(detail) = inj.applied() {
                 assert!(detail.contains("cache line"), "{detail}");
                 return;
@@ -362,7 +367,7 @@ mod tests {
             cpu.mem_mut().write_u8(addr, 0xAA, true).unwrap();
         }
         let mut inj = hook(FaultKind::MultiBit, 0, 17);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         let detail = inj.applied().expect("tainted window exists");
         assert!(detail.contains("burst bit flips landed"), "{detail}");
         // Count corrupted bytes; taint stays on every one of them.
@@ -384,7 +389,7 @@ mod tests {
         cpu.mem_mut().set_taint_range(0x9000, 300, true).unwrap();
         cpu.regs_mut().set(Reg::T0, 7, WordTaint::ALL);
         let mut inj = hook(FaultKind::TaintSweep, 0, 1);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         let detail = inj.applied().unwrap();
         assert_eq!(
             detail,
@@ -396,7 +401,7 @@ mod tests {
         // Nothing tainted anywhere: the sweep has nothing to clear.
         let mut clean = Cpu::new(MemorySystem::flat(), DetectionPolicy::PointerTaintedness);
         let mut inj = hook(FaultKind::TaintSweep, 0, 1);
-        inj.on_step(0, &mut clean);
+        inj.on_step(0, &mut clean, &kernel());
         assert!(inj.applied().is_none());
     }
 
@@ -405,10 +410,10 @@ mod tests {
         // Fresh CPU, nothing decoded: both detector faults find no target.
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::DecodeSlot, 0, 3);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none());
         let mut inj = hook(FaultKind::ProvenFlip, 0, 3);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none());
         assert_eq!(cpu.stats().injected_faults, 0);
     }
@@ -417,7 +422,7 @@ mod tests {
     fn proof_cache_is_inert_at_the_state_level() {
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::ProofCache, 0, 3);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none(), "inert: never applies");
         assert_eq!(cpu.stats().injected_faults, 0);
     }
@@ -426,7 +431,7 @@ mod tests {
     fn io_kinds_are_inert_in_the_state_injector() {
         let mut cpu = cpu();
         let mut inj = hook(FaultKind::Eintr, 0, 1);
-        inj.on_step(0, &mut cpu);
+        inj.on_step(0, &mut cpu, &kernel());
         assert!(inj.applied().is_none());
         assert_eq!(cpu.stats().injected_faults, 0);
     }

@@ -37,6 +37,7 @@ pub use journal::{
 pub use loader::{exit_stub, load, load_with_observer, EXIT_STUB_BYTES};
 pub use os::{Os, Sys};
 pub use run::{
-    run_to_exit, run_to_exit_with, ExitReason, RunLimits, RunOutcome, StepHook, WATCHDOG_STRIDE,
+    resume_to_exit_with, run_to_exit, run_to_exit_with, ExitReason, RunLimits, RunOutcome,
+    StepHook, WATCHDOG_STRIDE,
 };
 pub use world::{NetSession, WorldConfig};

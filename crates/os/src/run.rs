@@ -186,22 +186,23 @@ pub const WATCHDOG_STRIDE: u64 = 1 << 16;
 
 /// A per-step callback invoked by [`run_to_exit_with`] *before* the steps
 /// it wakes at — the attachment point for the fault-injection harness's
-/// state corruptions.
+/// state corruptions and for a campaign's checkpoint recorder.
 ///
 /// **Wake contract.** The driver calls [`StepHook::on_step`] before every
 /// step `s` it is woken at and lets the CPU run the steps in between as one
 /// batch (the cached engine's page-runs). After each call at step `s`, and
-/// once before step 0, it asks [`StepHook::next_wake`] for the next step
-/// to wake at. A hook's answer may change only through `on_step`, so the
+/// once before the run's first step, it asks [`StepHook::next_wake`] for
+/// the next step to wake at. A hook's answer may change only through `on_step`, so the
 /// driver keeps it until that step. The provided default wakes at every
 /// step, so a hook that does not override it sees each step exactly as
 /// before; `()` and `None` never wake. Batching never moves a wake, a
 /// watchdog poll (still every [`WATCHDOG_STRIDE`] steps) or the step
 /// limit off the instruction it lands on.
 pub trait StepHook {
-    /// Called before step `step` (0-based) executes, with the architectural
-    /// CPU state open for inspection or corruption.
-    fn on_step(&mut self, step: u64, cpu: &mut Cpu);
+    /// Called before step `step` (0-based, counted from boot) executes,
+    /// with the architectural CPU state open for inspection or corruption
+    /// and the kernel open for inspection (a checkpoint forks both).
+    fn on_step(&mut self, step: u64, cpu: &mut Cpu, os: &Os);
 
     /// The first step at or after `step` before which [`StepHook::on_step`]
     /// must run; `u64::MAX` for never. Default: `step` — wake every step.
@@ -212,7 +213,7 @@ pub trait StepHook {
 
 /// The no-op hook, for ordinary (uninjected) runs: never wakes.
 impl StepHook for () {
-    fn on_step(&mut self, _step: u64, _cpu: &mut Cpu) {}
+    fn on_step(&mut self, _step: u64, _cpu: &mut Cpu, _os: &Os) {}
 
     fn next_wake(&self, _step: u64) -> u64 {
         u64::MAX
@@ -222,9 +223,9 @@ impl StepHook for () {
 /// An optional hook: `None` runs uninjected and never wakes.
 impl<H: StepHook> StepHook for Option<H> {
     #[inline]
-    fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
+    fn on_step(&mut self, step: u64, cpu: &mut Cpu, os: &Os) {
         if let Some(hook) = self {
-            hook.on_step(step, cpu);
+            hook.on_step(step, cpu, os);
         }
     }
 
@@ -253,7 +254,22 @@ pub fn run_to_exit_with<S: Steppable>(
     limits: RunLimits,
     hook: &mut dyn StepHook,
 ) -> RunOutcome {
-    let reason = catch_unwind(AssertUnwindSafe(|| drive(stepper, os, limits, hook)))
+    resume_to_exit_with(stepper, os, limits, 0, hook)
+}
+
+/// [`run_to_exit_with`] for a machine that has already run `start` steps
+/// since boot — one forked from a checkpoint taken before step `start`.
+/// Steps keep counting from boot: [`RunLimits::max_steps`] and the hook's
+/// wakes land on the same instructions as in the straight run, so the
+/// resumed run ends exactly as the straight one does.
+pub fn resume_to_exit_with<S: Steppable>(
+    stepper: &mut S,
+    os: &mut Os,
+    limits: RunLimits,
+    start: u64,
+    hook: &mut dyn StepHook,
+) -> RunOutcome {
+    let reason = catch_unwind(AssertUnwindSafe(|| drive(stepper, os, limits, start, hook)))
         .unwrap_or_else(|payload| ExitReason::GuestFault(panic_message(payload.as_ref())));
     RunOutcome {
         reason,
@@ -273,11 +289,12 @@ fn drive<S: Steppable>(
     stepper: &mut S,
     os: &mut Os,
     limits: RunLimits,
+    start: u64,
     hook: &mut dyn StepHook,
 ) -> ExitReason {
     let started = limits.watchdog.map(|_| Instant::now());
-    let mut step = 0;
-    let mut wake = hook.next_wake(0);
+    let mut step = start;
+    let mut wake = hook.next_wake(start);
     while step < limits.max_steps {
         if step & (WATCHDOG_STRIDE - 1) == 0 {
             if let (Some(t0), Some(budget)) = (started, limits.watchdog) {
@@ -287,7 +304,7 @@ fn drive<S: Steppable>(
             }
         }
         if step >= wake {
-            hook.on_step(step, stepper.cpu_mut());
+            hook.on_step(step, stepper.cpu_mut(), os);
             wake = hook.next_wake(step + 1);
         }
         // Run up to the next step anything outside the CPU must see: the
@@ -561,7 +578,7 @@ main:   lw $t0, 4($a1)    # argv[1] pointer (untainted, kernel-built)
         // step index and can corrupt architectural state mid-run.
         struct ForceExit;
         impl StepHook for ForceExit {
-            fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
+            fn on_step(&mut self, step: u64, cpu: &mut Cpu, _os: &Os) {
                 if step == 4 {
                     let regs = cpu.regs_mut();
                     regs.set(ptaint_isa::Reg::V0, 1, ptaint_mem::WordTaint::CLEAN);
@@ -694,41 +711,82 @@ main:   li $v0, 3        # read(0, buf, 64)
 
     #[test]
     fn batched_runs_wake_hooks_and_stop_exactly_where_single_steps_do() {
-        // A hook woken at steps 3 and 70 (it asks for them) sees exactly
-        // those steps; the steps between run as batches, and a step limit
-        // inside a batch still stops on its instruction.
-        struct WakeAt(Vec<u64>, Vec<u64>);
+        // A hook woken at steps 3, 37 and 70 (it asks for them) sees
+        // exactly those steps; the steps between run as batches, and a step
+        // limit inside a batch still stops on its instruction. A machine
+        // forked at step 37 and resumed there ends as the straight run
+        // does: same exit reason, same total steps, same later wakes.
+        struct WakeAt {
+            at: Vec<u64>,
+            woken: Vec<u64>,
+            fork_at: u64,
+            fork: Option<(Cpu, Os)>,
+        }
+        impl WakeAt {
+            fn new(fork_at: u64) -> WakeAt {
+                WakeAt {
+                    at: vec![3, 37, 70],
+                    woken: Vec::new(),
+                    fork_at,
+                    fork: None,
+                }
+            }
+        }
         impl StepHook for WakeAt {
-            fn on_step(&mut self, step: u64, _cpu: &mut Cpu) {
-                self.1.push(step);
+            fn on_step(&mut self, step: u64, cpu: &mut Cpu, os: &Os) {
+                self.woken.push(step);
+                if step == self.fork_at {
+                    self.fork = Some((cpu.fork(), os.fork()));
+                }
             }
             fn next_wake(&self, step: u64) -> u64 {
-                self.0
+                self.at
                     .iter()
                     .copied()
                     .find(|&s| s >= step)
                     .unwrap_or(u64::MAX)
             }
         }
-        let image = assemble("main: nop\n nop\n b main").unwrap();
-        let (mut cpu, mut os) = load(
-            &image,
-            WorldConfig::new(),
-            DetectionPolicy::PointerTaintedness,
-            HierarchyConfig::flat(),
-        );
-        let mut hook = WakeAt(vec![3, 70], Vec::new());
-        let out = run_to_exit_with(&mut cpu, &mut os, RunLimits::steps(101), &mut hook);
-        assert_eq!(out.reason, ExitReason::StepLimit);
-        assert_eq!(out.stats.instructions, 101);
-        assert_eq!(hook.1, [3, 70]);
+        let spin = "main: nop\n nop\n b main";
+        let count = "main: li $t0, 40
+               loop: addiu $t0, $t0, -1
+                     bne $t0, $zero, loop
+                     li $v0, 1
+                     li $a0, 5
+                     syscall";
+        for (src, reason) in [
+            (spin, ExitReason::StepLimit),
+            (count, ExitReason::Exited(5)),
+        ] {
+            let image = assemble(src).unwrap();
+            let (mut cpu, mut os) = load(
+                &image,
+                WorldConfig::new(),
+                DetectionPolicy::PointerTaintedness,
+                HierarchyConfig::flat(),
+            );
+            let limits = RunLimits::steps(101);
+            let mut hook = WakeAt::new(37);
+            let straight = run_to_exit_with(&mut cpu, &mut os, limits, &mut hook);
+            assert_eq!(straight.reason, reason, "{src}");
+            assert_eq!(hook.woken, [3, 37, 70], "{src}");
+            if reason == ExitReason::StepLimit {
+                assert_eq!(straight.stats.instructions, 101);
+            }
+
+            let (mut cpu, mut os) = hook.fork.take().expect("forked at step 37");
+            let mut resumed_hook = WakeAt::new(u64::MAX);
+            let resumed = resume_to_exit_with(&mut cpu, &mut os, limits, 37, &mut resumed_hook);
+            assert_eq!(resumed, straight, "{src}");
+            assert_eq!(resumed_hook.woken, [37, 70], "{src}");
+        }
     }
 
     #[test]
     fn host_panic_is_reported_as_guest_fault() {
         struct PanicAtStep(u64);
         impl StepHook for PanicAtStep {
-            fn on_step(&mut self, step: u64, _cpu: &mut Cpu) {
+            fn on_step(&mut self, step: u64, _cpu: &mut Cpu, _os: &Os) {
                 assert!(step < self.0, "injected host panic at step {step}");
             }
         }

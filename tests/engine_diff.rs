@@ -11,7 +11,7 @@
 //! at its trigger step sees the same trial as one woken before every step.
 
 use ptaint::{
-    run_to_exit_with, Cpu, Engine, ExitReason, Fault, FaultKind, Machine, MachineSnapshot,
+    run_to_exit_with, Cpu, Engine, ExitReason, Fault, FaultKind, Machine, MachineSnapshot, Os,
     RunLimits, RunOutcome, SplitMix64, StateInjector, StepHook, TrialRun,
 };
 use ptaint_guest::apps::{
@@ -275,9 +275,9 @@ fn per_pc_profiles_are_engine_invariant() {
 #[test]
 fn forked_runs_are_bit_identical_to_fresh_boots_under_both_engines() {
     // A fork resumes from the post-boot snapshot with copy-on-write pages
-    // and a rebuilt decode cache, so under either engine it must retrace
-    // the fresh boot bit-exactly — decode-cache counters included (both
-    // executions start from an identical cold cache).
+    // and a copy of its (empty) decode cache, so under either engine it
+    // must retrace the fresh boot bit-exactly — decode-cache counters
+    // included (both executions start from an identical cold cache).
     let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
     let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
     for (label, machine) in [
@@ -336,8 +336,8 @@ fn hooked_trial(
     /// Delegates `on_step` and keeps the provided `next_wake`.
     struct EveryStep<'a>(&'a mut StateInjector);
     impl StepHook for EveryStep<'_> {
-        fn on_step(&mut self, step: u64, cpu: &mut Cpu) {
-            self.0.on_step(step, cpu);
+        fn on_step(&mut self, step: u64, cpu: &mut Cpu, os: &Os) {
+            self.0.on_step(step, cpu, os);
         }
     }
 

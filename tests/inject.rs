@@ -220,12 +220,15 @@ fn elided_machine_analyzes_its_image_once() {
     assert_eq!(build().run_campaign(&spec).to_json(), first);
 }
 
-/// Every campaign trial forks from one post-boot snapshot; this pins that a
-/// fork is a fresh boot, trial by trial. On the seed-7, 32-trial schedule
-/// over exp1 and the ghttpd attack, plain and elided, each scheduled fault
-/// run on a fork equals the same fault run on a fresh boot in the whole
-/// `TrialRun`: exit reason, output, every `ExecStats` counter, I/O calls
-/// serviced and the injector's landing detail.
+/// Every campaign trial forks from the last checkpoint-ladder rung before
+/// its fault; this pins that such a trial is a fresh boot, trial by trial.
+/// On the seed-7 and seed-42, 32-trial schedules over exp1 and the ghttpd
+/// attack, plain and elided, each scheduled fault run from the rung the
+/// campaign picks equals the same fault run on a fresh boot, and on a fork
+/// of the post-boot snapshot, in the whole `TrialRun`: exit reason, output,
+/// every `ExecStats` counter (decode-cache counters included), I/O calls
+/// serviced and the injector's landing detail. The campaign report equals
+/// one composed from boot forks byte for byte, at `-j1` and `-j2`.
 #[test]
 fn every_forked_trial_equals_a_fresh_boot() {
     let exp1 = Machine::from_c(synthetic::EXP1_SOURCE)
@@ -233,25 +236,99 @@ fn every_forked_trial_equals_a_fresh_boot() {
         .world(synthetic::exp1_attack_world());
     let ghttpd = Machine::from_c(ghttpd::SOURCE).unwrap();
     let ghttpd = ghttpd.clone().world(ghttpd::attack_world(ghttpd.image()));
-    let spec = CampaignSpec::new(7, 32);
     for (name, plain) in [("exp1", exp1), ("ghttpd", ghttpd)] {
         for m in [plain.clone(), plain.elide_checks(true)] {
             let snap = m.snapshot();
-            let baseline = snap.run();
+            let (ladder, baseline) = m.ladder();
+            assert_eq!(baseline, snap.run(), "{name}: ladder baseline");
             assert_eq!(m.run(), baseline.outcome, "{name}: baseline");
+            assert!(
+                ladder.rungs().len() >= 16,
+                "{name}: {}",
+                ladder.rungs().len()
+            );
             let hints = (baseline.outcome.stats.instructions, baseline.io_calls);
-            let campaign = m.run_campaign(&spec);
-            for trial in 0..spec.trials {
-                let fault = spec.fault_for_trial(trial, hints.0, hints.1);
-                assert_eq!(campaign.records[trial as usize].fault, fault);
+            for seed in [7, 42] {
+                let spec = CampaignSpec::new(seed, 32);
+                let campaign = m.run_campaign(&spec);
+                let mut skipped = 0;
+                for trial in 0..spec.trials {
+                    let fault = spec.fault_for_trial(trial, hints.0, hints.1);
+                    assert_eq!(campaign.records[trial as usize].fault, fault);
+                    let rung = ladder.rung_for(&fault);
+                    skipped += rung.step();
+                    let fresh = m.run_injected(&fault);
+                    let what = format!(
+                        "{name} seed {seed}: trial {trial} from rung {}",
+                        rung.step()
+                    );
+                    assert_eq!(rung.run_injected(&fault), fresh, "{what}, {fault:?}");
+                    assert_eq!(snap.run_injected(&fault), fresh, "{what}, {fault:?}");
+                }
+                assert!(
+                    skipped > 0,
+                    "{name} seed {seed}: no trial skipped its prefix"
+                );
+                let booted = ptaint_inject::run_campaign(&spec, |fault| match fault {
+                    None => snap.run(),
+                    Some(fault) => snap.run_injected(fault),
+                });
+                let json = campaign.to_json();
+                assert_eq!(json, booted.to_json(), "{name} seed {seed}");
                 assert_eq!(
-                    m.run_injected(&fault),
-                    snap.run_injected(&fault),
-                    "{name}: trial {trial}, {fault:?}"
+                    m.run_campaign_jobs(&spec, 2).to_json(),
+                    json,
+                    "{name} seed {seed}"
                 );
             }
         }
     }
+}
+
+/// A rung carries its decode cache warm, and a trial started there must
+/// find it so. On elided exp1, seed-42 trial 3 is a `taint_set` on `$29`
+/// at step 3601, started from the rung at step 3584. A fresh boot's cache
+/// holds the later `lw` off `$29` as a proven slot, so its check is elided
+/// and the run alerts at `jr $31` (0x405188); the rung must do the same.
+/// A rung that rebuilt its cache fills that page from a different PC,
+/// runs the `lw`'s check in full and alerts there (0x4051fc) instead.
+/// Under debug assertions an earlier elided check on the tainted `$29`
+/// (0x40343c) trips the CPU's soundness assertion instead, and the caught
+/// panic must end the fresh boot and the rung there alike.
+#[test]
+fn a_rung_resumes_with_its_warm_decode_cache() {
+    let m = Machine::from_c(synthetic::EXP1_SOURCE)
+        .unwrap()
+        .world(synthetic::exp1_attack_world())
+        .elide_checks(true);
+    let (ladder, baseline) = m.ladder();
+    let spec = CampaignSpec::new(42, 32);
+    let fault = spec.fault_for_trial(3, baseline.outcome.stats.instructions, baseline.io_calls);
+    assert_eq!((fault.kind, fault.step), (FaultKind::TaintSet, 3601));
+    let rung = ladder.rung_for(&fault);
+    assert_eq!(rung.step(), 3584);
+    let fresh = m.run_injected(&fault);
+    assert_eq!(fresh.applied.as_deref(), Some("taint set on $29"));
+    if cfg!(debug_assertions) {
+        assert!(
+            matches!(&fresh.outcome.reason, ExitReason::GuestFault(msg)
+                if msg.contains("elided a pointer check on a tainted word at 0x0040343c")),
+            "{:?}",
+            fresh.outcome.reason
+        );
+    } else {
+        let alert = fresh.outcome.reason.alert().expect("a fresh boot detects");
+        assert_eq!(
+            (alert.pc, alert.instr.to_string()),
+            (0x405188, "jr $31".into())
+        );
+    }
+    let trial = rung.run_injected(&fault);
+    assert_eq!(
+        trial.outcome.reason, fresh.outcome.reason,
+        "the run ended elsewhere"
+    );
+    assert_eq!(trial, fresh);
 }
 
 fn fuzz_corpus() -> Vec<Machine> {
