@@ -92,12 +92,12 @@ fn main() {
     }
     // The sharded runner (campaign engine v2) on the elided ghttpd
     // campaign — the workload where per-trial cost is highest. The
-    // sequential reference run analyzes the image; every worker's snapshot
-    // then reuses that analysis, so the series measures scheduler
-    // throughput, and on multi-core hosts the work-stealing shards add
-    // core-count scaling on top. Byte-identity with the sequential report
-    // is asserted on the untimed warmup run, so the comparison is
-    // apples-to-apples by construction.
+    // sequential reference run analyzes the image, and each timed campaign
+    // records one ladder that every worker forks its trials from, so the
+    // series measures one ladder plus the trials, with the work-stealing
+    // shards adding core-count scaling on multi-core hosts. Byte-identity
+    // with the sequential report is asserted on the untimed warmup run, so
+    // the comparison is apples-to-apples by construction.
     {
         let m = build("ghttpd").elide_checks(true);
         let jobs = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);

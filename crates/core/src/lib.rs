@@ -86,6 +86,5 @@ pub use ptaint_profile::{
     EventProfile, ProfileReport, SymbolCount, SymbolTable, SyscallRow, TaintSite,
 };
 pub use ptaint_trace::{
-    Event, ForensicChain, MetricsSnapshot, Observer, SharedObserver, ToJson, TraceConfig, TraceHub,
-    TraceReport,
+    Event, ForensicChain, MetricsSnapshot, Observer, ToJson, TraceConfig, TraceHub, TraceReport,
 };

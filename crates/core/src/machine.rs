@@ -1,6 +1,6 @@
 //! The top-level machine builder.
 
-use std::rc::Rc;
+use std::any::Any;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -15,8 +15,7 @@ use ptaint_os::{
     SyscallJournal, WorldConfig,
 };
 use ptaint_profile::{EventProfile, ProfileReport, SymbolTable};
-use ptaint_trace::{Event, Observer, SharedObserver, TraceConfig, TraceHub, TraceReport};
-use std::cell::RefCell;
+use ptaint_trace::{Event, Observer, TraceConfig, TraceHub, TraceReport};
 
 /// A configured guest machine: program image, outside world, detection
 /// policy, and memory hierarchy. Each [`Machine::run`] boots a fresh
@@ -229,7 +228,7 @@ impl Machine {
         self.boot_with(None)
     }
 
-    fn boot_with(&self, observer: Option<SharedObserver>) -> (Cpu, Os) {
+    fn boot_with(&self, observer: Option<Box<dyn Observer>>) -> (Cpu, Os) {
         let (mut cpu, os) = load_with_observer(
             &self.image,
             self.world.clone(),
@@ -374,29 +373,19 @@ impl Machine {
     }
 
     /// Runs the campaign of [`Machine::run_campaign`] on `jobs` worker
-    /// threads, the calling thread among them. A [`Cpu`] is not `Send`, so
-    /// each worker records its own ladder with one baseline run (boots are
-    /// deterministic, so every worker's ladder is bit-identical; the
-    /// calling thread's is the campaign baseline's) and steals trial
-    /// indices from a shared counter. Records merge in trial order, so the
-    /// report is **byte-identical** for every `jobs` value; `jobs <= 1`
-    /// runs on the calling thread alone. Workers borrow the machine's one
-    /// static analysis (see [`Machine::elide_checks`]).
+    /// threads, the calling thread among them. The baseline records one
+    /// [`CheckpointLadder`] on the calling thread; every worker then steals
+    /// trial indices from a shared counter and forks each trial from that
+    /// ladder's [`CheckpointLadder::rung_for`] (a checkpoint is `Send +
+    /// Sync`, and forking only reads it). Records merge in trial order, so
+    /// the report is **byte-identical** for every `jobs` value; `jobs <= 1`
+    /// runs on the calling thread alone. Every trial borrows the machine's
+    /// one static analysis (see [`Machine::elide_checks`]).
     #[must_use]
     pub fn run_campaign_jobs(&self, spec: &CampaignSpec, jobs: usize) -> CampaignReport {
-        ptaint_inject::run_campaign_jobs(spec, jobs, || {
-            let mut ladder = None;
-            move |fault: Option<&Fault>| match fault {
-                None => {
-                    let (rungs, baseline) = self.ladder();
-                    ladder = Some(rungs);
-                    baseline
-                }
-                Some(fault) => ladder
-                    .get_or_insert_with(|| self.ladder().0)
-                    .rung_for(fault)
-                    .run_injected(fault),
-            }
+        let (ladder, baseline) = self.ladder();
+        ptaint_inject::run_campaign_jobs(spec, jobs, baseline, |fault| {
+            ladder.rung_for(fault).run_injected(fault)
         })
     }
 
@@ -438,33 +427,31 @@ impl Machine {
     /// without it; with no sink and no profiler, no observer is attached.
     #[must_use]
     pub fn run_with(&self, cfg: &RunConfig) -> RunArtifacts {
-        let sinks = (cfg.trace.any() || cfg.profile).then(|| {
-            Rc::new(RefCell::new(RunSinks {
+        let sinks = (cfg.trace.any() || cfg.profile).then(|| -> Box<dyn Observer> {
+            Box::new(RunSinks {
                 hub: TraceHub::new(&cfg.trace),
                 events: cfg.profile.then(EventProfile::new),
-            }))
+            })
         });
-        let observer = sinks.clone().map(|s| -> SharedObserver { s });
-        let (cpu, mut os) = self.boot_with(observer);
+        let (cpu, mut os) = self.boot_with(sinks);
         if cfg.record {
             os.start_recording();
         }
-        // Each branch owns (and drops) the CPU, releasing its observer
-        // handle before the sinks are consumed below.
-        let ((outcome, tail, caches), pipeline) = if cfg.pipeline {
+        let ((outcome, tail, caches), pipeline, sinks) = if cfg.pipeline {
             let mut pipe = Pipeline::new(cpu);
             let run = self.drive(&mut pipe, &mut os);
-            (run, Some(pipe.report()))
+            (run, Some(pipe.report()), pipe.cpu_mut().take_observer())
         } else {
             let mut cpu = cpu;
-            (self.drive(&mut cpu, &mut os), None)
+            (self.drive(&mut cpu, &mut os), None, cpu.take_observer())
         };
         let journal = cfg.record.then(|| os.take_journal().unwrap_or_default());
-        drop(os);
         let (trace, events) = sinks
-            .and_then(|s| Rc::try_unwrap(s).ok())
-            .map(|cell| {
-                let sinks = cell.into_inner();
+            .map(|sinks| {
+                let sinks: Box<dyn Any> = sinks;
+                let sinks = sinks
+                    .downcast::<RunSinks>()
+                    .expect("the observer run_with attached");
                 (sinks.hub.into_report(), sinks.events)
             })
             .unwrap_or_default();
@@ -786,6 +773,18 @@ mod tests {
     use super::*;
     use ptaint_os::ExitReason;
 
+    /// A campaign shares one ladder across its workers, so checkpoints
+    /// and everything they hold must stay `Send + Sync`: an `Rc` or a
+    /// `Cell` in the CPU or the kernel fails this build.
+    #[test]
+    fn checkpoints_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Cpu>();
+        send_sync::<Os>();
+        send_sync::<MachineSnapshot>();
+        send_sync::<CheckpointLadder>();
+    }
+
     #[test]
     fn from_c_builds_and_runs() {
         let m = Machine::from_c("int main() { return 7; }").unwrap();
@@ -939,7 +938,7 @@ mod tests {
         let analysis: *const ptaint_analyze::Analysis = m.analysis_memo.get().unwrap();
         assert!(std::ptr::eq(early.analysis_memo.get().unwrap(), analysis));
 
-        // Later clones, snapshots and campaign workers all borrow it.
+        // Later clones, snapshots and campaigns all borrow it.
         let late = m.clone();
         let _snap = late.snapshot();
         let _ = late.run_campaign_jobs(&CampaignSpec::new(7, 4), 2);
@@ -948,7 +947,7 @@ mod tests {
             assert!(std::ptr::eq(machine.analysis_memo.get().unwrap(), analysis));
         }
 
-        // Campaign workers fill the shared memo when no boot has yet.
+        // A campaign fills the shared memo when no boot has yet.
         let idle = Machine::from_image(m.image().clone()).elide_checks(true);
         let watcher = idle.clone();
         let _ = idle.run_campaign_jobs(&CampaignSpec::new(7, 4), 2);

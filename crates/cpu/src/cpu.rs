@@ -8,7 +8,7 @@ use ptaint_isa::{
     Reg, PAGE_SIZE,
 };
 use ptaint_mem::{MemFault, MemorySystem, WordTaint};
-use ptaint_trace::{Event, Loc, SharedObserver, Transfer};
+use ptaint_trace::{Event, Loc, Observer, Transfer};
 
 use crate::decode_cache::DecodeCache;
 use crate::taint_alu;
@@ -184,7 +184,7 @@ pub struct Cpu {
     recent_head: usize,
     recent_grow_at: usize,
     trace_depth: usize,
-    observer: Option<SharedObserver>,
+    observer: Option<Box<dyn Observer>>,
     last_step_tainted: bool,
     engine: Engine,
     dcache: DecodeCache,
@@ -249,10 +249,17 @@ impl Cpu {
         self.engine
     }
 
-    /// Attaches (or detaches) the structured-event observer. With no
-    /// observer (the default) every hook is a `None` check.
-    pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
+    /// Attaches (or detaches) the structured-event observer. The CPU owns
+    /// it for the rest of the run; [`Cpu::take_observer`] hands it back.
+    /// With no observer (the default) every hook is a `None` check.
+    pub fn set_observer(&mut self, observer: Option<Box<dyn Observer>>) {
         self.observer = observer;
+    }
+
+    /// Detaches and returns the observer, e.g. to downcast it into its
+    /// collected artifacts once the run is over.
+    pub fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
+        self.observer.take()
     }
 
     /// Whether an observer is attached — callers (the OS model) use this to
@@ -265,9 +272,9 @@ impl Cpu {
     /// Forwards an event to the attached observer, if any. The OS model and
     /// loader emit their [`Event::Syscall`] / [`Event::TaintSource`] events
     /// through this.
-    pub fn emit_event(&self, event: &Event) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_event(event);
+    pub fn emit_event(&mut self, event: &Event) {
+        if let Some(obs) = &mut self.observer {
+            obs.on_event(event);
         }
     }
 
@@ -435,7 +442,7 @@ impl Cpu {
     #[allow(clippy::too_many_arguments)] // mirrors the Transfer field list
     #[inline]
     fn emit_transfer(
-        &self,
+        &mut self,
         pc: u32,
         instr: Instr,
         rule: &'static str,
@@ -452,7 +459,7 @@ impl Cpu {
     #[allow(clippy::too_many_arguments)]
     #[cold]
     fn emit_transfer_observed(
-        &self,
+        &mut self,
         pc: u32,
         instr: Instr,
         rule: &'static str,
@@ -538,7 +545,7 @@ impl Cpu {
     }
 
     fn emit_alert_event(
-        &self,
+        &mut self,
         pc: u32,
         instr: Instr,
         kind: AlertKind,
@@ -559,7 +566,7 @@ impl Cpu {
 
     /// Emits the in-place untainting a compare applies to an operand
     /// (Table 1's compare rule) so provenance sees the taint disappear.
-    fn emit_compare_untaint(&self, pc: u32, instr: Instr, reg: Reg, old_taint: WordTaint) {
+    fn emit_compare_untaint(&mut self, pc: u32, instr: Instr, reg: Reg, old_taint: WordTaint) {
         if old_taint.any() {
             self.emit_transfer(
                 pc,
@@ -645,8 +652,8 @@ impl Cpu {
     /// as the source would, decode-cache counters included. A
     /// pre-execution fork copies an empty cache.
     ///
-    /// The observer is deliberately *not* inherited — it is a
-    /// single-timeline sink; attach a fresh one to the fork if needed.
+    /// The observer is *not* inherited — the CPU is its single owner and it
+    /// records one timeline; attach a fresh one to the fork if needed.
     #[must_use]
     pub fn fork(&self) -> Cpu {
         Cpu {
@@ -672,11 +679,14 @@ impl Cpu {
     /// Bookkeeping for a statically elided pointer check. The analyzer
     /// guarantees the checked word is clean here, so skipping the check
     /// cannot change architectural behaviour — asserted in debug builds
-    /// and by the machine-level elision differential tests.
+    /// and by the machine-level elision differential tests. The guarantee
+    /// covers the program, not an injected fault: once the harness has
+    /// corrupted state ([`Cpu::note_injected_fault`]) a proven site may see
+    /// taint, and the run goes on exactly as a release build would.
     #[inline]
     fn elide_check(&mut self, pc: u32, taint: WordTaint) {
         debug_assert!(
-            !taint.any(),
+            !taint.any() || self.stats.injected_faults > 0,
             "elided a pointer check on a tainted word at {pc:#010x}"
         );
         self.stats.elided_checks += 1;

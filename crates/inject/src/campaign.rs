@@ -282,40 +282,43 @@ where
     F: FnMut(Option<&Fault>) -> TrialRun,
 {
     let baseline = Baseline(run_trial(None));
-    let records = baseline.take_trials(spec, &AtomicU64::new(0), &mut run_trial);
+    let records = baseline.take_trials(spec, &AtomicU64::new(0), |fault| run_trial(Some(fault)));
     baseline.report(spec, records)
 }
 
 /// [`run_campaign`], sharded across `jobs` worker threads with a
 /// deterministic merge.
 ///
-/// The baseline runs first on the calling thread (its shape bounds fault
-/// placement, exactly as in the sequential runner). The calling thread and
-/// `jobs - 1` spawned workers then *steal* trial indices from a shared
-/// atomic counter — each trial's fault derives from the spec and the trial
-/// index alone, so any worker can run any trial — and the classified
-/// records are reassembled **in trial order**. The report is therefore
-/// byte-identical for every `jobs` value, including `jobs == 1` (which
-/// spawns nothing); the CI `cmp` gate pins `-j1` vs `-j4`, the same
-/// contract as the analyzer's parallel fixpoint driver.
+/// The caller runs the `baseline` first (its shape bounds fault placement,
+/// exactly as in the sequential runner). The calling thread and `jobs - 1`
+/// spawned workers then *steal* trial indices from a shared atomic counter
+/// — each trial's fault derives from the spec and the trial index alone,
+/// so any worker can run any trial — and the classified records are
+/// reassembled **in trial order**. The report is therefore byte-identical
+/// for every `jobs` value, including `jobs == 1` (which spawns nothing);
+/// the CI `cmp` gate pins `-j1` vs `-j2` and `-j4`, the same contract as
+/// the analyzer's parallel fixpoint driver.
 ///
-/// `make_runner` is called once per worker, **on that worker's thread** —
-/// the runner itself need not be `Send` (a `Machine` boots a thread-local
-/// CPU). The calling thread keeps the runner that ran the baseline.
-pub fn run_campaign_jobs<R, F>(spec: &CampaignSpec, jobs: usize, make_runner: F) -> CampaignReport
+/// Every worker calls the one shared `run_trial`, so it must be `Sync`: a
+/// `Machine` passes a closure that forks each trial from its one
+/// checkpoint ladder.
+pub fn run_campaign_jobs<F>(
+    spec: &CampaignSpec,
+    jobs: usize,
+    baseline: TrialRun,
+    run_trial: F,
+) -> CampaignReport
 where
-    R: FnMut(Option<&Fault>) -> TrialRun,
-    F: Fn() -> R + Sync,
+    F: Fn(&Fault) -> TrialRun + Sync,
 {
     let n = jobs.clamp(1, usize::try_from(spec.trials).unwrap_or(usize::MAX).max(1));
-    let mut runner = make_runner();
-    let baseline = Baseline(runner(None));
+    let baseline = Baseline(baseline);
     let next = AtomicU64::new(0);
     let mut records = std::thread::scope(|s| {
         let workers: Vec<_> = (1..n)
-            .map(|_| s.spawn(|| baseline.take_trials(spec, &next, &mut make_runner())))
+            .map(|_| s.spawn(|| baseline.take_trials(spec, &next, &run_trial)))
             .collect();
-        let mut records = baseline.take_trials(spec, &next, &mut runner);
+        let mut records = baseline.take_trials(spec, &next, &run_trial);
         for worker in workers {
             records.extend(worker.join().expect("campaign worker panicked"));
         }
@@ -337,10 +340,10 @@ impl Baseline {
         &self,
         spec: &CampaignSpec,
         next: &AtomicU64,
-        run_trial: &mut F,
+        mut run_trial: F,
     ) -> Vec<TrialRecord>
     where
-        F: FnMut(Option<&Fault>) -> TrialRun,
+        F: FnMut(&Fault) -> TrialRun,
     {
         let detected = self.0.outcome.reason.is_detected();
         let (step_hint, io_hint) = (self.0.outcome.stats.instructions, self.0.io_calls);
@@ -351,7 +354,7 @@ impl Baseline {
                 return records;
             }
             let fault = spec.fault_for_trial(trial, step_hint, io_hint);
-            let run = run_trial(Some(&fault));
+            let run = run_trial(&fault);
             records.push(TrialRecord {
                 trial,
                 fault,
@@ -447,25 +450,23 @@ mod tests {
         // of the fault, so sequential and sharded sweeps must agree byte
         // for byte — the tentpole's determinism contract in miniature.
         let spec = CampaignSpec::new(0xfeed_beef, 23);
-        let runner = || {
-            |fault: Option<&Fault>| {
-                let reason = match fault {
-                    None => ExitReason::Security(sample_alert()),
-                    Some(f) if f.salt % 3 == 0 => ExitReason::Exited(0),
-                    Some(f) if f.salt % 3 == 1 => ExitReason::Security(sample_alert()),
-                    Some(_) => ExitReason::StepLimit,
-                };
-                TrialRun {
-                    outcome: outcome(reason),
-                    io_calls: 2,
-                    applied: fault.map(|f| format!("salt {}", f.salt)),
-                }
+        let runner = |fault: Option<&Fault>| {
+            let reason = match fault {
+                None => ExitReason::Security(sample_alert()),
+                Some(f) if f.salt % 3 == 0 => ExitReason::Exited(0),
+                Some(f) if f.salt % 3 == 1 => ExitReason::Security(sample_alert()),
+                Some(_) => ExitReason::StepLimit,
+            };
+            TrialRun {
+                outcome: outcome(reason),
+                io_calls: 2,
+                applied: fault.map(|f| format!("salt {}", f.salt)),
             }
         };
-        let sequential = run_campaign(&spec, runner());
+        let sequential = run_campaign(&spec, runner);
         let json = sequential.to_json();
         for jobs in [1, 2, 4, 7, 64] {
-            let sharded = run_campaign_jobs(&spec, jobs, runner);
+            let sharded = run_campaign_jobs(&spec, jobs, runner(None), |f| runner(Some(f)));
             assert_eq!(sharded.to_json(), json, "jobs={jobs}");
         }
         // Records really are in trial order.
@@ -482,19 +483,19 @@ mod tests {
         // panics past a small bound so the sweep ends.
         const BOUND: u64 = 8;
         let ran = AtomicU64::new(0);
-        let runner = || {
-            |_: Option<&Fault>| {
-                let n = ran.fetch_add(1, Ordering::Relaxed);
-                assert!(n < BOUND, "trial bound reached");
-                TrialRun {
-                    outcome: outcome(ExitReason::Exited(0)),
-                    io_calls: 1,
-                    applied: None,
-                }
+        let runner = |_: Option<&Fault>| {
+            let n = ran.fetch_add(1, Ordering::Relaxed);
+            assert!(n < BOUND, "trial bound reached");
+            TrialRun {
+                outcome: outcome(ExitReason::Exited(0)),
+                io_calls: 1,
+                applied: None,
             }
         };
         let spec = CampaignSpec::new(1, u64::MAX);
-        let swept = std::panic::catch_unwind(|| run_campaign_jobs(&spec, 2, runner));
+        let swept = std::panic::catch_unwind(|| {
+            run_campaign_jobs(&spec, 2, runner(None), |f| runner(Some(f)))
+        });
         assert!(swept.is_err(), "the bounded runner ends the sweep");
         assert!(
             ran.load(Ordering::Relaxed) >= BOUND,

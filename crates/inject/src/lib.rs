@@ -33,9 +33,9 @@
 //! produce byte-identical reports.
 //!
 //! The crate is workload-agnostic: [`run_campaign`] takes a closure that
-//! executes one trial ([`run_campaign_jobs`] takes a *factory* of such
-//! closures, one per worker), and `ptaint::Machine` binds the closure to a
-//! real guest boot. Classification ([`classify`], [`classify_fault`]) is
+//! executes one trial ([`run_campaign_jobs`] takes the baseline and one
+//! `Sync` trial closure that every worker shares), and `ptaint::Machine`
+//! binds the closure to a fork of its one checkpoint ladder. Classification ([`classify`], [`classify_fault`]) is
 //! judged against the fault-free baseline — in particular, a clean exit of
 //! a workload whose baseline *detects* an attack is always reported as a
 //! **missed** detection, never silently benign.

@@ -4,7 +4,7 @@ use ptaint_asm::Image;
 use ptaint_cpu::{Cpu, DetectionPolicy};
 use ptaint_isa::{Instr, Reg, ARG_BASE, PAGE_SIZE, STACK_TOP};
 use ptaint_mem::{HierarchyConfig, MemorySystem, WordTaint};
-use ptaint_trace::{Event, SharedObserver};
+use ptaint_trace::{Event, Observer};
 
 use crate::{Os, WorldConfig};
 
@@ -64,16 +64,17 @@ pub fn load(
     load_with_observer(image, world, policy, hierarchy, None)
 }
 
-/// Like [`load`], but also attaches a trace observer to the CPU before any
-/// taint lands, so the `argv[i]` / `env[i]` string bytes are reported as
-/// [`Event::TaintSource`]s and provenance can root chains in them.
+/// Like [`load`], but also hands the CPU a trace observer (it owns it from
+/// then on) before any taint lands, so the `argv[i]` / `env[i]` string
+/// bytes are reported as [`Event::TaintSource`]s and provenance can root
+/// chains in them.
 #[must_use]
 pub fn load_with_observer(
     image: &Image,
     world: WorldConfig,
     policy: DetectionPolicy,
     hierarchy: HierarchyConfig,
-    observer: Option<SharedObserver>,
+    observer: Option<Box<dyn Observer>>,
 ) -> (Cpu, Os) {
     let mut mem = MemorySystem::new(hierarchy);
 

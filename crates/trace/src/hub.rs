@@ -7,8 +7,6 @@ use crate::jsonl::JsonlSink;
 use crate::metrics::{MetricsCollector, MetricsSnapshot};
 use crate::provenance::{ForensicChain, ProvenanceTracker, DEFAULT_RING_DEPTH};
 use crate::Observer;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Which sinks a [`TraceHub`] should run.
 #[derive(Debug, Clone)]
@@ -104,12 +102,6 @@ impl TraceHub {
             since_snapshot: 0,
             retired: 0,
         }
-    }
-
-    /// A hub wrapped for sharing with the emulator's observer slot.
-    #[must_use]
-    pub fn shared(cfg: &TraceConfig) -> Rc<RefCell<TraceHub>> {
-        Rc::new(RefCell::new(TraceHub::new(cfg)))
     }
 
     /// Read access to the provenance tracker, when enabled.

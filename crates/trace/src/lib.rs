@@ -13,7 +13,7 @@
 //!
 //! ## Zero cost when disabled
 //!
-//! The emulator holds an `Option<SharedObserver>`; when it is `None` (the
+//! The CPU owns an `Option<Box<dyn Observer>>`; when it is `None` (the
 //! default) every hook is a single branch on a `None` discriminant and no
 //! event is ever constructed. Labels and other allocations happen only
 //! behind an is-some check at the source site.
@@ -23,20 +23,21 @@
 //! ```
 //! use ptaint_trace::{Event, Observer, TraceConfig, TraceHub};
 //!
-//! let hub = TraceHub::shared(&TraceConfig::all());
-//! // The emulator would hold a clone of `hub` and call on_event at hooks:
-//! hub.borrow_mut().on_event(&Event::TaintSource {
+//! let mut observer: Box<dyn Observer> = Box::new(TraceHub::new(&TraceConfig::all()));
+//! // The CPU would own `observer` and call on_event at its hooks:
+//! observer.on_event(&Event::TaintSource {
 //!     kind: "syscall",
 //!     label: "recv#1 fd=4".to_string(),
 //!     base: 0x1000_0000,
 //!     len: 512,
 //! });
-//! let report = std::rc::Rc::try_unwrap(hub).unwrap().into_inner().into_report();
+//! // ...and hand it back after the run, for a downcast to the concrete sink:
+//! let observer: Box<dyn std::any::Any> = observer;
+//! let report = observer.downcast::<TraceHub>().unwrap().into_report();
 //! assert_eq!(report.metrics.unwrap().taint_sources, 1);
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::any::Any;
 
 mod event;
 mod hub;
@@ -57,13 +58,12 @@ pub use provenance::{ForensicChain, ProvenanceTracker, SourceInfo, DEFAULT_RING_
 /// Implementations must tolerate any event ordering the emulator produces;
 /// in particular `Alert` may or may not be followed by further events
 /// depending on the active detection policy.
-pub trait Observer {
+///
+/// The CPU owns its observer as a `Box<dyn Observer>`; the OS model and the
+/// loader emit through the CPU. `Any` lets the owner downcast the box it
+/// takes back after a run, and `Send + Sync` keeps a CPU (and every
+/// checkpoint holding one) shareable across campaign workers.
+pub trait Observer: Any + Send + Sync {
     /// Called once per emitted event.
     fn on_event(&mut self, event: &Event);
 }
-
-/// The shape the emulator holds observers in. The emulator is
-/// single-threaded, so `Rc<RefCell<…>>` is the right amount of machinery.
-/// The CPU holds the only clone inside the emulator; the OS model and the
-/// loader emit through it.
-pub type SharedObserver = Rc<RefCell<dyn Observer>>;

@@ -292,9 +292,8 @@ fn every_forked_trial_equals_a_fresh_boot() {
 /// and the run alerts at `jr $31` (0x405188); the rung must do the same.
 /// A rung that rebuilt its cache fills that page from a different PC,
 /// runs the `lw`'s check in full and alerts there (0x4051fc) instead.
-/// Under debug assertions an earlier elided check on the tainted `$29`
-/// (0x40343c) trips the CPU's soundness assertion instead, and the caught
-/// panic must end the fresh boot and the rung there alike.
+/// Debug and release builds agree: the CPU's elision soundness assertion
+/// holds off once a fault has been injected.
 #[test]
 fn a_rung_resumes_with_its_warm_decode_cache() {
     let m = Machine::from_c(synthetic::EXP1_SOURCE)
@@ -309,20 +308,11 @@ fn a_rung_resumes_with_its_warm_decode_cache() {
     assert_eq!(rung.step(), 3584);
     let fresh = m.run_injected(&fault);
     assert_eq!(fresh.applied.as_deref(), Some("taint set on $29"));
-    if cfg!(debug_assertions) {
-        assert!(
-            matches!(&fresh.outcome.reason, ExitReason::GuestFault(msg)
-                if msg.contains("elided a pointer check on a tainted word at 0x0040343c")),
-            "{:?}",
-            fresh.outcome.reason
-        );
-    } else {
-        let alert = fresh.outcome.reason.alert().expect("a fresh boot detects");
-        assert_eq!(
-            (alert.pc, alert.instr.to_string()),
-            (0x405188, "jr $31".into())
-        );
-    }
+    let alert = fresh.outcome.reason.alert().expect("a fresh boot detects");
+    assert_eq!(
+        (alert.pc, alert.instr.to_string()),
+        (0x405188, "jr $31".into())
+    );
     let trial = rung.run_injected(&fault);
     assert_eq!(
         trial.outcome.reason, fresh.outcome.reason,
