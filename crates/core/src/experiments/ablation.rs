@@ -19,7 +19,7 @@
 use std::fmt;
 
 use ptaint_cpu::{DetectionPolicy, TaintRules};
-use ptaint_guest::apps::synthetic;
+use ptaint_guest::apps::{suite, Origin};
 use ptaint_guest::workloads;
 use ptaint_os::ExitReason;
 
@@ -66,31 +66,21 @@ fn run_variant(variant: &'static str, rules: TaintRules, scale: u32) -> Ablation
         }
     }
 
-    // Detection side: the synthetic attacks.
-    let attacks: Vec<(&str, Machine)> = vec![
-        (
-            "exp1",
-            Machine::from_c(synthetic::EXP1_SOURCE)
-                .expect("exp1")
-                .world(synthetic::exp1_attack_world()),
-        ),
-        (
-            "exp2",
-            Machine::from_c(synthetic::EXP2_SOURCE)
-                .expect("exp2")
-                .world(synthetic::exp2_attack_world()),
-        ),
-        (
-            "exp3",
-            Machine::from_c(synthetic::EXP3_SOURCE)
-                .expect("exp3")
-                .world(synthetic::exp3_attack_world(1)),
-        ),
-    ];
+    // Detection side: the Figure 2 attacks.
+    let attacks: Vec<_> = suite()
+        .iter()
+        .filter(|s| s.origin == Origin::Figure2)
+        .collect();
     let attacks_total = attacks.len();
     let attacks_detected = attacks
         .into_iter()
-        .filter(|(_, m)| m.clone().taint_rules(rules).run().reason.is_detected())
+        .filter(|s| {
+            Machine::from_scenario(s)
+                .taint_rules(rules)
+                .run()
+                .reason
+                .is_detected()
+        })
         .count();
 
     AblationRow {

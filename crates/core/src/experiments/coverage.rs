@@ -9,13 +9,10 @@
 
 use std::fmt;
 
-use ptaint_asm::Image;
 use ptaint_cpu::DetectionPolicy;
-use ptaint_guest::apps::{
-    calibrate_format_pad, dispatchd, ghttpd, globd, null_httpd, run_app, synthetic, traceroute,
-    wu_ftpd,
-};
-use ptaint_os::{ExitReason, RunOutcome, WorldConfig};
+use ptaint_guest::apps::AttackClass;
+use ptaint_guest::apps::{run_app, suite};
+use ptaint_os::{ExitReason, RunOutcome};
 
 /// How a run under one policy ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,25 +35,6 @@ impl CoverageOutcome {
             CoverageOutcome::Crashed => "crashed",
             CoverageOutcome::CleanExit => "clean",
         }
-    }
-}
-
-/// Attack classification per the paper's taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackClass {
-    /// Corrupts control data (return addresses, code pointers).
-    ControlData,
-    /// Corrupts only non-control data (UIDs, config strings, data
-    /// pointers).
-    NonControlData,
-}
-
-impl fmt::Display for AttackClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AttackClass::ControlData => "control-data",
-            AttackClass::NonControlData => "non-control-data",
-        })
     }
 }
 
@@ -89,13 +67,15 @@ impl CoverageMatrix {
     #[must_use]
     pub fn matches_paper_claims(&self) -> bool {
         self.rows.iter().all(|r| {
-            let full_ok = r.pointer_taintedness == CoverageOutcome::Detected;
-            let baseline_ok = match r.class {
-                AttackClass::ControlData => r.control_only == CoverageOutcome::Detected,
-                AttackClass::NonControlData => r.control_only != CoverageOutcome::Detected,
-            };
-            let unprotected_ok = r.unprotected != CoverageOutcome::Detected;
-            full_ok && baseline_ok && unprotected_ok
+            [
+                (DetectionPolicy::Off, r.unprotected),
+                (DetectionPolicy::ControlOnly, r.control_only),
+                (DetectionPolicy::PointerTaintedness, r.pointer_taintedness),
+            ]
+            .into_iter()
+            .all(|(policy, outcome)| {
+                (outcome == CoverageOutcome::Detected) == r.class.caught_by(policy)
+            })
         })
     }
 }
@@ -125,111 +105,21 @@ fn classify(outcome: &RunOutcome, compromise_marker: Option<&str>) -> CoverageOu
     }
 }
 
-struct AttackSpec {
-    name: &'static str,
-    class: AttackClass,
-    image: Image,
-    world: WorldConfig,
-    compromise_marker: Option<&'static str>,
-}
-
-fn attack_suite() -> Vec<AttackSpec> {
-    let exp1 = ptaint_guest::build(synthetic::EXP1_SOURCE).expect("exp1");
-    let exp2 = ptaint_guest::build(synthetic::EXP2_SOURCE).expect("exp2");
-    let exp3 = ptaint_guest::build(synthetic::EXP3_SOURCE).expect("exp3");
-    let exp3_pad = calibrate_format_pad(&exp3, synthetic::exp3_attack_world, 0x6463_6261, 16)
-        .expect("exp3 calibrates");
-    let ftpd = ptaint_guest::build(wu_ftpd::SOURCE).expect("wu_ftpd");
-    let uid = wu_ftpd::uid_address(&ftpd);
-    let ftpd_pad = calibrate_format_pad(&ftpd, |p| wu_ftpd::attack_world(&ftpd, p), uid, 48)
-        .expect("wu_ftpd calibrates");
-    let httpd = ptaint_guest::build(null_httpd::SOURCE).expect("null_httpd");
-    let ghttpd_img = ptaint_guest::build(ghttpd::SOURCE).expect("ghttpd");
-    let tracer = ptaint_guest::build(traceroute::SOURCE).expect("traceroute");
-    let glob = ptaint_guest::build(globd::SOURCE).expect("globd");
-    let dispatch = ptaint_guest::build(dispatchd::SOURCE).expect("dispatchd");
-
-    vec![
-        AttackSpec {
-            name: "exp1 stack smash (ret addr)",
-            class: AttackClass::ControlData,
-            world: synthetic::exp1_attack_world(),
-            image: exp1,
-            compromise_marker: None,
-        },
-        AttackSpec {
-            name: "exp2 heap chunk links",
-            class: AttackClass::NonControlData,
-            world: synthetic::exp2_attack_world(),
-            image: exp2,
-            compromise_marker: None,
-        },
-        AttackSpec {
-            name: "exp3 format string %n",
-            class: AttackClass::NonControlData,
-            world: synthetic::exp3_attack_world(exp3_pad),
-            image: exp3,
-            compromise_marker: None,
-        },
-        AttackSpec {
-            name: "WU-FTPD uid overwrite",
-            class: AttackClass::NonControlData,
-            world: wu_ftpd::attack_world(&ftpd, ftpd_pad),
-            image: ftpd,
-            compromise_marker: Some("226 transfer complete"),
-        },
-        AttackSpec {
-            name: "NULL HTTPD cgi-root retarget",
-            class: AttackClass::NonControlData,
-            world: null_httpd::attack_world(&httpd),
-            image: httpd,
-            compromise_marker: Some("EXEC /bin/sh"),
-        },
-        AttackSpec {
-            name: "GHTTPD url-pointer corrupt",
-            class: AttackClass::NonControlData,
-            world: ghttpd::attack_world(&ghttpd_img),
-            image: ghttpd_img,
-            compromise_marker: Some("EXEC /cgi-bin/../../../../bin/sh"),
-        },
-        AttackSpec {
-            name: "traceroute double free",
-            class: AttackClass::NonControlData,
-            world: traceroute::attack_world(),
-            image: tracer,
-            compromise_marker: None,
-        },
-        AttackSpec {
-            name: "globd ~user heap overflow",
-            class: AttackClass::NonControlData,
-            world: globd::attack_world(),
-            image: glob,
-            compromise_marker: None,
-        },
-        AttackSpec {
-            name: "dispatchd fn-ptr overwrite",
-            class: AttackClass::ControlData,
-            world: dispatchd::attack_world(),
-            image: dispatch,
-            compromise_marker: None,
-        },
-    ]
-}
-
-/// Runs the complete attack suite under all three policies (27 runs, plus
-/// the calibration probes).
+/// Runs every attack of the suite but Table 4's designed misses under all
+/// three policies.
 #[must_use]
 pub fn run_coverage_matrix() -> CoverageMatrix {
-    let rows = attack_suite()
-        .into_iter()
-        .map(|spec| {
+    let rows = suite()
+        .iter()
+        .filter(|s| !s.designed_miss())
+        .map(|s| {
             let outcome_for = |policy| {
-                let out = run_app(&spec.image, spec.world.clone(), policy);
-                classify(&out, spec.compromise_marker)
+                let out = run_app(&s.image, s.attack.clone(), policy);
+                classify(&out, s.compromise_marker)
             };
             CoverageRow {
-                attack: spec.name,
-                class: spec.class,
+                attack: s.title,
+                class: s.class,
                 unprotected: outcome_for(DetectionPolicy::Off),
                 control_only: outcome_for(DetectionPolicy::ControlOnly),
                 pointer_taintedness: outcome_for(DetectionPolicy::PointerTaintedness),

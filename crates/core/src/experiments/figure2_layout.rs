@@ -9,10 +9,9 @@
 use std::fmt;
 
 use ptaint_cpu::{Cpu, CpuException, SecurityAlert, StepEvent};
-use ptaint_guest::apps::synthetic;
+use ptaint_guest::apps::scenario;
 use ptaint_isa::Reg;
 use ptaint_mem::HierarchyConfig;
-use ptaint_os::WorldConfig;
 
 /// One rendered word of the layout.
 #[derive(Debug, Clone)]
@@ -44,11 +43,10 @@ pub struct Figure2Layout {
 /// Panics if the attack unexpectedly goes undetected.
 #[must_use]
 pub fn capture_exp1_frame() -> Figure2Layout {
-    let image = ptaint_guest::build(synthetic::EXP1_SOURCE).expect("exp1 builds");
-    let world: WorldConfig = synthetic::exp1_attack_world();
+    let exp1 = scenario("exp1");
     let (mut cpu, mut os) = ptaint_os::load(
-        &image,
-        world,
+        &exp1.image,
+        exp1.attack.clone(),
         ptaint_cpu::DetectionPolicy::PointerTaintedness,
         HierarchyConfig::flat(),
     );

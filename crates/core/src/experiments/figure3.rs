@@ -10,7 +10,7 @@ use std::fmt;
 
 use ptaint_cpu::pipeline::{PipelineDetection, Stage};
 use ptaint_cpu::DetectionPolicy;
-use ptaint_guest::apps::synthetic;
+use ptaint_guest::apps::scenario;
 
 use crate::{Machine, RunConfig};
 
@@ -41,10 +41,7 @@ pub struct Figure3Report {
 /// Panics if either attack goes undetected.
 #[must_use]
 pub fn run_pipeline_walk() -> Figure3Report {
-    let exp1 = Machine::from_c(synthetic::EXP1_SOURCE)
-        .expect("exp1 builds")
-        .world(synthetic::exp1_attack_world())
-        .policy(DetectionPolicy::PointerTaintedness);
+    let exp1 = Machine::from_scenario(scenario("exp1")).policy(DetectionPolicy::PointerTaintedness);
     let pipelined = RunConfig {
         pipeline: true,
         ..RunConfig::default()
@@ -55,10 +52,7 @@ pub fn run_pipeline_walk() -> Figure3Report {
         .and_then(|p| p.detection)
         .expect("exp1 detected in the pipeline");
 
-    let exp2 = Machine::from_c(synthetic::EXP2_SOURCE)
-        .expect("exp2 builds")
-        .world(synthetic::exp2_attack_world())
-        .policy(DetectionPolicy::PointerTaintedness);
+    let exp2 = Machine::from_scenario(scenario("exp2")).policy(DetectionPolicy::PointerTaintedness);
     let data_detection = exp2
         .run_with(&pipelined)
         .pipeline

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use ptaint_cpu::{DetectionPolicy, SecurityAlert};
-use ptaint_guest::apps::{calibrate_format_pad, run_app, synthetic};
+use ptaint_guest::apps::{run_app, suite, Origin};
 
 /// The detection result for one synthetic program.
 #[derive(Debug, Clone)]
@@ -27,8 +27,8 @@ pub struct SyntheticSuite {
     pub detections: Vec<SyntheticDetection>,
 }
 
-/// Runs exp1, exp2 and exp3 with the paper's attack inputs under full
-/// detection and collects the alerts.
+/// Runs every Figure 2 scenario of the attack suite (exp1, exp2 and exp3)
+/// under full detection and collects the alerts.
 ///
 /// # Panics
 ///
@@ -36,50 +36,48 @@ pub struct SyntheticSuite {
 /// reproduction (the test suite pins this down with precise assertions).
 #[must_use]
 pub fn run_synthetic_suite() -> SyntheticSuite {
-    let mut detections = Vec::new();
-
-    let exp1 = ptaint_guest::build(synthetic::EXP1_SOURCE).expect("exp1 builds");
-    let out = run_app(
-        &exp1,
-        synthetic::exp1_attack_world(),
-        DetectionPolicy::PointerTaintedness,
-    );
-    detections.push(SyntheticDetection {
-        name: "exp1 (stack buffer overflow)",
-        attack: "stdin: 24 x 'a' into char buf[10] via scanf(\"%s\")".into(),
-        alert: *out.reason.alert().expect("exp1 detected"),
-        paper_expectation:
-            "alert at the return instruction (jr $31), return address tainted 0x61616161",
-    });
-
-    let exp2 = ptaint_guest::build(synthetic::EXP2_SOURCE).expect("exp2 builds");
-    let out = run_app(
-        &exp2,
-        synthetic::exp2_attack_world(),
-        DetectionPolicy::PointerTaintedness,
-    );
-    detections.push(SyntheticDetection {
-        name: "exp2 (heap corruption)",
-        attack: "stdin: overflow of malloc(8) into the next free chunk's fd/bk links".into(),
-        alert: *out.reason.alert().expect("exp2 detected"),
-        paper_expectation: "alert inside free() dereferencing the tainted chunk link (0x616161xx)",
-    });
-
-    let exp3 = ptaint_guest::build(synthetic::EXP3_SOURCE).expect("exp3 builds");
-    let pad = calibrate_format_pad(&exp3, synthetic::exp3_attack_world, 0x6463_6261, 16)
-        .expect("exp3 pad calibrates");
-    let out = run_app(
-        &exp3,
-        synthetic::exp3_attack_world(pad),
-        DetectionPolicy::PointerTaintedness,
-    );
-    detections.push(SyntheticDetection {
-        name: "exp3 (format string)",
-        attack: format!("socket: \"abcd{}%n\" through printf(buf)", "%x".repeat(pad)),
-        alert: *out.reason.alert().expect("exp3 detected"),
-        paper_expectation: "alert at the %n store (sw) dereferencing 0x64636261 ('abcd')",
-    });
-
+    let detections = suite()
+        .iter()
+        .filter(|s| s.origin == Origin::Figure2)
+        .map(|s| {
+            let out = run_app(
+                &s.image,
+                s.attack.clone(),
+                DetectionPolicy::PointerTaintedness,
+            );
+            let alert = *out
+                .reason
+                .alert()
+                .unwrap_or_else(|| panic!("{} detected", s.name));
+            let (name, attack, paper_expectation) = match s.name {
+                "exp1" => (
+                    "exp1 (stack buffer overflow)",
+                    "stdin: 24 x 'a' into char buf[10] via scanf(\"%s\")".into(),
+                    "alert at the return instruction (jr $31), return address tainted 0x61616161",
+                ),
+                "exp2" => (
+                    "exp2 (heap corruption)",
+                    "stdin: overflow of malloc(8) into the next free chunk's fd/bk links".into(),
+                    "alert inside free() dereferencing the tainted chunk link (0x616161xx)",
+                ),
+                "exp3" => (
+                    "exp3 (format string)",
+                    format!(
+                        "socket: \"{}\" through printf(buf)",
+                        String::from_utf8_lossy(&s.attack.sessions[0].messages[0])
+                    ),
+                    "alert at the %n store (sw) dereferencing 0x64636261 ('abcd')",
+                ),
+                _ => (s.title, String::new(), ""),
+            };
+            SyntheticDetection {
+                name,
+                attack,
+                alert,
+                paper_expectation,
+            }
+        })
+        .collect();
     SyntheticSuite { detections }
 }
 

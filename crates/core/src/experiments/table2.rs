@@ -4,7 +4,7 @@
 use std::fmt;
 
 use ptaint_cpu::{DetectionPolicy, SecurityAlert};
-use ptaint_guest::apps::{calibrate_format_pad, run_app, wu_ftpd};
+use ptaint_guest::apps::{run_app, scenario};
 
 /// Who said a transcript line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,25 +39,26 @@ pub struct Table2Report {
     pub pad: usize,
 }
 
-/// Runs the WU-FTPD attack session under full detection and reconstructs
-/// the paper's Table 2 transcript.
+/// Runs the suite's WU-FTPD attack session under full detection and
+/// reconstructs the paper's Table 2 transcript.
 ///
 /// # Panics
 ///
-/// Panics if the attack calibration fails or the attack goes undetected
-/// (either would falsify the reproduction).
+/// Panics if the attack goes undetected (that would falsify the
+/// reproduction).
 #[must_use]
 pub fn run_wu_ftpd_transcript() -> Table2Report {
-    let image = ptaint_guest::build(wu_ftpd::SOURCE).expect("wu_ftpd builds");
-    let target = wu_ftpd::uid_address(&image);
-    let pad = calibrate_format_pad(&image, |p| wu_ftpd::attack_world(&image, p), target, 48)
-        .expect("format pad calibrates");
-    let world = wu_ftpd::attack_world(&image, pad);
-    let out = run_app(&image, world, DetectionPolicy::PointerTaintedness);
+    let ftpd = scenario("wu_ftpd");
+    let out = run_app(
+        &ftpd.image,
+        ftpd.attack.clone(),
+        DetectionPolicy::PointerTaintedness,
+    );
     let alert = *out.reason.alert().expect("attack detected");
 
-    // Reconstruct the conversation: client lines are the scripted session;
-    // server lines come from the captured transcript.
+    // Reconstruct the conversation: client lines are the scripted session,
+    // up to the first message the server never answered; server lines come
+    // from the captured transcript.
     let mut lines = Vec::new();
     let server_text = String::from_utf8_lossy(&out.transcripts[0]).into_owned();
     let mut server_lines = server_text.lines();
@@ -67,31 +68,19 @@ pub fn run_wu_ftpd_transcript() -> Table2Report {
             text: banner.trim().to_owned(),
         });
     }
-    let client_msgs: Vec<String> = vec![
-        "USER user1".into(),
-        "PASS xxxxxxx".into(),
-        format!(
-            "SITE EXEC ..\\x{:02x}\\x{:02x}\\x{:02x}\\x{:02x}{}%n",
-            target & 0xff,
-            (target >> 8) & 0xff,
-            (target >> 16) & 0xff,
-            (target >> 24) & 0xff,
-            "%x".repeat(pad)
-        ),
-    ];
-    for msg in client_msgs {
+    let messages = &ftpd.attack.sessions[0].messages;
+    for msg in messages {
         lines.push(TranscriptLine {
             speaker: Speaker::Client,
-            text: msg,
+            text: escape(msg),
         });
-        if let Some(reply) = server_lines.next() {
-            let trimmed = reply.trim();
-            if !trimmed.is_empty() {
-                lines.push(TranscriptLine {
-                    speaker: Speaker::Server,
-                    text: trimmed.to_owned(),
-                });
-            }
+        match server_lines.next().map(str::trim) {
+            Some(reply) if !reply.is_empty() => lines.push(TranscriptLine {
+                speaker: Speaker::Server,
+                text: reply.to_owned(),
+            }),
+            Some(_) => {}
+            None => break,
         }
     }
     lines.push(TranscriptLine {
@@ -99,12 +88,27 @@ pub fn run_wu_ftpd_transcript() -> Table2Report {
         text: alert.to_string(),
     });
 
+    let pad = messages
+        .iter()
+        .map(|m| m.windows(2).filter(|w| w == b"%x").count())
+        .max()
+        .unwrap_or(0);
     Table2Report {
         lines,
         alert,
-        target_address: target,
+        target_address: ftpd.pointer.expect("the uid word is the target"),
         pad,
     }
+}
+
+/// Renders a client message, escaping non-printable bytes as `\xNN`.
+fn escape(msg: &[u8]) -> String {
+    msg.iter()
+        .map(|&b| match b {
+            0x20..=0x7e => char::from(b).to_string(),
+            _ => format!("\\x{b:02x}"),
+        })
+        .collect()
 }
 
 impl fmt::Display for Table2Report {

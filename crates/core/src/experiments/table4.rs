@@ -5,8 +5,8 @@
 use std::fmt;
 
 use ptaint_cpu::DetectionPolicy;
-use ptaint_guest::apps::{run_app, table4};
-use ptaint_os::{ExitReason, WorldConfig};
+use ptaint_guest::apps::{run_app, suite, Origin};
+use ptaint_os::ExitReason;
 
 /// One Table 4 scenario result.
 #[derive(Debug, Clone)]
@@ -32,60 +32,51 @@ pub struct Table4Report {
     pub rows: Vec<FalseNegativeRow>,
 }
 
-fn run_scenario(
-    scenario: &'static str,
-    source: &str,
-    world: WorldConfig,
-    attack: &'static str,
-    damage_marker: &str,
-    why_missed: &'static str,
-) -> FalseNegativeRow {
-    let image = ptaint_guest::build(source).expect("scenario builds");
-    let out = run_app(&image, world, DetectionPolicy::PointerTaintedness);
-    let alerted = out.reason.is_detected();
-    let stdout = out.stdout_text();
-    FalseNegativeRow {
-        scenario,
-        attack,
-        alerted,
-        damage_done: stdout.contains(damage_marker) && matches!(out.reason, ExitReason::Exited(_)),
-        evidence: stdout.trim().to_owned(),
-        why_missed,
-    }
-}
-
-/// Runs all three Table 4 scenarios under full detection.
+/// Runs every Table 4 scenario of the attack suite under full detection.
 #[must_use]
 pub fn run_false_negative_suite() -> Table4Report {
-    let rows = vec![
-        run_scenario(
-            "(A) integer overflow -> out-of-bounds array index",
-            table4::INT_OVERFLOW_SOURCE,
-            table4::int_overflow_attack_world(),
-            "stdin: \"-1\" (flawed bound check lacks a lower bound)",
-            "GUARD CORRUPTED",
-            "the bound-check comparison untaints the index, and an array \
-             index is *supposed* to enter address arithmetic",
-        ),
-        run_scenario(
-            "(B) buffer overflow corrupting an authentication flag",
-            table4::AUTH_FLAG_SOURCE,
-            table4::auth_flag_attack_world(),
-            "stdin: 16 filler bytes + nonzero word over `auth`",
-            "ACCESS GRANTED",
-            "the corrupted flag is only branched on, never dereferenced — \
-             no pointer is tainted",
-        ),
-        run_scenario(
-            "(C) format string information leak",
-            table4::FMT_LEAK_SOURCE,
-            table4::fmt_leak_attack_world(),
-            "stdin: \"%x%x%x%x\" (reads stack words incl. secret_key)",
-            "12345678",
-            "%x only reads through the untainted argument pointer; nothing \
-             tainted is dereferenced",
-        ),
-    ];
+    let rows = suite()
+        .iter()
+        .filter(|s| s.origin == Origin::Table4)
+        .map(|s| {
+            let out = run_app(
+                &s.image,
+                s.attack.clone(),
+                DetectionPolicy::PointerTaintedness,
+            );
+            let stdout = out.stdout_text();
+            let damage_marker = s
+                .compromise_marker
+                .expect("a designed miss shows its damage");
+            let (attack, why_missed) = match s.name {
+                "int_overflow" => (
+                    "stdin: \"-1\" (flawed bound check lacks a lower bound)",
+                    "the bound-check comparison untaints the index, and an array \
+                     index is *supposed* to enter address arithmetic",
+                ),
+                "auth_flag" => (
+                    "stdin: 16 filler bytes + nonzero word over `auth`",
+                    "the corrupted flag is only branched on, never dereferenced — \
+                     no pointer is tainted",
+                ),
+                "fmt_leak" => (
+                    "stdin: \"%x%x%x%x\" (reads stack words incl. secret_key)",
+                    "%x only reads through the untainted argument pointer; nothing \
+                     tainted is dereferenced",
+                ),
+                _ => ("", ""),
+            };
+            FalseNegativeRow {
+                scenario: s.title,
+                attack,
+                alerted: out.reason.is_detected(),
+                damage_done: stdout.contains(damage_marker)
+                    && matches!(out.reason, ExitReason::Exited(_)),
+                evidence: stdout.trim().to_owned(),
+                why_missed,
+            }
+        })
+        .collect();
     Table4Report { rows }
 }
 

@@ -7,6 +7,7 @@ use std::time::Duration;
 use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
 use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules};
+use ptaint_guest::apps::Scenario;
 use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
 use ptaint_mem::{CacheStats, HierarchyConfig};
@@ -98,6 +99,13 @@ impl Machine {
             analysis_jobs: None,
             analysis_memo: Arc::default(),
         }
+    }
+
+    /// The attack of a [`suite`](ptaint_guest::apps::suite) scenario: its
+    /// image under its attack world.
+    #[must_use]
+    pub fn from_scenario(scenario: &Scenario) -> Machine {
+        Machine::from_image(scenario.image.clone()).world(scenario.attack.clone())
     }
 
     /// Selects the execution engine (default: the predecoded/cached engine;

@@ -605,14 +605,6 @@ impl Cpu {
         self.dcache.has_proven()
     }
 
-    /// Whether the decode-cache integrity machinery has tripped: all
-    /// proofs dropped, elision disabled, every check running in full for
-    /// the rest of the run.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Enters degraded mode: drops every cached page and every proof,
     /// bumps [`ExecStats::integrity_failures`], and keeps executing with
     /// all checks in force. Corrupted elision state fails safe, never
@@ -870,7 +862,8 @@ impl Cpu {
                     RAluOp::Slt => u32::from((a as i32) < (b as i32)),
                     RAluOp::Sltu => u32::from(a < b),
                 };
-                let taint = taint_alu::ralu_result_with(self.rules, op, a, ta, b, tb, rs == rt);
+                let (taint, rule) =
+                    taint_alu::ralu_result_with(self.rules, op, a, ta, b, tb, rs == rt);
                 if op.is_compare() && self.rules.compare_untaints && (ta.any() || tb.any()) {
                     // Table 1: compare untaints its operands in place.
                     self.regs.set_taint(rs, taint_alu::compare_operand_taint());
@@ -882,7 +875,7 @@ impl Cpu {
                 self.emit_transfer(
                     pc,
                     instr,
-                    taint_alu::ralu_rule(self.rules, op, rs == rt),
+                    rule,
                     Loc::Reg(rd),
                     [Some(Loc::Reg(rs)), Some(Loc::Reg(rt))],
                     taint,
@@ -902,7 +895,7 @@ impl Cpu {
                     IAluOp::Ori => a | ext,
                     IAluOp::Xori => a ^ ext,
                 };
-                let taint = taint_alu::ialu_result_with(self.rules, op, a, ta, ext);
+                let (taint, rule) = taint_alu::ialu_result_with(self.rules, op, a, ta, ext);
                 if op.is_compare() && self.rules.compare_untaints && ta.any() {
                     self.regs.set_taint(rs, taint_alu::compare_operand_taint());
                     self.emit_compare_untaint(pc, instr, rs, ta);
@@ -911,7 +904,7 @@ impl Cpu {
                 self.emit_transfer(
                     pc,
                     instr,
-                    taint_alu::ialu_rule(self.rules, op),
+                    rule,
                     Loc::Reg(rt),
                     [Some(Loc::Reg(rs)), None],
                     taint,
@@ -922,12 +915,13 @@ impl Cpu {
                 let (v, tv) = self.regs.get(rt);
                 self.note_tainted_operands(&[tv]);
                 let value = shift_value(op, v, u32::from(shamt));
-                let taint = taint_alu::shift_result_with(self.rules, op, tv, WordTaint::CLEAN);
+                let (taint, rule) =
+                    taint_alu::shift_result_with(self.rules, op, tv, WordTaint::CLEAN);
                 self.regs.set(rd, value, taint);
                 self.emit_transfer(
                     pc,
                     instr,
-                    taint_alu::shift_rule(self.rules, op),
+                    rule,
                     Loc::Reg(rd),
                     [Some(Loc::Reg(rt)), None],
                     taint,
@@ -939,12 +933,12 @@ impl Cpu {
                 let (amt, tamt) = self.regs.get(rs);
                 self.note_tainted_operands(&[tv, tamt]);
                 let value = shift_value(op, v, amt & 0x1f);
-                let taint = taint_alu::shift_result_with(self.rules, op, tv, tamt);
+                let (taint, rule) = taint_alu::shift_result_with(self.rules, op, tv, tamt);
                 self.regs.set(rd, value, taint);
                 self.emit_transfer(
                     pc,
                     instr,
-                    taint_alu::shift_rule(self.rules, op),
+                    rule,
                     Loc::Reg(rd),
                     [Some(Loc::Reg(rt)), Some(Loc::Reg(rs))],
                     taint,

@@ -41,24 +41,6 @@ pub enum Stage {
     Retire,
 }
 
-/// Timing parameters of the pipeline model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Bubble cycles when a load's consumer issues back-to-back.
-    pub load_use_stall: u64,
-    /// Bubble cycles after a taken branch or jump (fetch redirect).
-    pub control_penalty: u64,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> PipelineConfig {
-        PipelineConfig {
-            load_use_stall: 1,
-            control_penalty: 2,
-        }
-    }
-}
-
 /// Where and when a detector fired for one offending instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineDetection {
@@ -107,7 +89,6 @@ impl PipelineReport {
 #[derive(Debug)]
 pub struct Pipeline {
     cpu: Cpu,
-    cfg: PipelineConfig,
     /// Issue cycle of the most recently issued instruction.
     last_issue: u64,
     /// Destination register of the previous instruction when it was a load.
@@ -120,19 +101,18 @@ pub struct Pipeline {
 /// Pipeline depth: retirement happens four cycles after issue.
 const DEPTH_TO_RETIRE: u64 = 4;
 
+/// Bubble cycles when a load's consumer issues back-to-back.
+const LOAD_USE_STALL: u64 = 1;
+
+/// Bubble cycles after a taken branch or jump (fetch redirect).
+const CONTROL_PENALTY: u64 = 2;
+
 impl Pipeline {
-    /// Wraps `cpu` with default timing parameters.
+    /// Wraps `cpu` in the classic 5-stage timing model.
     #[must_use]
     pub fn new(cpu: Cpu) -> Pipeline {
-        Pipeline::with_config(cpu, PipelineConfig::default())
-    }
-
-    /// Wraps `cpu` with explicit timing parameters.
-    #[must_use]
-    pub fn with_config(cpu: Cpu, cfg: PipelineConfig) -> Pipeline {
         Pipeline {
             cpu,
-            cfg,
             last_issue: 0,
             prev_load_dest: None,
             pending_redirect: false,
@@ -179,13 +159,13 @@ impl Pipeline {
 
         let mut issue = self.last_issue + 1;
         if self.pending_redirect {
-            issue += self.cfg.control_penalty;
+            issue += CONTROL_PENALTY;
             self.report.control_flushes += 1;
             self.pending_redirect = false;
         }
         if let (Some(dest), Some(instr)) = (self.prev_load_dest, peek) {
             if reads_register(&instr, dest) {
-                issue += self.cfg.load_use_stall;
+                issue += LOAD_USE_STALL;
                 self.report.load_use_stalls += 1;
             }
         }

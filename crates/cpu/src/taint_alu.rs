@@ -60,9 +60,12 @@ pub fn ralu_result(
         b_taint,
         same_source_reg,
     )
+    .0
 }
 
-/// [`ralu_result`] under an explicit (possibly ablated) rule set.
+/// [`ralu_result`] under an explicit (possibly ablated) rule set, with the
+/// name of the Table 1 rule it applied (the label of the trace's
+/// `taint_propagate` event).
 #[must_use]
 #[inline]
 pub fn ralu_result_with(
@@ -73,12 +76,16 @@ pub fn ralu_result_with(
     b_val: u32,
     b_taint: WordTaint,
     same_source_reg: bool,
-) -> WordTaint {
+) -> (WordTaint, &'static str) {
     match op {
-        RAluOp::Xor if same_source_reg && rules.xor_idiom_untaints => WordTaint::CLEAN,
-        RAluOp::And if rules.and_untaints => and_result(a_val, a_taint, b_val, b_taint),
-        _ if op.is_compare() && rules.compare_untaints => WordTaint::CLEAN,
-        _ => generic(a_taint, b_taint),
+        RAluOp::Xor if same_source_reg && rules.xor_idiom_untaints => {
+            (WordTaint::CLEAN, "xor-idiom")
+        }
+        RAluOp::And if rules.and_untaints => {
+            (and_result(a_val, a_taint, b_val, b_taint), "and-mask")
+        }
+        _ if op.is_compare() && rules.compare_untaints => (WordTaint::CLEAN, "compare"),
+        _ => (generic(a_taint, b_taint), "generic"),
     }
 }
 
@@ -106,10 +113,11 @@ pub fn and_result(a_val: u32, a_taint: WordTaint, b_val: u32, b_taint: WordTaint
 #[must_use]
 #[inline]
 pub fn ialu_result(op: IAluOp, src_val: u32, src_taint: WordTaint, imm_ext: u32) -> WordTaint {
-    ialu_result_with(TaintRules::PAPER, op, src_val, src_taint, imm_ext)
+    ialu_result_with(TaintRules::PAPER, op, src_val, src_taint, imm_ext).0
 }
 
-/// [`ialu_result`] under an explicit (possibly ablated) rule set.
+/// [`ialu_result`] under an explicit (possibly ablated) rule set, with the
+/// name of the rule it applied.
 #[must_use]
 #[inline]
 pub fn ialu_result_with(
@@ -118,13 +126,14 @@ pub fn ialu_result_with(
     src_val: u32,
     src_taint: WordTaint,
     imm_ext: u32,
-) -> WordTaint {
+) -> (WordTaint, &'static str) {
     match op {
-        IAluOp::Andi if rules.and_untaints => {
-            and_result(src_val, src_taint, imm_ext, WordTaint::CLEAN)
-        }
-        _ if op.is_compare() && rules.compare_untaints => WordTaint::CLEAN,
-        _ => src_taint,
+        IAluOp::Andi if rules.and_untaints => (
+            and_result(src_val, src_taint, imm_ext, WordTaint::CLEAN),
+            "and-mask",
+        ),
+        _ if op.is_compare() && rules.compare_untaints => (WordTaint::CLEAN, "compare"),
+        _ => (src_taint, "generic"),
     }
 }
 
@@ -134,10 +143,11 @@ pub fn ialu_result_with(
 #[must_use]
 #[inline]
 pub fn shift_result(op: ShiftOp, operand_taint: WordTaint, amount_taint: WordTaint) -> WordTaint {
-    shift_result_with(TaintRules::PAPER, op, operand_taint, amount_taint)
+    shift_result_with(TaintRules::PAPER, op, operand_taint, amount_taint).0
 }
 
-/// [`shift_result`] under an explicit (possibly ablated) rule set.
+/// [`shift_result`] under an explicit (possibly ablated) rule set, with the
+/// name of the rule it applied.
 #[must_use]
 #[inline]
 pub fn shift_result_with(
@@ -145,15 +155,14 @@ pub fn shift_result_with(
     op: ShiftOp,
     operand_taint: WordTaint,
     amount_taint: WordTaint,
-) -> WordTaint {
+) -> (WordTaint, &'static str) {
     let base = generic(operand_taint, amount_taint);
     if !rules.shift_smear {
-        return base;
-    }
-    if op.is_left() {
-        base.smear_left()
+        (base, "generic")
+    } else if op.is_left() {
+        (base.smear_left(), "shift-smear-left")
     } else {
-        base.smear_right()
+        (base.smear_right(), "shift-smear-right")
     }
 }
 
@@ -164,43 +173,6 @@ pub fn shift_result_with(
 #[inline]
 pub fn compare_operand_taint() -> WordTaint {
     WordTaint::CLEAN
-}
-
-/// Name of the Table 1 rule [`ralu_result_with`] applies for this operation,
-/// for labeling trace events. Mirrors that function's dispatch exactly.
-#[must_use]
-#[inline]
-pub fn ralu_rule(rules: TaintRules, op: RAluOp, same_source_reg: bool) -> &'static str {
-    match op {
-        RAluOp::Xor if same_source_reg && rules.xor_idiom_untaints => "xor-idiom",
-        RAluOp::And if rules.and_untaints => "and-mask",
-        _ if op.is_compare() && rules.compare_untaints => "compare",
-        _ => "generic",
-    }
-}
-
-/// Name of the rule [`ialu_result_with`] applies, for labeling trace events.
-#[must_use]
-#[inline]
-pub fn ialu_rule(rules: TaintRules, op: IAluOp) -> &'static str {
-    match op {
-        IAluOp::Andi if rules.and_untaints => "and-mask",
-        _ if op.is_compare() && rules.compare_untaints => "compare",
-        _ => "generic",
-    }
-}
-
-/// Name of the rule [`shift_result_with`] applies, for labeling trace events.
-#[must_use]
-#[inline]
-pub fn shift_rule(rules: TaintRules, op: ShiftOp) -> &'static str {
-    if !rules.shift_smear {
-        "generic"
-    } else if op.is_left() {
-        "shift-smear-left"
-    } else {
-        "shift-smear-right"
-    }
 }
 
 /// Result taint of a load, given the taint bits read from memory.

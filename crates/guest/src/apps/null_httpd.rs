@@ -220,15 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn attack_missed_by_control_only_baseline() {
-        let image = image();
-        let out = run_app(&image, attack_world(&image), DetectionPolicy::ControlOnly);
-        assert!(!out.reason.is_detected(), "{:?}", out.reason);
-        let transcript = String::from_utf8_lossy(&out.transcripts[0]).into_owned();
-        assert!(transcript.contains("EXEC /bin/sh"), "{transcript}");
-    }
-
-    #[test]
     fn benign_session_is_clean() {
         let image = image();
         let out = run_app(&image, benign_world(), DetectionPolicy::PointerTaintedness);

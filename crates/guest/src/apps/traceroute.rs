@@ -110,12 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn missed_by_control_only_baseline() {
-        let out = run_app(&image(), attack_world(), DetectionPolicy::ControlOnly);
-        assert!(!out.reason.is_detected(), "{:?}", out.reason);
-    }
-
-    #[test]
     fn benign_run_is_clean() {
         let out = run_app(
             &image(),

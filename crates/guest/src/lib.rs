@@ -14,7 +14,8 @@
 //! * [`apps`] — the paper's victim programs: the synthetic exp1/exp2/exp3
 //!   of Figure 2, the real-world-style network daemons of §5.1.2 (WU-FTPD,
 //!   NULL HTTPD, GHTTPD, traceroute), and the Table 4 false-negative trio —
-//!   each with attack payload builders and benign inputs;
+//!   each with attack payload builders and benign inputs, catalogued as
+//!   labelled scenarios by [`apps::suite`];
 //! * [`workloads`] — six SPEC 2000-like benchmark programs for the
 //!   false-positive experiment of Table 3.
 

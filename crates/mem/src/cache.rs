@@ -248,13 +248,6 @@ impl Cache {
             .count()
     }
 
-    /// Drops every line (does not reset statistics).
-    pub fn invalidate_all(&mut self) {
-        for line in self.sets.iter_mut().flatten() {
-            line.valid = false;
-        }
-    }
-
     /// Fault-injection hook: flips one bit in a resident line, modelling a
     /// single-event upset in the cache array.
     ///
@@ -384,16 +377,6 @@ mod tests {
         assert_eq!(c.probe_read(0x305), Some((9, true)));
         assert_eq!(c.tainted_line_count(), 1);
         assert!(c.update_write(0x305, 9, false));
-        assert_eq!(c.tainted_line_count(), 0);
-    }
-
-    #[test]
-    fn invalidate_all_drops_lines() {
-        let mut c = tiny();
-        let (d, t) = line(5, true);
-        c.fill_line(0x100, &d, &t);
-        c.invalidate_all();
-        assert_eq!(c.probe_read(0x100), None);
         assert_eq!(c.tainted_line_count(), 0);
     }
 

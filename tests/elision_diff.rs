@@ -1,6 +1,7 @@
 //! Integration: statically-proven check elision is a pure performance
-//! transformation. For every guest program in the repository — attack and
-//! benign inputs alike — running with `--elide-checks` must produce
+//! transformation. For every guest program in the repository — every
+//! scenario of the attack suite and every workload, attack and benign
+//! inputs alike — running with `--elide-checks` must produce
 //! bit-identical architectural results to the full-checking machine: same
 //! exit reason, same alert, same stdout/stderr/transcripts, same retired
 //! statistics. [`Machine::run_elision_differential`] performs the paired
@@ -9,11 +10,8 @@
 //! alone cannot make — benign runs really do elide work, and attacks are
 //! still detected.
 
-use ptaint::{Machine, RunOutcome};
-use ptaint_guest::apps::{
-    calibrate_format_pad, dispatchd, ghttpd, globd, null_httpd, synthetic, table4, traceroute,
-    wu_ftpd,
-};
+use ptaint::{DetectionPolicy, Machine, RunOutcome};
+use ptaint_guest::apps::{suite, Origin, Scenario};
 use ptaint_guest::workloads;
 
 /// Runs the elision differential and asserts the elided machine actually
@@ -27,139 +25,34 @@ fn assert_elides(label: &str, machine: &Machine) -> RunOutcome {
     out
 }
 
+/// Runs the elision differential on every world of every suite scenario
+/// `pick` accepts; each keeps its labelled verdict under elision.
+fn suite_elides(pick: impl Fn(&Scenario) -> bool) {
+    for s in suite().iter().filter(|s| pick(s)) {
+        let m = Machine::from_image(s.image.clone());
+        s.assert_verdicts(DetectionPolicy::PointerTaintedness, |label, world| {
+            assert_elides(label, &m.clone().world(world.clone()))
+        });
+    }
+}
+
 #[test]
 fn synthetic_attacks_still_alert_and_benign_runs_elide() {
-    for (label, source, world, expect_alert) in [
-        (
-            "exp1/attack",
-            synthetic::EXP1_SOURCE,
-            synthetic::exp1_attack_world(),
-            true,
-        ),
-        (
-            "exp1/benign",
-            synthetic::EXP1_SOURCE,
-            synthetic::exp1_benign_world(),
-            false,
-        ),
-        (
-            "exp2/attack",
-            synthetic::EXP2_SOURCE,
-            synthetic::exp2_attack_world(),
-            true,
-        ),
-        (
-            "exp2/benign",
-            synthetic::EXP2_SOURCE,
-            synthetic::exp2_benign_world(),
-            false,
-        ),
-        (
-            "exp3/benign",
-            synthetic::EXP3_SOURCE,
-            synthetic::exp3_benign_world(),
-            false,
-        ),
-    ] {
-        let m = Machine::from_c(source).unwrap().world(world);
-        let out = assert_elides(label, &m);
-        assert_eq!(
-            out.reason.is_detected(),
-            expect_alert,
-            "{label}: wrong detection verdict under elision"
-        );
-    }
+    suite_elides(|s| s.origin == Origin::Figure2);
 }
 
 #[test]
 fn real_world_attacks_still_alert_under_elision() {
-    // WU-FTPD: format string overwriting the uid word (Table 2).
-    let m = Machine::from_c(wu_ftpd::SOURCE).unwrap();
-    let target = wu_ftpd::uid_address(m.image());
-    let pad = calibrate_format_pad(
-        m.image(),
-        |p| wu_ftpd::attack_world(m.image(), p),
-        target,
-        48,
-    )
-    .expect("calibrates");
-    let attack = m.clone().world(wu_ftpd::attack_world(m.image(), pad));
-    let out = assert_elides("wu_ftpd/attack", &attack);
-    assert_eq!(out.reason.alert().expect("detected").pointer, target);
-    let out = assert_elides("wu_ftpd/benign", &m.world(wu_ftpd::benign_world()));
-    assert!(!out.reason.is_detected());
-
-    // NULL-HTTPD heap corruption and GHTTPD stack overflow.
-    let m = Machine::from_c(null_httpd::SOURCE).unwrap();
-    let attack = m.clone().world(null_httpd::attack_world(m.image()));
-    assert!(assert_elides("null_httpd/attack", &attack)
-        .reason
-        .is_detected());
-    let benign = m.world(null_httpd::benign_world());
-    assert!(!assert_elides("null_httpd/benign", &benign)
-        .reason
-        .is_detected());
-
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let attack = m.clone().world(ghttpd::attack_world(m.image()));
-    assert!(assert_elides("ghttpd/attack", &attack).reason.is_detected());
-    let benign = m.world(ghttpd::benign_world());
-    assert!(!assert_elides("ghttpd/benign", &benign).reason.is_detected());
-
-    // Traceroute double free, globd tilde expansion, dispatchd GOT-style
-    // function-pointer overwrite.
-    for (label, source, attack, benign) in [
-        (
-            "traceroute",
-            traceroute::SOURCE,
-            traceroute::attack_world(),
-            traceroute::benign_world(),
-        ),
-        (
-            "globd",
-            globd::SOURCE,
-            globd::attack_world(),
-            globd::benign_world(),
-        ),
-        (
-            "dispatchd",
-            dispatchd::SOURCE,
-            dispatchd::attack_world(),
-            dispatchd::benign_world(),
-        ),
-    ] {
-        let m = Machine::from_c(source).unwrap();
-        let out = assert_elides(&format!("{label}/attack"), &m.clone().world(attack));
-        assert!(out.reason.is_detected(), "{label}: attack went undetected");
-        let out = assert_elides(&format!("{label}/benign"), &m.world(benign));
-        assert!(!out.reason.is_detected(), "{label}: benign run alerted");
-    }
+    // Every scenario outside Figure 2 and Table 4: the daemons and tools,
+    // and any scenario origin added later.
+    suite_elides(|s| !matches!(s.origin, Origin::Figure2 | Origin::Table4));
 }
 
 #[test]
 fn table4_scenarios_are_unchanged_by_elision() {
-    for (label, source, world) in [
-        (
-            "int_overflow/attack",
-            table4::INT_OVERFLOW_SOURCE,
-            table4::int_overflow_attack_world(),
-        ),
-        (
-            "auth_flag/attack",
-            table4::AUTH_FLAG_SOURCE,
-            table4::auth_flag_attack_world(),
-        ),
-        (
-            "fmt_leak/attack",
-            table4::FMT_LEAK_SOURCE,
-            table4::fmt_leak_attack_world(),
-        ),
-    ] {
-        // Table 4 documents false negatives: the paired-run equality is the
-        // whole claim (elision must not change the verdict either way).
-        let m = Machine::from_c(source).unwrap().world(world);
-        assert_elides(label, &m);
-    }
+    // Table 4 documents false negatives: elision must not change the
+    // verdict either way.
+    suite_elides(|s| s.origin == Origin::Table4);
 }
 
 #[test]

@@ -153,10 +153,7 @@ fn untainting_via_validation_allows_the_dereference() {
 
 #[test]
 fn pipelined_and_functional_execution_agree_on_attacks() {
-    use ptaint_guest::apps::synthetic;
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
+    let m = Machine::from_scenario(ptaint_guest::apps::scenario("exp1"));
     let plain = m.run();
     let piped = m.run_with(&RunConfig {
         pipeline: true,
@@ -231,9 +228,7 @@ fn disassembly_of_built_images_is_renderable() {
 fn a_huge_trace_depth_keeps_every_retire_without_reserving_it() {
     // The retire ring grows with what actually retires, so a depth far
     // beyond memory runs like any other and its tail is the whole run.
-    let run = Machine::from_c(ptaint_guest::apps::synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(ptaint_guest::apps::synthetic::exp1_attack_world())
+    let run = Machine::from_scenario(ptaint_guest::apps::scenario("exp1"))
         .trace_depth(1 << 40)
         .run_with(&RunConfig::default());
     assert!(run.outcome.reason.is_detected(), "{:?}", run.outcome.reason);

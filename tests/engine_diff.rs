@@ -1,7 +1,7 @@
 //! Integration: the predecoded/cached engine is a pure performance
-//! transformation — for every guest program in the repository (the Figure 2
-//! synthetics, the §5.1.2 real-world attacks, the Table 4 false-negative
-//! trio, and the Table 3 workloads, attack and benign inputs alike) it must
+//! transformation — for every guest program in the repository (every
+//! scenario of the attack suite, attack and benign worlds alike, and the
+//! Table 3 workloads) it must
 //! produce bit-identical architectural results to the legacy interpreter:
 //! same exit reason, same alert, same stdout/stderr/transcripts, same
 //! retired-instruction statistics. Only the decode-cache counters (engine
@@ -11,13 +11,10 @@
 //! at its trigger step sees the same trial as one woken before every step.
 
 use ptaint::{
-    run_to_exit_with, Cpu, Engine, ExitReason, Fault, FaultKind, Machine, MachineSnapshot, Os,
-    RunLimits, RunOutcome, SplitMix64, StateInjector, StepHook, TrialRun,
+    run_to_exit_with, Cpu, DetectionPolicy, Engine, ExitReason, Fault, FaultKind, Machine,
+    MachineSnapshot, Os, RunLimits, RunOutcome, SplitMix64, StateInjector, StepHook, TrialRun,
 };
-use ptaint_guest::apps::{
-    calibrate_format_pad, dispatchd, ghttpd, globd, null_httpd, synthetic, table4, traceroute,
-    wu_ftpd,
-};
+use ptaint_guest::apps::{scenario, suite, synthetic, Origin, Scenario};
 use ptaint_guest::workloads;
 
 /// Runs `machine` under both engines and asserts they agree on everything
@@ -51,41 +48,23 @@ fn assert_engines_agree(label: &str, machine: &Machine) -> RunOutcome {
     cached
 }
 
+/// Runs every world of every suite scenario `pick` accepts under both
+/// engines; each keeps its labelled verdict under full detection.
+fn suite_agrees(pick: impl Fn(&Scenario) -> bool) {
+    for s in suite().iter().filter(|s| pick(s)) {
+        let m = Machine::from_image(s.image.clone());
+        s.assert_verdicts(DetectionPolicy::PointerTaintedness, |label, world| {
+            assert_engines_agree(label, &m.clone().world(world.clone()))
+        });
+    }
+}
+
 #[test]
 fn synthetic_attacks_and_benign_runs_agree() {
-    for (label, source, world) in [
-        (
-            "exp1/attack",
-            synthetic::EXP1_SOURCE,
-            synthetic::exp1_attack_world(),
-        ),
-        (
-            "exp1/benign",
-            synthetic::EXP1_SOURCE,
-            synthetic::exp1_benign_world(),
-        ),
-        (
-            "exp2/attack",
-            synthetic::EXP2_SOURCE,
-            synthetic::exp2_attack_world(),
-        ),
-        (
-            "exp2/benign",
-            synthetic::EXP2_SOURCE,
-            synthetic::exp2_benign_world(),
-        ),
-        (
-            "exp3/benign",
-            synthetic::EXP3_SOURCE,
-            synthetic::exp3_benign_world(),
-        ),
-    ] {
-        let m = Machine::from_c(source).unwrap().world(world);
-        assert_engines_agree(label, &m);
-    }
+    suite_agrees(|s| s.origin == Origin::Figure2);
 
-    // exp3's attack needs a calibrated pad; probe with the plain machine
-    // (the attack either alerts or not — both engines must say the same).
+    // Uncalibrated exp3 pads: too few or too many `%x` send the `%n` store
+    // through other stack words, or crash — both engines must say the same.
     let m = Machine::from_c(synthetic::EXP3_SOURCE).unwrap();
     for pad in 0..8 {
         let m = m.clone().world(synthetic::exp3_attack_world(pad));
@@ -95,103 +74,14 @@ fn synthetic_attacks_and_benign_runs_agree() {
 
 #[test]
 fn real_world_attacks_agree() {
-    // WU-FTPD: format string overwriting the uid word (Table 2).
-    let m = Machine::from_c(wu_ftpd::SOURCE).unwrap();
-    let target = wu_ftpd::uid_address(m.image());
-    let pad = calibrate_format_pad(
-        m.image(),
-        |p| wu_ftpd::attack_world(m.image(), p),
-        target,
-        48,
-    )
-    .expect("calibrates");
-    let attack = m.clone().world(wu_ftpd::attack_world(m.image(), pad));
-    let out = assert_engines_agree("wu_ftpd/attack", &attack);
-    assert_eq!(out.reason.alert().expect("detected").pointer, target);
-    assert_engines_agree("wu_ftpd/benign", &m.world(wu_ftpd::benign_world()));
-
-    // NULL-HTTPD: heap chunk-link corruption.
-    let m = Machine::from_c(null_httpd::SOURCE).unwrap();
-    let attack = m.clone().world(null_httpd::attack_world(m.image()));
-    assert_engines_agree("null_httpd/attack", &attack);
-    assert_engines_agree("null_httpd/benign", &m.world(null_httpd::benign_world()));
-
-    // GHTTPD: stack overflow corrupting a URL pointer.
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let attack = m.clone().world(ghttpd::attack_world(m.image()));
-    assert_engines_agree("ghttpd/attack", &attack);
-    assert_engines_agree("ghttpd/benign", &m.world(ghttpd::benign_world()));
-
-    // Traceroute double free, globd tilde expansion, dispatchd GOT-style
-    // function-pointer overwrite.
-    for (label, source, attack, benign) in [
-        (
-            "traceroute",
-            traceroute::SOURCE,
-            traceroute::attack_world(),
-            traceroute::benign_world(),
-        ),
-        (
-            "globd",
-            globd::SOURCE,
-            globd::attack_world(),
-            globd::benign_world(),
-        ),
-        (
-            "dispatchd",
-            dispatchd::SOURCE,
-            dispatchd::attack_world(),
-            dispatchd::benign_world(),
-        ),
-    ] {
-        let m = Machine::from_c(source).unwrap();
-        assert_engines_agree(&format!("{label}/attack"), &m.clone().world(attack));
-        assert_engines_agree(&format!("{label}/benign"), &m.world(benign));
-    }
+    // Every scenario outside Figure 2 and Table 4: the daemons and tools,
+    // and any scenario origin added later.
+    suite_agrees(|s| !matches!(s.origin, Origin::Figure2 | Origin::Table4));
 }
 
 #[test]
 fn table4_false_negative_scenarios_agree() {
-    for (label, source, world) in [
-        (
-            "int_overflow/attack",
-            table4::INT_OVERFLOW_SOURCE,
-            table4::int_overflow_attack_world(),
-        ),
-        (
-            "int_overflow/benign",
-            table4::INT_OVERFLOW_SOURCE,
-            table4::int_overflow_benign_world(),
-        ),
-        (
-            "auth_flag/attack",
-            table4::AUTH_FLAG_SOURCE,
-            table4::auth_flag_attack_world(),
-        ),
-        (
-            "auth_flag/good",
-            table4::AUTH_FLAG_SOURCE,
-            table4::auth_flag_good_password_world(),
-        ),
-        (
-            "auth_flag/bad",
-            table4::AUTH_FLAG_SOURCE,
-            table4::auth_flag_bad_password_world(),
-        ),
-        (
-            "fmt_leak/attack",
-            table4::FMT_LEAK_SOURCE,
-            table4::fmt_leak_attack_world(),
-        ),
-        (
-            "fmt_leak/benign",
-            table4::FMT_LEAK_SOURCE,
-            table4::fmt_leak_benign_world(),
-        ),
-    ] {
-        let m = Machine::from_c(source).unwrap().world(world);
-        assert_engines_agree(label, &m);
-    }
+    suite_agrees(|s| s.origin == Origin::Table4);
 }
 
 #[test]
@@ -206,30 +96,11 @@ fn per_pc_profiles_are_engine_invariant() {
     // forensic chain, and the profile (per-PC histogram, call tree, taint
     // heatmap, syscall table) — must be byte-identical across engines, not
     // merely equivalent.
-    let wu_m = Machine::from_c(wu_ftpd::SOURCE).unwrap();
-    let pad = calibrate_format_pad(
-        wu_m.image(),
-        |p| wu_ftpd::attack_world(wu_m.image(), p),
-        wu_ftpd::uid_address(wu_m.image()),
-        48,
-    )
-    .expect("calibrates");
-    let wu_world = wu_ftpd::attack_world(wu_m.image(), pad);
-    let null_m = Machine::from_c(null_httpd::SOURCE).unwrap();
-    let null_world = null_httpd::attack_world(null_m.image());
-    let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
-    for (label, machine) in [
-        (
-            "exp1/attack",
-            Machine::from_c(synthetic::EXP1_SOURCE)
-                .unwrap()
-                .world(synthetic::exp1_attack_world()),
-        ),
-        ("wu_ftpd/attack", wu_m.world(wu_world)),
-        ("null_httpd/attack", null_m.world(null_world)),
-        ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
-    ] {
+    for name in ["exp1", "wu_ftpd", "null_httpd", "ghttpd"] {
+        let (label, machine) = (
+            format!("{name}/attack"),
+            Machine::from_scenario(scenario(name)),
+        );
         let artifacts = |engine| {
             let run = machine.clone().engine(engine).run_with(&RunConfig {
                 trace: TraceConfig::all(),
@@ -278,22 +149,14 @@ fn forked_runs_are_bit_identical_to_fresh_boots_under_both_engines() {
     // and a copy of its (empty) decode cache, so under either engine it
     // must retrace the fresh boot bit-exactly — decode-cache counters
     // included (both executions start from an identical cold cache).
-    let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
+    let exp2 = scenario("exp2");
     for (label, machine) in [
-        (
-            "exp1/attack",
-            Machine::from_c(synthetic::EXP1_SOURCE)
-                .unwrap()
-                .world(synthetic::exp1_attack_world()),
-        ),
+        ("exp1/attack", Machine::from_scenario(scenario("exp1"))),
         (
             "exp2/benign",
-            Machine::from_c(synthetic::EXP2_SOURCE)
-                .unwrap()
-                .world(synthetic::exp2_benign_world()),
+            Machine::from_image(exp2.image.clone()).world(exp2.benign[0].clone()),
         ),
-        ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
+        ("ghttpd/attack", Machine::from_scenario(scenario("ghttpd"))),
     ] {
         for engine in [Engine::Cached, Engine::Interp] {
             let m = machine.clone().engine(engine);
@@ -364,16 +227,9 @@ fn page_runs_are_invisible_to_step_hooks() {
     // run, yield the same trial as a hook woken before every step — exit,
     // output and every `ExecStats` field, decode-cache counters included
     // (it is the same engine both ways).
-    let ghttpd_m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let ghttpd_world = ghttpd::attack_world(ghttpd_m.image());
     for (label, machine) in [
-        (
-            "exp1/attack",
-            Machine::from_c(synthetic::EXP1_SOURCE)
-                .unwrap()
-                .world(synthetic::exp1_attack_world()),
-        ),
-        ("ghttpd/attack", ghttpd_m.world(ghttpd_world)),
+        ("exp1/attack", Machine::from_scenario(scenario("exp1"))),
+        ("ghttpd/attack", Machine::from_scenario(scenario("ghttpd"))),
     ] {
         let n = machine.run().stats.instructions;
         // Ends a trial a fault sent into a loop without spinning to the

@@ -8,7 +8,9 @@ use ptaint::{
     CampaignSpec, ExitReason, Fault, FaultKind, Machine, NetSession, OutcomeClass, ToJson,
     WorldConfig,
 };
-use ptaint_guest::apps::{dispatchd, ghttpd, globd, null_httpd, synthetic, traceroute, wu_ftpd};
+use ptaint_guest::apps::{
+    dispatchd, ghttpd, globd, null_httpd, scenario, synthetic, traceroute, wu_ftpd,
+};
 
 /// The paper's headline attack under taint-bit decay (§6 threat model
 /// stress): clearing shadow bits around the tainted `url` pointer defeats
@@ -16,9 +18,7 @@ use ptaint_guest::apps::{dispatchd, ghttpd, globd, null_httpd, synthetic, tracer
 /// runs to a clean exit is a missed detection, never silently "benign".
 #[test]
 fn ghttpd_attack_taint_clear_campaign_reports_missed_not_benign() {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-    let m = m.world(world);
+    let m = Machine::from_scenario(scenario("ghttpd"));
     let spec = CampaignSpec::new(0x9bad_5eed, 24).kinds(vec![FaultKind::TaintClear]);
     let report = m.run_campaign(&spec);
 
@@ -45,9 +45,7 @@ fn ghttpd_attack_taint_clear_campaign_reports_missed_not_benign() {
 /// network application (not just the unit-test toy programs).
 #[test]
 fn ghttpd_campaign_report_is_byte_identical_across_runs() {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-    let m = m.world(world);
+    let m = Machine::from_scenario(scenario("ghttpd"));
     let spec = CampaignSpec::new(7, 12);
     let a = m.run_campaign(&spec).to_json();
     let b = m.run_campaign(&spec).to_json();
@@ -62,9 +60,7 @@ fn ghttpd_campaign_report_is_byte_identical_across_runs() {
 /// baseline means no trial may be classified benign.
 #[test]
 fn exp1_campaign_classes_partition_the_trials() {
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
+    let m = Machine::from_scenario(scenario("exp1"));
     let spec = CampaignSpec::new(3, 32);
     let report = m.run_campaign(&spec);
 
@@ -103,9 +99,7 @@ fn benign_workload_campaign_never_reports_missed_or_detected() {
 /// in `integrity_failures` and a reduced elision count.
 #[test]
 fn proven_flip_degrades_to_full_checks_and_still_detects() {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-    let m = m.world(world).elide_checks(true);
+    let m = Machine::from_scenario(scenario("ghttpd")).elide_checks(true);
 
     let clean = m.run();
     assert!(clean.reason.is_detected(), "{:?}", clean.reason);
@@ -144,9 +138,7 @@ fn proven_flip_degrades_to_full_checks_and_still_detects() {
 /// a detector fault, never a silent miss.
 #[test]
 fn detector_corruption_campaign_reports_zero_missed() {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-    let m = m.world(world).elide_checks(true);
+    let m = Machine::from_scenario(scenario("ghttpd")).elide_checks(true);
     let spec = CampaignSpec::new(0xd37e_c70f, 12)
         .kinds(vec![FaultKind::ProvenFlip, FaultKind::DecodeSlot]);
     let report = m.run_campaign(&spec);
@@ -167,9 +159,7 @@ fn detector_corruption_campaign_reports_zero_missed() {
 /// trial on a fresh boot and on a fork both equal a fault-free trial.
 #[test]
 fn proof_cache_fault_is_inert() {
-    let plain = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
+    let plain = Machine::from_scenario(scenario("exp1"));
     for m in [plain.clone(), plain.elide_checks(true)] {
         let snap = m.snapshot();
         let clean = snap.run();
@@ -195,12 +185,7 @@ fn proof_cache_fault_is_inert() {
 /// fresh machine's byte for byte.
 #[test]
 fn elided_machine_analyzes_its_image_once() {
-    let build = || {
-        Machine::from_c(synthetic::EXP1_SOURCE)
-            .unwrap()
-            .world(synthetic::exp1_attack_world())
-            .elide_checks(true)
-    };
+    let build = || Machine::from_scenario(scenario("exp1")).elide_checks(true);
     let m = build();
     assert!(m.run().reason.is_detected());
 
@@ -231,11 +216,8 @@ fn elided_machine_analyzes_its_image_once() {
 /// one composed from boot forks byte for byte, at `-j1` and `-j2`.
 #[test]
 fn every_forked_trial_equals_a_fresh_boot() {
-    let exp1 = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
-    let ghttpd = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let ghttpd = ghttpd.clone().world(ghttpd::attack_world(ghttpd.image()));
+    let exp1 = Machine::from_scenario(scenario("exp1"));
+    let ghttpd = Machine::from_scenario(scenario("ghttpd"));
     for (name, plain) in [("exp1", exp1), ("ghttpd", ghttpd)] {
         for m in [plain.clone(), plain.elide_checks(true)] {
             let snap = m.snapshot();
@@ -296,10 +278,7 @@ fn every_forked_trial_equals_a_fresh_boot() {
 /// holds off once a fault has been injected.
 #[test]
 fn a_rung_resumes_with_its_warm_decode_cache() {
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world())
-        .elide_checks(true);
+    let m = Machine::from_scenario(scenario("exp1")).elide_checks(true);
     let (ladder, baseline) = m.ladder();
     let spec = CampaignSpec::new(42, 32);
     let fault = spec.fault_for_trial(3, baseline.outcome.stats.instructions, baseline.io_calls);
@@ -364,9 +343,7 @@ proptest! {
         trials in 1u64..8,
         jobs in 2usize..6,
     ) {
-        let plain = Machine::from_c(synthetic::EXP1_SOURCE)
-            .unwrap()
-            .world(synthetic::exp1_attack_world())
+        let plain = Machine::from_scenario(scenario("exp1"))
             .step_limit(2_000_000);
         let spec = CampaignSpec::new(seed, trials);
         for elide in [false, true] {
@@ -386,9 +363,7 @@ proptest! {
         io_call in 0u64..4,
         salt in any::<u64>(),
     ) {
-        let m = Machine::from_c(synthetic::EXP1_SOURCE)
-            .unwrap()
-            .world(synthetic::exp1_attack_world())
+        let m = Machine::from_scenario(scenario("exp1"))
             .step_limit(2_000_000);
         let fault = Fault {
             kind: FaultKind::ALL[kind_idx],

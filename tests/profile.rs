@@ -12,22 +12,17 @@
 use std::path::PathBuf;
 
 use ptaint::{DetectionPolicy, Machine, ProfileReport, RunConfig, ToJson};
-use ptaint_guest::apps::{dispatchd, ghttpd, synthetic};
+use ptaint_guest::apps::{dispatchd, ghttpd, scenario};
 
 fn ghttpd_attack() -> Machine {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-    m.world(world).policy(DetectionPolicy::PointerTaintedness)
+    Machine::from_scenario(scenario("ghttpd")).policy(DetectionPolicy::PointerTaintedness)
 }
 
 /// dispatchd's GOT-style handler overwrite with detection off: the
 /// `jalr $31,$25` through the tainted `0x61616161` retires, then the fetch
 /// faults, so the pending call's callee never retires.
 fn dispatchd_off() -> Machine {
-    Machine::from_c(dispatchd::SOURCE)
-        .unwrap()
-        .world(dispatchd::attack_world())
-        .policy(DetectionPolicy::Off)
+    Machine::from_scenario(scenario("dispatchd")).policy(DetectionPolicy::Off)
 }
 
 fn profile_of(machine: &Machine) -> (u64, ProfileReport) {
@@ -44,12 +39,7 @@ fn profiler_totals_equal_executed_instructions() {
     // the histogram total must track `ExecStats::instructions` exactly —
     // on a clean exit and on a detected attack alike.
     for (label, machine) in [
-        (
-            "exp1/attack",
-            Machine::from_c(synthetic::EXP1_SOURCE)
-                .unwrap()
-                .world(synthetic::exp1_attack_world()),
-        ),
+        ("exp1/attack", Machine::from_scenario(scenario("exp1"))),
         ("ghttpd/attack", ghttpd_attack()),
         ("dispatchd/off", dispatchd_off()),
         (

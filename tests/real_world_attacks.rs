@@ -1,149 +1,111 @@
-//! Integration: §5.1.2 — the four real-world-style attacks, each verified
-//! under all three protection policies.
+//! Integration: §5.1.2 — the real-world-style attacks, each run to its
+//! damage under the policies that miss it. Which policies catch each attack
+//! is checked for the whole suite in `tests/attack_suite.rs`.
 
 use ptaint::{AlertKind, DetectionPolicy, ExitReason, HierarchyConfig, Machine};
-use ptaint_guest::apps::{calibrate_format_pad, ghttpd, null_httpd, traceroute, wu_ftpd};
+use ptaint_guest::apps::{scenario, suite, Origin};
+
+/// The network transcript of the first session.
+fn transcript(m: &Machine) -> String {
+    String::from_utf8_lossy(&m.run().transcripts[0]).into_owned()
+}
 
 #[test]
 fn wu_ftpd_format_string_full_story() {
-    let m = Machine::from_c(wu_ftpd::SOURCE).unwrap();
-    let target = wu_ftpd::uid_address(m.image());
-    let pad = calibrate_format_pad(
-        m.image(),
-        |p| wu_ftpd::attack_world(m.image(), p),
-        target,
-        48,
-    )
-    .expect("calibrates");
-    let world = wu_ftpd::attack_world(m.image(), pad);
+    let m = Machine::from_scenario(scenario("wu_ftpd"));
 
     // Full detection: Table 2's alert — a store-word through the tainted
     // uid address, raised inside the formatter.
-    let out = m.clone().world(world.clone()).run();
+    let out = m.run();
     let alert = out.reason.alert().expect("detected");
     assert_eq!(alert.kind, AlertKind::DataPointer);
-    assert_eq!(alert.pointer, target);
+    assert!(
+        alert.instr.to_string().starts_with("sw "),
+        "{}",
+        alert.instr
+    );
 
     // Control-only baseline: blind (non-control-data attack), and the
     // compromise actually lands — the privileged STOR is accepted.
-    let out = m
-        .clone()
-        .policy(DetectionPolicy::ControlOnly)
-        .world(world.clone())
-        .run();
-    assert!(!out.reason.is_detected());
-    let t = String::from_utf8_lossy(&out.transcripts[0]).into_owned();
+    let t = transcript(&m.clone().policy(DetectionPolicy::ControlOnly));
     assert!(t.contains("226 transfer complete"), "{t}");
 
     // Unprotected: same compromise.
-    let out = m.policy(DetectionPolicy::Off).world(world).run();
+    let out = m.policy(DetectionPolicy::Off).run();
     assert_eq!(out.reason, ExitReason::Exited(0));
 }
 
 #[test]
 fn wu_ftpd_detection_survives_the_cache_hierarchy() {
-    let m = Machine::from_c(wu_ftpd::SOURCE)
-        .unwrap()
-        .hierarchy(HierarchyConfig::two_level());
-    let target = wu_ftpd::uid_address(m.image());
-    let pad = calibrate_format_pad(
-        m.image(),
-        |p| wu_ftpd::attack_world(m.image(), p),
-        target,
-        48,
-    )
-    .expect("calibrates");
-    let world = wu_ftpd::attack_world(m.image(), pad);
-    let out = m.world(world).run();
+    let out = Machine::from_scenario(scenario("wu_ftpd"))
+        .hierarchy(HierarchyConfig::two_level())
+        .run();
+    let target = scenario("wu_ftpd").pointer.expect("the uid word");
     assert_eq!(out.reason.alert().expect("detected").pointer, target);
 }
 
 #[test]
 fn null_httpd_heap_attack_full_story() {
-    let m = Machine::from_c(null_httpd::SOURCE).unwrap();
-    let world = null_httpd::attack_world(m.image());
-
-    let out = m.clone().world(world.clone()).run();
-    let alert = out.reason.alert().expect("detected");
+    let m = Machine::from_scenario(scenario("null_httpd"));
+    let alert = *m.run().reason.alert().expect("detected");
     assert_eq!(alert.kind, AlertKind::DataPointer);
-    assert_eq!(alert.pointer, m.image().symbol("conf").unwrap());
 
     // Baseline and unprotected: the CGI root is retargeted and the fake
     // shell executes.
     for policy in [DetectionPolicy::ControlOnly, DetectionPolicy::Off] {
-        let out = m.clone().policy(policy).world(world.clone()).run();
-        assert!(!out.reason.is_detected(), "{policy}");
-        let t = String::from_utf8_lossy(&out.transcripts[0]).into_owned();
+        let t = transcript(&m.clone().policy(policy));
         assert!(t.contains("EXEC /bin/sh"), "{policy}: {t}");
     }
 }
 
 #[test]
 fn ghttpd_url_pointer_attack_full_story() {
-    let m = Machine::from_c(ghttpd::SOURCE).unwrap();
-    let world = ghttpd::attack_world(m.image());
-
-    let out = m.clone().world(world.clone()).run();
+    let m = Machine::from_scenario(scenario("ghttpd"));
+    let out = m.run();
     let alert = out.reason.alert().expect("detected");
     // Paper: stopped at a load-byte (LB) dereferencing the tainted URL ptr.
     assert!(alert.instr.to_string().starts_with("lb"), "{}", alert.instr);
 
-    let out = m
-        .clone()
-        .policy(DetectionPolicy::Off)
-        .world(world.clone())
-        .run();
-    let t = String::from_utf8_lossy(&out.transcripts[0]).into_owned();
+    let t = transcript(&m.policy(DetectionPolicy::Off));
     assert!(t.contains("/../../../../bin/sh"), "policy bypass: {t}");
-
-    let out = m.policy(DetectionPolicy::ControlOnly).world(world).run();
-    assert!(!out.reason.is_detected());
 }
 
 #[test]
 fn traceroute_double_free_full_story() {
-    let m = Machine::from_c(traceroute::SOURCE).unwrap();
-    let world = traceroute::attack_world();
-
-    let out = m.clone().world(world.clone()).run();
-    let alert = out.reason.alert().expect("detected");
-    // The dereferenced pointer is assembled from the argv string "5.6.7.8".
-    assert_eq!(alert.pointer, 0x2e36_2e35 + 12);
-
     // Unprotected, the paper reports a crash — ours too.
-    let out = m
-        .clone()
+    let out = Machine::from_scenario(scenario("traceroute"))
         .policy(DetectionPolicy::Off)
-        .world(world.clone())
         .run();
     assert!(
         matches!(out.reason, ExitReason::MemFault(_)),
         "{:?}",
         out.reason
     );
-
-    let out = m.policy(DetectionPolicy::ControlOnly).world(world).run();
-    assert!(!out.reason.is_detected());
 }
 
 #[test]
 fn all_daemons_serve_benign_sessions_cleanly_under_full_detection() {
-    for (source, world) in [
-        (wu_ftpd::SOURCE, wu_ftpd::benign_world()),
-        (null_httpd::SOURCE, null_httpd::benign_world()),
-        (ghttpd::SOURCE, ghttpd::benign_world()),
-        (traceroute::SOURCE, traceroute::benign_world()),
-    ] {
-        let out = Machine::from_c(source).unwrap().world(world).run();
-        assert_eq!(out.reason, ExitReason::Exited(0), "{:?}", out.reason);
+    for s in suite().iter().filter(|s| s.origin == Origin::RealWorld) {
+        for world in &s.benign {
+            let out = Machine::from_image(s.image.clone())
+                .world(world.clone())
+                .run();
+            assert_eq!(
+                out.reason,
+                ExitReason::Exited(0),
+                "{}: {:?}",
+                s.name,
+                out.reason
+            );
+        }
     }
 }
 
 #[test]
 fn benign_sessions_also_clean_with_caches() {
-    let out = Machine::from_c(wu_ftpd::SOURCE)
-        .unwrap()
-        .world(wu_ftpd::benign_world())
+    let ftpd = scenario("wu_ftpd");
+    let out = Machine::from_image(ftpd.image.clone())
+        .world(ftpd.benign[0].clone())
         .hierarchy(HierarchyConfig::two_level())
         .run();
     assert_eq!(out.reason, ExitReason::Exited(0));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use ptaint::{DetectionPolicy, ExitReason, Machine, RunConfig, WorldConfig};
-use ptaint_guest::apps::synthetic;
+use ptaint_guest::apps::{scenario, synthetic};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -128,9 +128,7 @@ fn regression_len_11_first_tainted_frame_byte_is_detected() {
 
 #[test]
 fn detection_point_is_deterministic_across_repeated_runs() {
-    let m = Machine::from_c(synthetic::EXP2_SOURCE)
-        .unwrap()
-        .world(synthetic::exp2_attack_world());
+    let m = Machine::from_scenario(scenario("exp2"));
     let first = m.run();
     for _ in 0..5 {
         let again = m.run();
@@ -143,9 +141,7 @@ fn detection_point_is_deterministic_across_repeated_runs() {
 fn step_limited_attack_still_reports_truthfully() {
     // With a budget too small to reach the vulnerable code, the run ends at
     // the limit without claiming detection.
-    let out = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world())
+    let out = Machine::from_scenario(scenario("exp1"))
         .step_limit(50)
         .run();
     assert_eq!(out.reason, ExitReason::StepLimit);

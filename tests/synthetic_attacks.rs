@@ -1,15 +1,13 @@
 //! Integration: Figure 2 / §5.1.1 — the synthetic attack suite through the
-//! public `ptaint` API.
+//! public `ptaint` API. Which policies catch each attack is checked for the
+//! whole suite in `tests/attack_suite.rs`; these pin what each alert says.
 
-use ptaint::{AlertKind, DetectionPolicy, ExitReason, Machine, WorldConfig};
-use ptaint_guest::apps::synthetic;
+use ptaint::{AlertKind, ExitReason, Machine, WorldConfig};
+use ptaint_guest::apps::{scenario, suite, Origin};
 
 #[test]
 fn stack_smash_alert_matches_the_paper() {
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
-    let out = m.run();
+    let out = Machine::from_scenario(scenario("exp1")).run();
     let alert = out.reason.alert().expect("detected");
     // Paper §5.1.1: "an alert is raised at the return instruction (JR $31)
     // of exp1(), which indicates that the return address is tainted as
@@ -22,9 +20,7 @@ fn stack_smash_alert_matches_the_paper() {
 
 #[test]
 fn heap_corruption_alert_fires_inside_free() {
-    let m = Machine::from_c(synthetic::EXP2_SOURCE)
-        .unwrap()
-        .world(synthetic::exp2_attack_world());
+    let m = Machine::from_scenario(scenario("exp2"));
     let out = m.run();
     let alert = out.reason.alert().expect("detected");
     assert_eq!(alert.kind, AlertKind::DataPointer);
@@ -37,29 +33,23 @@ fn heap_corruption_alert_fires_inside_free() {
 
 #[test]
 fn format_string_alert_dereferences_abcd() {
-    let m = Machine::from_c(synthetic::EXP3_SOURCE).unwrap();
-    // Probe pads like an attacker.
-    let detected = (0..16).find_map(|pad| {
-        let out = m.clone().world(synthetic::exp3_attack_world(pad)).run();
-        out.reason
-            .alert()
-            .copied()
-            .filter(|a| a.pointer == 0x6463_6261)
-    });
-    let alert = detected.expect("some pad reaches the buffer");
+    // The suite calibrated the `%x` pads like an attacker.
+    let out = Machine::from_scenario(scenario("exp3")).run();
+    let alert = out.reason.alert().expect("detected");
+    assert_eq!(alert.pointer, 0x6463_6261);
     assert_eq!(alert.kind, AlertKind::DataPointer);
     assert!(alert.instr.to_string().starts_with("sw "));
 }
 
 #[test]
 fn synthetic_attacks_do_not_fire_on_benign_inputs() {
-    for (source, world) in [
-        (synthetic::EXP1_SOURCE, synthetic::exp1_benign_world()),
-        (synthetic::EXP2_SOURCE, synthetic::exp2_benign_world()),
-        (synthetic::EXP3_SOURCE, synthetic::exp3_benign_world()),
-    ] {
-        let out = Machine::from_c(source).unwrap().world(world).run();
-        assert_eq!(out.reason, ExitReason::Exited(0), "{:?}", out.reason);
+    for s in suite().iter().filter(|s| s.origin == Origin::Figure2) {
+        for world in &s.benign {
+            let out = Machine::from_image(s.image.clone())
+                .world(world.clone())
+                .run();
+            assert_eq!(out.reason, ExitReason::Exited(0), "{}", s.name);
+        }
     }
 }
 
@@ -67,54 +57,16 @@ fn synthetic_attacks_do_not_fire_on_benign_inputs() {
 fn detection_works_identically_with_caches_enabled() {
     // Taintedness travels through the cache hierarchy (§4.1): enabling
     // L1/L2 must not change what is detected.
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world())
-        .hierarchy(ptaint::HierarchyConfig::two_level());
-    let out = m.run();
+    let out = Machine::from_scenario(scenario("exp1"))
+        .hierarchy(ptaint::HierarchyConfig::two_level())
+        .run();
     let alert = out.reason.alert().expect("detected through caches");
     assert_eq!(alert.pointer, 0x6161_6161);
 }
 
 #[test]
-fn exp1_detected_under_both_detecting_policies_but_not_off() {
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
-        .world(synthetic::exp1_attack_world());
-    assert!(m
-        .clone()
-        .policy(DetectionPolicy::PointerTaintedness)
-        .run()
-        .reason
-        .is_detected());
-    assert!(m
-        .clone()
-        .policy(DetectionPolicy::ControlOnly)
-        .run()
-        .reason
-        .is_detected());
-    assert!(!m.policy(DetectionPolicy::Off).run().reason.is_detected());
-}
-
-#[test]
-fn non_control_synthetic_attacks_are_invisible_to_the_baseline() {
-    for (source, world) in [
-        (synthetic::EXP2_SOURCE, synthetic::exp2_attack_world()),
-        (synthetic::EXP3_SOURCE, synthetic::exp3_attack_world(1)),
-    ] {
-        let out = Machine::from_c(source)
-            .unwrap()
-            .world(world)
-            .policy(DetectionPolicy::ControlOnly)
-            .run();
-        assert!(!out.reason.is_detected(), "{:?}", out.reason);
-    }
-}
-
-#[test]
 fn attack_world_tainted_bytes_are_accounted() {
-    let m = Machine::from_c(synthetic::EXP1_SOURCE)
-        .unwrap()
+    let m = Machine::from_image(scenario("exp1").image.clone())
         .world(WorldConfig::new().stdin(vec![b'a'; 24]));
     let out = m.run();
     assert_eq!(out.tainted_input_bytes, 24);
