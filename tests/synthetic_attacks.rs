@@ -1,9 +1,10 @@
 //! Integration: Figure 2 / §5.1.1 — the synthetic attack suite through the
 //! public `ptaint` API. Which policies catch each attack is checked for the
-//! whole suite in `tests/attack_suite.rs`; these pin what each alert says.
+//! whole suite in `tests/attack_suite.rs`; these pin what each alert says
+//! and which policies see Figure 2's attacks.
 
-use ptaint::{AlertKind, ExitReason, Machine, WorldConfig};
-use ptaint_guest::apps::{scenario, suite, Origin};
+use ptaint::{AlertKind, DetectionPolicy, ExitReason, Machine, WorldConfig};
+use ptaint_guest::apps::{scenario, suite, synthetic, Origin};
 
 #[test]
 fn stack_smash_alert_matches_the_paper() {
@@ -62,6 +63,41 @@ fn detection_works_identically_with_caches_enabled() {
         .run();
     let alert = out.reason.alert().expect("detected through caches");
     assert_eq!(alert.pointer, 0x6161_6161);
+}
+
+#[test]
+fn exp1_detected_under_both_detecting_policies_but_not_off() {
+    let m = Machine::from_scenario(scenario("exp1"));
+    assert!(m
+        .clone()
+        .policy(DetectionPolicy::PointerTaintedness)
+        .run()
+        .reason
+        .is_detected());
+    assert!(m
+        .clone()
+        .policy(DetectionPolicy::ControlOnly)
+        .run()
+        .reason
+        .is_detected());
+    assert!(!m.policy(DetectionPolicy::Off).run().reason.is_detected());
+}
+
+#[test]
+fn non_control_synthetic_attacks_are_invisible_to_the_baseline() {
+    let exp3 = scenario("exp3");
+    for (s, world) in [
+        (scenario("exp2"), scenario("exp2").attack.clone()),
+        (exp3, exp3.attack.clone()),
+        // An uncalibrated pad: the attack goes astray, still unseen.
+        (exp3, synthetic::exp3_attack_world(1)),
+    ] {
+        let out = Machine::from_image(s.image.clone())
+            .world(world)
+            .policy(DetectionPolicy::ControlOnly)
+            .run();
+        assert!(!out.reason.is_detected(), "{}: {:?}", s.name, out.reason);
+    }
 }
 
 #[test]
