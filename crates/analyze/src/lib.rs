@@ -184,10 +184,11 @@ pub fn analyze_with(image: &Image, jobs: usize) -> Analysis {
             Err(i) => Some(entries[i - 1]),
         }
     };
+    let symbols = image.symbol_index();
     let fn_name = |addr: u32| -> String {
-        image
-            .symbol_at(addr)
-            .map_or_else(|| format!("{addr:#010x}"), str::to_owned)
+        symbols
+            .get(&addr)
+            .map_or_else(|| format!("{addr:#010x}"), |&s| s.to_owned())
     };
 
     // Definite call graph at function granularity, then a BFS from the

@@ -15,11 +15,12 @@ use crate::Image;
 /// Undecodable words render as `.word 0x…`.
 #[must_use]
 pub fn disassemble(image: &Image) -> String {
+    let symbols = image.symbol_index();
     let mut out = String::new();
     for (i, &word) in image.text.iter().enumerate() {
         let addr = image.text_base + 4 * i as u32;
-        let label = image
-            .symbol_at(addr)
+        let label = symbols
+            .get(&addr)
             .map(|s| format!(" <{s}>:"))
             .unwrap_or_default();
         let body = match Instr::decode(word) {

@@ -51,14 +51,29 @@ impl Image {
     }
 
     /// The symbol whose address equals `addr`, preferring the shortest name
-    /// for stable output.
+    /// (then the lexicographically least) for stable output.
     #[must_use]
     pub fn symbol_at(&self, addr: u32) -> Option<&str> {
         self.symbols
             .iter()
             .filter(|&(_, &a)| a == addr)
             .map(|(n, _)| n.as_str())
-            .min_by_key(|n| (n.len(), n.to_owned()))
+            .reduce(preferred_name)
+    }
+
+    /// Every symbol address with the name [`Image::symbol_at`] prefers
+    /// there: one pass over the table, for callers that resolve many
+    /// addresses (a disassembly, a retire tail).
+    #[must_use]
+    pub fn symbol_index(&self) -> HashMap<u32, &str> {
+        let mut index: HashMap<u32, &str> = HashMap::with_capacity(self.symbols.len());
+        for (name, &addr) in &self.symbols {
+            index
+                .entry(addr)
+                .and_modify(|best| *best = preferred_name(best, name))
+                .or_insert(name);
+        }
+        index
     }
 
     /// One-past-the-end address of the text segment.
@@ -83,6 +98,16 @@ impl Image {
         self.lines
             .get(((addr - self.text_base) / 4) as usize)
             .copied()
+    }
+}
+
+/// Of two names at one address, the shorter, then the lexicographically
+/// least.
+fn preferred_name<'a>(a: &'a str, b: &'a str) -> &'a str {
+    if (b.len(), b) < (a.len(), a) {
+        b
+    } else {
+        a
     }
 }
 
@@ -125,6 +150,25 @@ mod tests {
         // Shortest name wins for reverse lookup.
         assert_eq!(img.symbol_at(TEXT_BASE), Some("m"));
         assert_eq!(img.symbol_at(0xdead_0000), None);
+    }
+
+    #[test]
+    fn symbol_index_prefers_what_symbol_at_prefers() {
+        // Same-length names tie-break lexicographically, whatever order
+        // the map iterates in: each fresh map has its own random order.
+        for _ in 0..8 {
+            let mut img = Image::new();
+            for name in ["main", "zz", "ab", "abc", "buf"] {
+                img.symbols.insert(name.into(), TEXT_BASE);
+            }
+            img.symbols.insert("data".into(), DATA_BASE);
+            let index = img.symbol_index();
+            assert_eq!(index.len(), 2);
+            for (&addr, &name) in &index {
+                assert_eq!(img.symbol_at(addr), Some(name));
+            }
+            assert_eq!(index[&TEXT_BASE], "ab");
+        }
     }
 
     #[test]

@@ -522,12 +522,12 @@ impl Machine {
     }
 
     fn render_tail(&self, cpu: &Cpu) -> Vec<String> {
+        let symbols = self.image.symbol_index();
         cpu.recent_trace()
             .into_iter()
             .map(|(pc, instr)| {
-                let sym = self
-                    .image
-                    .symbol_at(pc)
+                let sym = symbols
+                    .get(&pc)
                     .map(|s| format!(" <{s}>"))
                     .unwrap_or_default();
                 format!("{pc:08x}{sym}: {instr}")
@@ -773,6 +773,11 @@ impl Observer for RunSinks {
         if let Some(events) = &mut self.events {
             events.on_event(event);
         }
+    }
+
+    /// The profile folds every retire into its histogram and call tree.
+    fn wants_retire(&self) -> bool {
+        self.hub.wants_retire() || self.events.is_some()
     }
 }
 

@@ -185,6 +185,8 @@ pub struct Cpu {
     recent_grow_at: usize,
     trace_depth: usize,
     observer: Option<Box<dyn Observer>>,
+    // The attached observer's `wants_retire`, read once at attach time.
+    observer_retires: bool,
     last_step_tainted: bool,
     engine: Engine,
     dcache: DecodeCache,
@@ -229,6 +231,7 @@ impl Cpu {
             recent_grow_at: 0,
             trace_depth: DEFAULT_TRACE_DEPTH,
             observer: None,
+            observer_retires: false,
             last_step_tainted: false,
             engine: Engine::default(),
             dcache: DecodeCache::new(),
@@ -251,14 +254,18 @@ impl Cpu {
 
     /// Attaches (or detaches) the structured-event observer. The CPU owns
     /// it for the rest of the run; [`Cpu::take_observer`] hands it back.
-    /// With no observer (the default) every hook is a `None` check.
+    /// With no observer (the default) every hook is a `None` check. The
+    /// observer's [`Observer::wants_retire`] is read here, once: when it
+    /// answers `false`, no [`Event::Retire`] is ever built for it.
     pub fn set_observer(&mut self, observer: Option<Box<dyn Observer>>) {
+        self.observer_retires = observer.as_ref().is_some_and(|o| o.wants_retire());
         self.observer = observer;
     }
 
     /// Detaches and returns the observer, e.g. to downcast it into its
     /// collected artifacts once the run is over.
     pub fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
+        self.observer_retires = false;
         self.observer.take()
     }
 
@@ -661,6 +668,7 @@ impl Cpu {
             recent_grow_at: self.recent_grow_at,
             trace_depth: self.trace_depth,
             observer: None,
+            observer_retires: false,
             last_step_tainted: self.last_step_tainted,
             engine: self.engine,
             dcache: self.dcache.clone(),
@@ -1226,7 +1234,7 @@ impl Cpu {
         self.stats.instructions += 1;
         self.push_trace(pc, instr);
         self.pc = next_pc;
-        if self.observer.is_some() {
+        if self.observer_retires {
             self.emit_event(&Event::Retire {
                 pc,
                 instr,

@@ -22,9 +22,9 @@ const SLOTS: usize = (PAGE_SIZE / 4) as usize;
 /// One `u64` of proven-clean bits per 64 slots.
 const PROVEN_WORDS: usize = SLOTS / 64;
 
-/// FNV-1a hash of one filled slot's decoded form. XORed into the page
-/// header checksum at fill time so the integrity sweep can recompute and
-/// compare without touching authoritative memory.
+/// FNV-1a hash of one filled slot's decoded form. XORed into a page's
+/// header checksum, once the page has one, so the integrity sweep can
+/// recompute and compare without touching authoritative memory.
 fn slot_hash(slot: usize, d: &DecodedInsn) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [slot as u32, d.instr.encode(), d.imm, d.target] {
@@ -48,10 +48,13 @@ struct DecodedPage {
     /// flipped proven bit yields a detectable mismatch instead of a
     /// silently elided check.
     proven_dup: Box<[u64; PROVEN_WORDS]>,
-    /// Page header checksum: XOR of [`slot_hash`] over every filled slot,
-    /// maintained incrementally by fills and resets. The periodic
-    /// integrity sweep recomputes it from the slots and compares.
-    sum: u64,
+    /// Page header checksum: XOR of [`slot_hash`] over every filled slot.
+    /// `None` until [`DecodeCache::corrupt_decode_slot`] first lands on the
+    /// page — the only thing that can change a filled slot — which takes
+    /// the pre-flip sum; from then on fills XOR into it. The periodic
+    /// integrity sweep recomputes the pages that have one and compares, so
+    /// a run with no decode-slot fault hashes nothing.
+    sum: Option<u64>,
 }
 
 impl DecodedPage {
@@ -60,7 +63,7 @@ impl DecodedPage {
             slots: Box::new([None; SLOTS]),
             proven: Box::new([0; PROVEN_WORDS]),
             proven_dup: Box::new([0; PROVEN_WORDS]),
-            sum: 0,
+            sum: None,
         }
     }
 
@@ -68,7 +71,7 @@ impl DecodedPage {
         self.slots.fill(None);
         self.proven.fill(0);
         self.proven_dup.fill(0);
-        self.sum = 0;
+        self.sum = None;
     }
 
     #[inline]
@@ -229,9 +232,11 @@ impl DecodeCache {
 
     /// One step of the periodic integrity check. Always compares every
     /// cached page's proven bitmap against its replica (cheap: a few words
-    /// per page); additionally recomputes one page's slot checksum per
-    /// call, round-robin, so decoded-slot corruption is caught within a
-    /// bounded number of sweeps. Returns a reason on the first mismatch.
+    /// per page); additionally visits one page per call, round-robin, and
+    /// recomputes its slot checksum when it has one, so decoded-slot
+    /// corruption is caught within a bounded number of sweeps. A page with
+    /// no checksum has never been corrupted. Returns a reason on the first
+    /// mismatch.
     pub(crate) fn verify_sweep(&mut self) -> Option<String> {
         let describe = |index: &HashMap<u32, usize>, idx: usize| {
             index
@@ -251,7 +256,7 @@ impl DecodeCache {
             let idx = self.sweep_cursor % self.pages.len();
             self.sweep_cursor = self.sweep_cursor.wrapping_add(1);
             let p = &self.pages[idx];
-            if p.recompute_sum() != p.sum {
+            if p.sum.is_some_and(|sum| p.recompute_sum() != sum) {
                 return Some(format!(
                     "decoded slot checksum mismatch on page {:#010x}",
                     describe(&self.index, idx)
@@ -294,7 +299,8 @@ impl DecodeCache {
     }
 
     /// Fault-injection hook: flips one bit in the pre-extended immediate of
-    /// a filled decode slot, bypassing the page checksum. Returns a
+    /// a filled decode slot, bypassing the page checksum (taken here,
+    /// before the flip, when the page has none yet). Returns a
     /// description, or `None` when nothing is cached.
     pub(crate) fn corrupt_decode_slot(&mut self, pick: u64, bit: u64) -> Option<String> {
         let mut pages: Vec<u32> = self.index.keys().copied().collect();
@@ -317,9 +323,11 @@ impl DecodeCache {
             }
             let slot = filled[(bit % filled.len() as u64) as usize];
             let pos = ((bit >> 40) % 32) as u32;
-            let d = self.pages[idx].slots[slot]
-                .as_mut()
-                .expect("slot was just seen filled");
+            let p = &mut self.pages[idx];
+            if p.sum.is_none() {
+                p.sum = Some(p.recompute_sum());
+            }
+            let d = p.slots[slot].as_mut().expect("slot was just seen filled");
             d.imm ^= 1 << pos;
             self.last = None;
             return Some(format!(
@@ -333,9 +341,10 @@ impl DecodeCache {
     /// Predecodes the straight-line block starting at the 4-aligned `pc`:
     /// every word up to the end of its page, stopping early at the first
     /// undecodable word or at a slot an earlier fill already populated.
-    /// Words are read from main memory directly (matching fetch semantics:
-    /// no cache traffic, unmapped words read as zero and predecode to
-    /// `nop`).
+    /// Words are read from main memory directly, with one page lookup for
+    /// the whole block (matching fetch semantics: no cache traffic,
+    /// unmapped words read as zero and predecode to `nop`, and nothing is
+    /// filled on the null page).
     pub(crate) fn fill_block(&mut self, pc: u32, mem: &TaintedMemory) {
         debug_assert_eq!(pc & 3, 0);
         let page = pc / PAGE_SIZE;
@@ -350,22 +359,25 @@ impl DecodeCache {
                 idx
             }
         };
-        let base = pc - pc % PAGE_SIZE;
-        for slot in ((pc % PAGE_SIZE) / 4) as usize..SLOTS {
-            if self.pages[idx].slots[slot].is_some() {
+        let Ok(words) = mem.page_words(pc) else {
+            return;
+        };
+        let first = ((pc % PAGE_SIZE) / 4) as usize;
+        let p = &mut self.pages[idx];
+        for (slot, word) in (first..SLOTS).zip(words) {
+            if p.slots[slot].is_some() {
                 break;
             }
-            let addr = base + 4 * slot as u32;
-            let Ok((word, _)) = mem.read_u32(addr) else {
-                break;
-            };
+            let addr = pc + 4 * (slot - first) as u32;
             let Ok(d) = DecodedInsn::predecode(addr, word) else {
                 break;
             };
-            self.pages[idx].slots[slot] = Some(d);
-            self.pages[idx].sum ^= slot_hash(slot, &d);
+            p.slots[slot] = Some(d);
+            if let Some(sum) = &mut p.sum {
+                *sum ^= slot_hash(slot, &d);
+            }
             if !self.proven.is_empty() && self.proven.contains(&addr) {
-                self.pages[idx].set_proven(slot);
+                p.set_proven(slot);
             }
         }
     }
@@ -569,6 +581,25 @@ mod tests {
 
         cache.fill_block(TEXT_BASE, &mem);
         cache.corrupt_decode_slot(0, 0).unwrap();
+        assert!(cache.verify_sweep().unwrap().contains("checksum mismatch"));
+    }
+
+    #[test]
+    fn fills_after_a_slot_flip_keep_the_mismatch_visible() {
+        // The first fill stops at the bad word, leaving room on the page
+        // for a second fill after the flip.
+        let mem = text_with(&[addiu(1).encode(), 0xffff_ffff, addiu(3).encode()]);
+        let mut cache = DecodeCache::new();
+        cache.fill_block(TEXT_BASE, &mem);
+        assert_eq!(cache.verify_sweep(), None);
+        cache.corrupt_decode_slot(0, 0).unwrap();
+        assert_eq!(
+            cache.lookup(TEXT_BASE).unwrap().0.imm,
+            0,
+            "imm bit 0 flipped"
+        );
+        cache.fill_block(TEXT_BASE + 8, &mem);
+        assert_eq!(cache.lookup(TEXT_BASE + 8).unwrap().0.instr, addiu(3));
         assert!(cache.verify_sweep().unwrap().contains("checksum mismatch"));
     }
 

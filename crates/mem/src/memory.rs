@@ -88,6 +88,24 @@ impl Page {
         }
     }
 
+    /// Sets or clears the shadow bits of bytes `off..off + len` (within
+    /// the page) one masked shadow word at a time.
+    fn set_taint_span(&mut self, off: usize, len: usize, tainted: bool) {
+        let end = off + len;
+        let mut at = off;
+        while at < end {
+            let (word, shift) = (at / 64, at % 64);
+            let bits = (end - at).min(64 - shift);
+            let mask = (u64::MAX >> (64 - bits)) << shift;
+            if tainted {
+                self.taint[word] |= mask;
+            } else {
+                self.taint[word] &= !mask;
+            }
+            at += bits;
+        }
+    }
+
     fn tainted_bytes(&self) -> u64 {
         self.taint.iter().map(|w| u64::from(w.count_ones())).sum()
     }
@@ -348,6 +366,23 @@ impl TaintedMemory {
         })
     }
 
+    /// The little-endian words from the 4-aligned `addr` to the end of its
+    /// page, data only, for one page lookup instead of one per
+    /// [`TaintedMemory::read_u32`]. Words of an unmapped page read as zero.
+    ///
+    /// # Errors
+    ///
+    /// Faults when `addr` is not 4-aligned or inside the null page.
+    pub fn page_words(&self, addr: u32) -> Result<impl Iterator<Item = u32> + '_, MemFault> {
+        static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+        self.check(addr, 4)?;
+        let off = (addr % PAGE_SIZE) as usize;
+        let data = self.pages.get(addr).map_or(&ZERO_PAGE, |p| &*p.data);
+        Ok(data[off..]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunks"))))
+    }
+
     /// Writes a little-endian word together with its four taint bits.
     ///
     /// Like [`TaintedMemory::read_u32`], this resolves the page once and
@@ -389,9 +424,7 @@ impl TaintedMemory {
             let run = (data.len() - i).min(PAGE_BYTES - off);
             let page = self.page(a);
             page.data[off..off + run].copy_from_slice(&data[i..i + run]);
-            for o in off..off + run {
-                page.set_taint_bit(o, tainted);
-            }
+            page.set_taint_span(off, run, tainted);
             i += run;
         }
         Ok(())
@@ -459,10 +492,7 @@ impl TaintedMemory {
             self.check(a, 1)?;
             let off = (a % PAGE_SIZE) as usize;
             let run = (len - i).min((PAGE_BYTES - off) as u32);
-            let page = self.page(a);
-            for o in off..off + run as usize {
-                page.set_taint_bit(o, tainted);
-            }
+            self.page(a).set_taint_span(off, run as usize, tainted);
             i += run;
         }
         Ok(())
@@ -581,6 +611,26 @@ mod tests {
                 assert_eq!(bt, taint.byte(b as usize), "byte {b} of {addr:#x}");
             }
         }
+    }
+
+    #[test]
+    fn page_words_read_like_read_u32_to_the_page_end() {
+        let mut mem = TaintedMemory::new();
+        mem.write_bytes(0x2ff0, &[7; 32], true).unwrap();
+        let words: Vec<u32> = mem.page_words(0x2fe8).unwrap().collect();
+        let expected: Vec<u32> = (0x2fe8..0x3000)
+            .step_by(4)
+            .map(|a| mem.read_u32(a).unwrap().0)
+            .collect();
+        assert_eq!(words, expected, "stops at the page end");
+        assert_eq!(
+            words,
+            [0, 0, 0x0707_0707, 0x0707_0707, 0x0707_0707, 0x0707_0707]
+        );
+        // An unmapped page reads as zero words; faults match read_u32's.
+        assert!(mem.page_words(0x9000).unwrap().all(|w| w == 0));
+        assert_eq!(mem.page_words(0x2fea).err(), mem.read_u32(0x2fea).err());
+        assert_eq!(mem.page_words(0x10).err(), mem.read_u32(0x10).err());
     }
 
     #[test]

@@ -128,6 +128,9 @@ proptest! {
 /// that page wraps into the null guard.
 const SEAMS: [u32; 4] = [TEXT_BASE, 0x0080_0000, 0xFFFF_F000, 0];
 const WINDOW: i32 = 64;
+/// Longest bulk write or taint-range flip: several 64-byte shadow words,
+/// so runs start and end mid-word and cover whole words between.
+const MAX_LEN: u32 = 200;
 
 /// Reference model of a [`TaintedMemory`]: every byte ever written (absent
 /// bytes read as clean zeroes) and every page a write materialized.
@@ -177,7 +180,7 @@ fn seam_addr(seam: usize, delta: i32) -> u32 {
 /// Checks one timeline against its model over every probed address.
 fn assert_matches_model(mem: &TaintedMemory, model: &Model) {
     for seam in 0..SEAMS.len() {
-        for delta in -WINDOW..WINDOW + 8 {
+        for delta in -WINDOW..WINDOW + MAX_LEN as i32 + 8 {
             let a = seam_addr(seam, delta);
             if a < PAGE_SIZE {
                 assert_eq!(mem.read_u8(a).unwrap_err().kind, MemFaultKind::NullDeref);
@@ -227,7 +230,7 @@ proptest! {
     #[test]
     fn page_table_matches_a_flat_model(
         ops in proptest::collection::vec(
-            (0u8..6, 0usize..3, 0usize..4, -WINDOW..WINDOW, any::<u32>(), (any::<bool>(), 0u32..12)),
+            (0u8..6, 0usize..3, 0usize..4, -WINDOW..WINDOW, any::<u32>(), (any::<bool>(), 0u32..MAX_LEN)),
             1..64))
     {
         let mut timelines = vec![(TaintedMemory::new(), Model::default())];

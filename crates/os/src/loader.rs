@@ -78,19 +78,20 @@ pub fn load_with_observer(
 ) -> (Cpu, Os) {
     let mut mem = MemorySystem::new(hierarchy);
 
-    for (i, &word) in image.text.iter().enumerate() {
-        mem.write_u32(image.text_base + 4 * i as u32, word, WordTaint::CLEAN)
-            .expect("text segment must be mappable");
-    }
+    // Text, then the exit stub right after it (move $a0,$v0 ; li $v0,1 ;
+    // syscall ; break 1), as one page-chunked bulk write.
+    let stub = image.text_end();
+    let text: Vec<u8> = image
+        .text
+        .iter()
+        .copied()
+        .chain(exit_stub().iter().map(Instr::encode))
+        .flat_map(u32::to_le_bytes)
+        .collect();
+    mem.write_bytes(image.text_base, &text, false)
+        .expect("text segment must be mappable");
     mem.write_bytes(image.data_base, &image.data, false)
         .expect("data segment must be mappable");
-
-    // Exit stub after text: move $a0,$v0 ; li $v0,1 ; syscall ; break 1.
-    let stub = image.text_end();
-    for (i, insn) in exit_stub().iter().enumerate() {
-        mem.write_u32(stub + 4 * i as u32, insn.encode(), WordTaint::CLEAN)
-            .expect("exit stub must be mappable");
-    }
 
     // argv/envp strings above the stack top (they are external input: tainted).
     let mut cursor = STACK_TOP;

@@ -157,6 +157,12 @@ impl Observer for TraceHub {
             }
         }
     }
+
+    /// Only the JSONL stream and the metrics collector read retires (a
+    /// metrics interval forces both on); provenance never does.
+    fn wants_retire(&self) -> bool {
+        self.jsonl.is_some() || self.metrics.is_some()
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +226,31 @@ mod tests {
         assert!(jsonl.lines().last().unwrap().starts_with("{\"seq\":11,"));
         // The final consuming snapshot still works and saw every retire.
         assert_eq!(report.metrics.unwrap().retired, 5);
+    }
+
+    #[test]
+    fn only_retire_readers_ask_for_retires() {
+        let provenance = TraceConfig {
+            provenance: true,
+            ..TraceConfig::default()
+        };
+        assert!(!TraceHub::new(&provenance).wants_retire());
+        for cfg in [
+            TraceConfig {
+                jsonl: true,
+                ..provenance.clone()
+            },
+            TraceConfig {
+                metrics: true,
+                ..provenance.clone()
+            },
+            TraceConfig {
+                metrics_interval: Some(8),
+                ..provenance.clone()
+            },
+        ] {
+            assert!(TraceHub::new(&cfg).wants_retire(), "{cfg:?}");
+        }
     }
 
     #[test]

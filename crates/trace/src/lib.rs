@@ -16,7 +16,9 @@
 //! The CPU owns an `Option<Box<dyn Observer>>`; when it is `None` (the
 //! default) every hook is a single branch on a `None` discriminant and no
 //! event is ever constructed. Labels and other allocations happen only
-//! behind an is-some check at the source site.
+//! behind an is-some check at the source site. An attached observer whose
+//! [`Observer::wants_retire`] is `false` (a provenance-only [`TraceHub`])
+//! is spared the per-instruction [`Event::Retire`] call as well.
 //!
 //! ## Wiring
 //!
@@ -66,4 +68,12 @@ pub use provenance::{ForensicChain, ProvenanceTracker, SourceInfo, DEFAULT_RING_
 pub trait Observer: Any + Send + Sync {
     /// Called once per emitted event.
     fn on_event(&mut self, event: &Event);
+
+    /// Whether this observer folds [`Event::Retire`]. The CPU reads it
+    /// once, when the observer is attached, and emits no retire events to
+    /// an observer that answers `false` — the per-instruction call is the
+    /// bulk of the stream, and sinks such as provenance never look at it.
+    fn wants_retire(&self) -> bool {
+        true
+    }
 }

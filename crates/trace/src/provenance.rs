@@ -21,6 +21,7 @@ use crate::json::taint_str;
 use ptaint_isa::{Instr, Reg};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default capacity of the propagation ring.
 pub const DEFAULT_RING_DEPTH: usize = 4096;
@@ -95,11 +96,40 @@ impl fmt::Display for ForensicChain {
     }
 }
 
+/// Multiplicative (Fibonacci) hashing of the origin map's `u32` byte
+/// addresses: one multiply per lookup instead of SipHash's rounds. The map
+/// is only ever looked up, never iterated, so its order is not observable.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+/// 2^64 divided by the golden ratio, odd: multiplying by it is a bijection
+/// that spreads consecutive addresses over the high (tag) bits.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(FIBONACCI);
+    }
+}
+
+/// Tainted guest byte address → index of the source that tainted it.
+type OriginMap = HashMap<u32, u32, BuildHasherDefault<AddrHasher>>;
+
 /// Incrementally tracks where taint came from (see module docs).
 #[derive(Debug)]
 pub struct ProvenanceTracker {
     sources: Vec<SourceInfo>,
-    mem_origin: HashMap<u32, u32>,
+    mem_origin: OriginMap,
     reg_origin: [Option<u32>; 32],
     hilo_origin: Option<u32>,
     ring: VecDeque<Transfer>,
@@ -119,7 +149,7 @@ impl ProvenanceTracker {
     pub fn new(depth: usize) -> ProvenanceTracker {
         ProvenanceTracker {
             sources: Vec::new(),
-            mem_origin: HashMap::new(),
+            mem_origin: OriginMap::default(),
             reg_origin: [None; 32],
             hilo_origin: None,
             ring: VecDeque::with_capacity(depth.min(DEFAULT_RING_DEPTH)),

@@ -1,9 +1,11 @@
 //! Integration: cross-cutting end-to-end properties of the whole stack —
 //! compiler → assembler → loader → taint-tracking CPU → virtual OS.
 
+use std::any::Any;
+
 use ptaint::{
-    AlertKind, DetectionPolicy, ExitReason, HierarchyConfig, Machine, NetSession, RunConfig,
-    WorldConfig,
+    load_with_observer, run_to_exit, AlertKind, DetectionPolicy, Engine, Event, ExitReason,
+    HierarchyConfig, Machine, NetSession, Observer, RunConfig, WorldConfig,
 };
 
 #[test]
@@ -234,4 +236,66 @@ fn a_huge_trace_depth_keeps_every_retire_without_reserving_it() {
     assert!(run.outcome.reason.is_detected(), "{:?}", run.outcome.reason);
     // The tail also holds the instruction the detector stopped.
     assert_eq!(run.tail.len() as u64, run.outcome.stats.instructions);
+}
+
+/// Counts the retires and the other events that reach it.
+struct Counting {
+    wants_retire: bool,
+    retires: u64,
+    others: Vec<Event>,
+}
+
+impl Observer for Counting {
+    fn on_event(&mut self, event: &Event) {
+        match event {
+            Event::Retire { .. } => self.retires += 1,
+            other => self.others.push(other.clone()),
+        }
+    }
+
+    fn wants_retire(&self) -> bool {
+        self.wants_retire
+    }
+}
+
+#[test]
+fn retires_reach_only_observers_that_want_them() {
+    let exp1 = ptaint_guest::apps::scenario("exp1");
+    let mut streams = Vec::new();
+    for engine in [Engine::Cached, Engine::Interp] {
+        for wants_retire in [true, false] {
+            let observer = Counting {
+                wants_retire,
+                retires: 0,
+                others: Vec::new(),
+            };
+            let (mut cpu, mut os) = load_with_observer(
+                &exp1.image,
+                exp1.attack.clone(),
+                DetectionPolicy::PointerTaintedness,
+                HierarchyConfig::flat(),
+                Some(Box::new(observer)),
+            );
+            cpu.set_engine(engine);
+            let out = run_to_exit(&mut cpu, &mut os, 1_000_000);
+            assert!(out.reason.is_detected(), "{:?}", out.reason);
+            let observer: Box<dyn Any> = cpu.take_observer().expect("attached at load");
+            let counted = observer.downcast::<Counting>().unwrap();
+            let expected = if wants_retire {
+                out.stats.instructions
+            } else {
+                0
+            };
+            assert_eq!(
+                counted.retires, expected,
+                "{engine:?}, wants_retire {wants_retire}"
+            );
+            streams.push(counted.others);
+        }
+    }
+    // Declining retires changes nothing else the observer sees.
+    assert!(streams[0].iter().any(|e| matches!(e, Event::Alert { .. })));
+    for stream in &streams[1..] {
+        assert_eq!(stream, &streams[0]);
+    }
 }

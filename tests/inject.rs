@@ -8,9 +8,7 @@ use ptaint::{
     CampaignSpec, ExitReason, Fault, FaultKind, Machine, NetSession, OutcomeClass, ToJson,
     WorldConfig,
 };
-use ptaint_guest::apps::{
-    dispatchd, ghttpd, globd, null_httpd, scenario, synthetic, traceroute, wu_ftpd,
-};
+use ptaint_guest::apps::{ghttpd, scenario, suite};
 
 /// The paper's headline attack under taint-bit decay (§6 threat model
 /// stress): clearing shadow bits around the tainted `url` pointer defeats
@@ -300,34 +298,25 @@ fn a_rung_resumes_with_its_warm_decode_cache() {
     assert_eq!(trial, fresh);
 }
 
-fn fuzz_corpus() -> Vec<Machine> {
-    vec![
-        Machine::from_c(synthetic::EXP1_SOURCE).unwrap(),
-        Machine::from_c(ghttpd::SOURCE).unwrap(),
-        Machine::from_c(null_httpd::SOURCE).unwrap(),
-        Machine::from_c(traceroute::SOURCE).unwrap(),
-        Machine::from_c(wu_ftpd::SOURCE).unwrap(),
-        Machine::from_c(globd::SOURCE).unwrap(),
-        Machine::from_c(dispatchd::SOURCE).unwrap(),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// No guest application can panic the host, whatever bytes arrive on
-    /// stdin and the network: every run terminates in a structured
-    /// `ExitReason` within the step budget.
+    /// No guest program of the attack suite can panic the host, whatever
+    /// bytes arrive on stdin and the network: every run terminates in a
+    /// structured `ExitReason` within the step budget.
     #[test]
     fn no_guest_app_panics_on_arbitrary_input(
         stdin in proptest::collection::vec(any::<u8>(), 0..64),
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 0..4),
     ) {
-        for m in fuzz_corpus() {
+        for s in suite() {
             let world = WorldConfig::new()
                 .stdin(stdin.clone())
                 .session(NetSession::new(msgs.clone()));
-            let out = m.world(world).step_limit(2_000_000).run();
+            let out = Machine::from_image(s.image.clone())
+                .world(world)
+                .step_limit(2_000_000)
+                .run();
             // Any reason is acceptable — the contract is that we *got* one.
             prop_assert!(!format!("{}", out.reason).is_empty());
         }
