@@ -41,8 +41,8 @@ const STACK_FOLD_ABOVE: u32 = 8192;
 /// How many tracked stack slots survive a [`State::translate`].
 #[derive(Debug, Clone, Copy)]
 pub enum StackFold {
-    /// Ordinary edge: keep slots inside the ±window around [`CANON_SP`]
-    /// ([`STACK_FOLD_BELOW`]/[`STACK_FOLD_ABOVE`]).
+    /// Ordinary edge: keep slots inside the 8 KiB window either side of
+    /// [`CANON_SP`] (`STACK_FOLD_BELOW`/`STACK_FOLD_ABOVE`).
     Window,
     /// Recursive (intra-SCC) edge: fold *every* tracked stack slot into
     /// the stack havoc summary. On such an edge each translation shifts

@@ -1,5 +1,7 @@
 //! Disassembly of an [`Image`] back into annotated assembly text.
 
+use std::fmt::Write as _;
+
 use ptaint_isa::Instr;
 
 use crate::Image;
@@ -15,19 +17,27 @@ use crate::Image;
 /// Undecodable words render as `.word 0x…`.
 #[must_use]
 pub fn disassemble(image: &Image) -> String {
+    const LABEL_WIDTH: usize = 12;
     let symbols = image.symbol_index();
     let mut out = String::new();
     for (i, &word) in image.text.iter().enumerate() {
         let addr = image.text_base + 4 * i as u32;
-        let label = symbols
-            .get(&addr)
-            .map(|s| format!(" <{s}>:"))
-            .unwrap_or_default();
-        let body = match Instr::decode(word) {
-            Ok(insn) => insn.to_string(),
-            Err(_) => format!(".word {word:#010x}"),
+        let _ = write!(out, "{addr:08x}");
+        // Each line is written straight into `out`: the label padded to
+        // its column, then the instruction.
+        let label_start = out.len();
+        if let Some(s) = symbols.get(&addr) {
+            let _ = write!(out, " <{s}>:");
+        }
+        let label_width = out[label_start..].chars().count();
+        out.extend(std::iter::repeat_n(
+            ' ',
+            LABEL_WIDTH.saturating_sub(label_width) + 1,
+        ));
+        let _ = match Instr::decode(word) {
+            Ok(insn) => writeln!(out, "{insn}"),
+            Err(_) => writeln!(out, ".word {word:#010x}"),
         };
-        out.push_str(&format!("{addr:08x}{label:<12} {body}\n"));
     }
     out
 }

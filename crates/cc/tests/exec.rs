@@ -30,6 +30,8 @@ fn run_c(src: &str) -> Cpu {
         .unwrap();
     let mut cpu = Cpu::new(mem, DetectionPolicy::PointerTaintedness);
     cpu.set_pc(image.entry);
+    // Keep a retire tail for the failure message below.
+    cpu.set_trace_depth(ptaint_cpu::DEFAULT_TRACE_DEPTH);
     cpu.regs_mut()
         .set(Reg::SP, STACK_TOP - 64, WordTaint::CLEAN);
     for step in 0..10_000_000u64 {

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
-use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules};
+use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules, DEFAULT_TRACE_DEPTH};
 use ptaint_guest::apps::Scenario;
 use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
@@ -40,7 +40,7 @@ pub struct Machine {
     watches: Vec<(u32, u32, String)>,
     step_limit: u64,
     watchdog: Option<Duration>,
-    trace_depth: Option<usize>,
+    trace_depth: usize,
     engine: Engine,
     elide_checks: bool,
     analysis_jobs: Option<usize>,
@@ -93,7 +93,7 @@ impl Machine {
             watches: Vec::new(),
             step_limit: Machine::DEFAULT_STEP_LIMIT,
             watchdog: None,
-            trace_depth: None,
+            trace_depth: DEFAULT_TRACE_DEPTH,
             engine: Engine::default(),
             elide_checks: false,
             analysis_jobs: None,
@@ -216,12 +216,12 @@ impl Machine {
         }
     }
 
-    /// Sets the depth of the CPU's recently-retired diagnostic ring (default
-    /// [`ptaint_cpu::DEFAULT_TRACE_DEPTH`]) — the tail reported by
-    /// [`Machine::run_with`] and the CLI's alert report.
+    /// Sets the depth of the execution tail [`Machine::run_with`] records
+    /// and reports, as the CLI's alert report does (default
+    /// [`DEFAULT_TRACE_DEPTH`]). No other run records a tail.
     #[must_use]
     pub fn trace_depth(mut self, depth: usize) -> Machine {
-        self.trace_depth = Some(depth);
+        self.trace_depth = depth;
         self
     }
 
@@ -246,9 +246,6 @@ impl Machine {
         );
         cpu.set_taint_rules(self.rules);
         cpu.set_engine(self.engine);
-        if let Some(depth) = self.trace_depth {
-            cpu.set_trace_depth(depth);
-        }
         for (addr, len, label) in &self.watches {
             cpu.add_taint_watch(*addr, *len, label.clone());
         }
@@ -433,6 +430,9 @@ impl Machine {
     /// — and runs it to completion. The pipeline retires through the same
     /// taint CPU, so every sink sees the identical event stream with or
     /// without it; with no sink and no profiler, no observer is attached.
+    /// This is the one run that records the execution tail
+    /// ([`Machine::trace_depth`]): every other run leaves the CPU's retire
+    /// ring off, since nothing reads it.
     #[must_use]
     pub fn run_with(&self, cfg: &RunConfig) -> RunArtifacts {
         let sinks = (cfg.trace.any() || cfg.profile).then(|| -> Box<dyn Observer> {
@@ -441,7 +441,8 @@ impl Machine {
                 events: cfg.profile.then(EventProfile::new),
             })
         });
-        let (cpu, mut os) = self.boot_with(sinks);
+        let (mut cpu, mut os) = self.boot_with(sinks);
+        cpu.set_trace_depth(self.trace_depth);
         if cfg.record {
             os.start_recording();
         }
@@ -450,7 +451,6 @@ impl Machine {
             let run = self.drive(&mut pipe, &mut os);
             (run, Some(pipe.report()), pipe.cpu_mut().take_observer())
         } else {
-            let mut cpu = cpu;
             (self.drive(&mut cpu, &mut os), None, cpu.take_observer())
         };
         let journal = cfg.record.then(|| os.take_journal().unwrap_or_default());

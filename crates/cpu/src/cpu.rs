@@ -92,9 +92,65 @@ pub enum Engine {
     Cached,
 }
 
-/// Default depth of the recently-retired diagnostic ring buffer; override
-/// per-CPU with [`Cpu::set_trace_depth`].
+/// The retire-tail depth a report uses unless told otherwise. A [`Cpu`]
+/// records no tail until [`Cpu::set_trace_depth`] turns one on.
 pub const DEFAULT_TRACE_DEPTH: usize = 64;
+
+/// The recently-retired ring: a power-of-two `Vec` indexed by the masked
+/// count of retires so far (`head`), so a retire is one store. It starts
+/// empty and doubles when `head` reaches `grow_at`, up to the first power of
+/// two >= `depth`, so a huge depth never allocates up front.
+#[derive(Clone)]
+struct RetireTail {
+    ring: Vec<(u32, Instr)>,
+    head: usize,
+    grow_at: usize,
+    depth: usize,
+}
+
+impl RetireTail {
+    fn new(depth: usize) -> RetireTail {
+        RetireTail {
+            ring: Vec::new(),
+            head: 0,
+            grow_at: 0,
+            depth,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, pc: u32, instr: Instr) {
+        if self.head == self.grow_at {
+            self.grow();
+        }
+        let mask = self.ring.len() - 1;
+        self.ring[self.head & mask] = (pc, instr);
+        self.head += 1;
+    }
+
+    /// Doubles the ring (from 16 entries) toward its full size. Only called
+    /// when every slot holds a retire in push order, so growing is a plain
+    /// extension.
+    #[cold]
+    fn grow(&mut self) {
+        let full = self
+            .depth
+            .checked_next_power_of_two()
+            .unwrap_or(1 << (usize::BITS - 1));
+        let len = (self.ring.len() * 2).clamp(16.min(full), full);
+        self.ring.resize(len, (0, Instr::NOP));
+        self.grow_at = if len == full { usize::MAX } else { len };
+    }
+
+    /// The last `depth` retires, oldest first.
+    fn to_vec(&self) -> Vec<(u32, Instr)> {
+        let kept = self.head.min(self.depth);
+        let mask = self.ring.len().wrapping_sub(1);
+        (self.head - kept..self.head)
+            .map(|i| self.ring[i & mask])
+            .collect()
+    }
+}
 
 /// Anything that advances the architectural state one instruction at a time
 /// around a [`Cpu`] — the functional executor itself, or the pipelined
@@ -175,15 +231,8 @@ pub struct Cpu {
     rules: TaintRules,
     watches: Vec<TaintWatch>,
     stats: ExecStats,
-    // Recently-retired ring: a power-of-two `Vec` indexed by the masked
-    // count of retires so far (`recent_head`), so a retire is one store. It
-    // starts empty and doubles when `recent_head` reaches `recent_grow_at`,
-    // up to the first power of two >= `trace_depth`, so a huge depth never
-    // allocates up front.
-    recent: Vec<(u32, Instr)>,
-    recent_head: usize,
-    recent_grow_at: usize,
-    trace_depth: usize,
+    // The retire tail, recorded only once `set_trace_depth` turns it on.
+    tail: Option<RetireTail>,
     observer: Option<Box<dyn Observer>>,
     // The attached observer's `wants_retire`, read once at attach time.
     observer_retires: bool,
@@ -226,10 +275,7 @@ impl Cpu {
             rules: TaintRules::PAPER,
             watches: Vec::new(),
             stats: ExecStats::default(),
-            recent: Vec::new(),
-            recent_head: 0,
-            recent_grow_at: 0,
-            trace_depth: DEFAULT_TRACE_DEPTH,
+            tail: None,
             observer: None,
             observer_retires: false,
             last_step_tainted: false,
@@ -285,24 +331,23 @@ impl Cpu {
         }
     }
 
-    /// Resizes the recently-retired diagnostic ring (default
-    /// [`DEFAULT_TRACE_DEPTH`]). Shrinking drops the oldest entries.
+    /// Turns on the recently-retired diagnostic ring at `depth` (at least
+    /// one) or resizes it; shrinking drops the oldest entries. The ring is
+    /// off by default, so a run that never reads [`Cpu::recent_trace`] pays
+    /// nothing per retire.
     pub fn set_trace_depth(&mut self, depth: usize) {
         let kept = self.recent_trace();
-        self.trace_depth = depth.max(1);
-        // Rebuild the ring for the new depth from the tail it still keeps.
-        self.recent = Vec::new();
-        self.recent_head = 0;
-        self.recent_grow_at = 0;
-        for &(pc, instr) in &kept[kept.len().saturating_sub(self.trace_depth)..] {
-            self.push_trace(pc, instr);
+        let mut tail = RetireTail::new(depth.max(1));
+        for &(pc, instr) in &kept[kept.len().saturating_sub(tail.depth)..] {
+            tail.push(pc, instr);
         }
+        self.tail = Some(tail);
     }
 
-    /// Current depth of the recently-retired ring.
+    /// Current depth of the recently-retired ring, `None` while it is off.
     #[must_use]
-    pub fn trace_depth(&self) -> usize {
-        self.trace_depth
+    pub fn trace_depth(&self) -> Option<usize> {
+        self.tail.as_ref().map(|tail| tail.depth)
     }
 
     /// Replaces the active taint-propagation rule set (default:
@@ -408,38 +453,11 @@ impl Cpu {
     }
 
     /// The most recently retired instructions (oldest first), for
-    /// diagnostics.
+    /// diagnostics. Empty unless [`Cpu::set_trace_depth`] turned the ring
+    /// on.
     #[must_use]
     pub fn recent_trace(&self) -> Vec<(u32, Instr)> {
-        let kept = self.recent_head.min(self.trace_depth);
-        let mask = self.recent.len().wrapping_sub(1);
-        (self.recent_head - kept..self.recent_head)
-            .map(|i| self.recent[i & mask])
-            .collect()
-    }
-
-    #[inline]
-    fn push_trace(&mut self, pc: u32, instr: Instr) {
-        if self.recent_head == self.recent_grow_at {
-            self.grow_trace();
-        }
-        let mask = self.recent.len() - 1;
-        self.recent[self.recent_head & mask] = (pc, instr);
-        self.recent_head += 1;
-    }
-
-    /// Doubles the ring (from 16 entries) toward its full size, the first
-    /// power of two >= `trace_depth`. Only called when every slot holds a
-    /// retire in push order, so growing is a plain extension.
-    #[cold]
-    fn grow_trace(&mut self) {
-        let full = self
-            .trace_depth
-            .checked_next_power_of_two()
-            .unwrap_or(1 << (usize::BITS - 1));
-        let len = (self.recent.len() * 2).clamp(16.min(full), full);
-        self.recent.resize(len, (0, Instr::NOP));
-        self.recent_grow_at = if len == full { usize::MAX } else { len };
+        self.tail.as_ref().map_or_else(Vec::new, RetireTail::to_vec)
     }
 
     /// Emits a [`Event::TaintPropagate`] when taint is actually in motion:
@@ -663,10 +681,7 @@ impl Cpu {
             rules: self.rules,
             watches: self.watches.clone(),
             stats: self.stats,
-            recent: self.recent.clone(),
-            recent_head: self.recent_head,
-            recent_grow_at: self.recent_grow_at,
-            trace_depth: self.trace_depth,
+            tail: self.tail.clone(),
             observer: None,
             observer_retires: false,
             last_step_tainted: self.last_step_tainted,
@@ -1232,7 +1247,9 @@ impl Cpu {
         }
 
         self.stats.instructions += 1;
-        self.push_trace(pc, instr);
+        if let Some(tail) = &mut self.tail {
+            tail.push(pc, instr);
+        }
         self.pc = next_pc;
         if self.observer_retires {
             self.emit_event(&Event::Retire {
@@ -1639,10 +1656,30 @@ main:   la $t0, buf
             "main: li $t0, 1\nli $t1, 2\nbreak 0",
             DetectionPolicy::PointerTaintedness,
         );
+        cpu.set_trace_depth(DEFAULT_TRACE_DEPTH);
         run(&mut cpu, 10).unwrap();
         let trace = cpu.recent_trace();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].0, TEXT_BASE);
+    }
+
+    /// The ring is off by default: a CPU nobody asked for a tail records
+    /// none, and neither do its forks.
+    #[test]
+    fn a_cpu_records_no_tail_until_asked() {
+        let mut cpu = boot(
+            "main: li $t0, 1\nli $t1, 2\nbreak 0",
+            DetectionPolicy::PointerTaintedness,
+        );
+        assert_eq!(cpu.trace_depth(), None);
+        let mut child = cpu.fork();
+        run(&mut cpu, 10).unwrap();
+        run(&mut child, 10).unwrap();
+        for cpu in [&cpu, &child, &cpu.fork()] {
+            assert_eq!(cpu.trace_depth(), None);
+            assert!(cpu.recent_trace().is_empty());
+        }
+        assert_eq!(cpu.stats().instructions, 3);
     }
 
     #[test]
@@ -1870,7 +1907,7 @@ loop:   lw $t1, 0($t0)
                     110 => model_depth = depth * 2,
                     _ => {}
                 }
-                if cpu.trace_depth() != model_depth {
+                if cpu.trace_depth() != Some(model_depth) {
                     cpu.set_trace_depth(model_depth);
                     while model.len() > model_depth {
                         model.pop_front();
@@ -1907,7 +1944,8 @@ loop:   lw $t1, 0($t0)
         cpu.set_trace_depth(1 << 40);
         run_batched(&mut cpu, 10).unwrap();
         assert_eq!(cpu.recent_trace().len(), 2);
-        assert!(cpu.recent.capacity() <= 16, "{}", cpu.recent.capacity());
+        let ring = &cpu.tail.as_ref().expect("the tail is on").ring;
+        assert!(ring.capacity() <= 16, "{}", ring.capacity());
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod stats;
 pub mod taint_alu;
 
 pub use alert::{AlertKind, DetectionPolicy, SecurityAlert};
-pub use cpu::{Cpu, CpuException, Engine, StepEvent, Steppable, TaintWatch};
+pub use cpu::{Cpu, CpuException, Engine, StepEvent, Steppable, TaintWatch, DEFAULT_TRACE_DEPTH};
 pub use regs::RegisterFile;
 pub use rules::TaintRules;
 pub use stats::ExecStats;

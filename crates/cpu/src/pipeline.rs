@@ -177,13 +177,9 @@ impl Pipeline {
         match result {
             Ok(event) => {
                 self.report.instructions += 1;
-                let executed = *self
-                    .cpu
-                    .recent_trace()
-                    .last()
-                    .expect("step retired an instruction");
-                self.prev_load_dest = match executed.1 {
-                    Instr::Load { rt, .. } => Some(rt),
+                // The step retired the instruction `peek` decoded.
+                self.prev_load_dest = match peek {
+                    Some(Instr::Load { rt, .. }) => Some(rt),
                     _ => None,
                 };
                 self.pending_redirect = self.cpu.pc() != pc_before.wrapping_add(4);
@@ -268,6 +264,8 @@ mod tests {
             .unwrap();
         let mut cpu = Cpu::new(mem, DetectionPolicy::PointerTaintedness);
         cpu.set_pc(image.entry);
+        // The hazard model must not lean on the retire tail: it is off here.
+        assert_eq!(cpu.trace_depth(), None);
         Pipeline::new(cpu)
     }
 

@@ -75,10 +75,12 @@ impl Page {
         }
     }
 
+    #[inline]
     fn taint_bit(&self, off: usize) -> bool {
         self.taint[off / 64] & (1 << (off % 64)) != 0
     }
 
+    #[inline]
     fn set_taint_bit(&mut self, off: usize, tainted: bool) {
         let (word, bit) = (off / 64, 1u64 << (off % 64));
         if tainted {
@@ -132,6 +134,7 @@ impl PageTable {
         }
     }
 
+    #[inline]
     fn indices(addr: u32) -> (usize, usize) {
         let page = (addr >> PAGE_BITS) as usize;
         (page >> LEAF_BITS, page & (LEAF_SLOTS - 1))
@@ -264,6 +267,7 @@ impl TaintedMemory {
         self.cow_faults
     }
 
+    #[inline]
     fn check(&self, addr: u32, align: u32) -> Result<(), MemFault> {
         if self.null_guard && addr < PAGE_SIZE {
             return Err(MemFault {
@@ -280,7 +284,10 @@ impl TaintedMemory {
         Ok(())
     }
 
-    #[inline]
+    /// The page under `addr` for writing: materialized on first touch,
+    /// unshared first if a fork still holds it. `always`: with a plain
+    /// `#[inline]` LLVM keeps it out of line, one call per guest store.
+    #[inline(always)]
     fn page(&mut self, addr: u32) -> &mut Page {
         let arc = self.pages.get_or_insert(addr);
         if Arc::strong_count(arc) > 1 {
@@ -294,6 +301,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults on a null-page access.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Result<(u8, bool), MemFault> {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
@@ -308,6 +316,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults on a null-page access.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8, tainted: bool) -> Result<(), MemFault> {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
@@ -323,6 +332,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults when `addr` is not 2-aligned or inside the null page.
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> Result<(u16, WordTaint), MemFault> {
         self.check(addr, 2)?;
         let (b0, t0) = self.read_u8(addr)?;
@@ -336,6 +346,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults when `addr` is not 2-aligned or inside the null page.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16, taint: WordTaint) -> Result<(), MemFault> {
         self.check(addr, 2)?;
         let [b0, b1] = value.to_le_bytes();
@@ -353,6 +364,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults when `addr` is not 4-aligned or inside the null page.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<(u32, WordTaint), MemFault> {
         self.check(addr, 4)?;
         let off = (addr % PAGE_SIZE) as usize;
@@ -391,6 +403,7 @@ impl TaintedMemory {
     /// # Errors
     ///
     /// Faults when `addr` is not 4-aligned or inside the null page.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32, taint: WordTaint) -> Result<(), MemFault> {
         self.check(addr, 4)?;
         let off = (addr % PAGE_SIZE) as usize;
@@ -510,18 +523,18 @@ impl TaintedMemory {
         for (pi, page) in self.pages.iter() {
             let base = pi * PAGE_SIZE;
             for (wi, &word) in page.taint.iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                for bit in 0..64 {
-                    if word & (1 << bit) == 0 {
-                        continue;
-                    }
-                    let addr = base + (wi * 64 + bit) as u32;
+                // One step per run of set bits, not per bit: skip the clean
+                // run below it, measure it, then clear it.
+                let mut rest = word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros();
+                    let run = (rest >> bit).trailing_ones();
+                    let addr = base + (wi * 64) as u32 + bit;
                     match ranges.last_mut() {
-                        Some((start, len)) if start.wrapping_add(*len) == addr => *len += 1,
-                        _ => ranges.push((addr, 1)),
+                        Some((start, len)) if start.wrapping_add(*len) == addr => *len += run,
+                        _ => ranges.push((addr, run)),
                     }
+                    rest &= u64::MAX.checked_shl(bit + run).unwrap_or(0);
                 }
             }
         }
@@ -739,6 +752,24 @@ mod tests {
                 (0x9000, 1)
             ]
         );
+    }
+
+    #[test]
+    fn tainted_ranges_walk_runs_within_and_across_whole_shadow_words() {
+        let mut mem = TaintedMemory::new();
+        // Alternating bytes: 32 runs in one shadow word.
+        for addr in (0xa000..0xa040).step_by(2) {
+            mem.write_u8(addr, 0, true).unwrap();
+        }
+        // Whole shadow words, up to the last byte of the address space.
+        mem.set_taint_range(0xffff_ff00, 0x100, true).unwrap();
+        let ranges = mem.tainted_ranges();
+        let expected: Vec<(u32, u32)> = (0xa000..0xa040)
+            .step_by(2)
+            .map(|a| (a, 1))
+            .chain([(0xffff_ff00, 0x100)])
+            .collect();
+        assert_eq!(ranges, expected);
     }
 
     #[test]

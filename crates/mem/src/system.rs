@@ -196,6 +196,7 @@ impl MemorySystem {
     /// Whether any watched code page has been written since the last
     /// [`MemorySystem::take_dirty_code_pages`].
     #[must_use]
+    #[inline]
     pub fn has_dirty_code_pages(&self) -> bool {
         !self.dirty_code_pages.is_empty()
     }
@@ -236,12 +237,27 @@ impl MemorySystem {
         Ok(())
     }
 
+    /// Whether no cache level is configured, so every access goes straight
+    /// to main memory.
+    #[inline]
+    fn uncached(&self) -> bool {
+        self.l1.is_none() && self.l2.is_none()
+    }
+
     /// Reads one byte and its taint bit through the cache hierarchy.
     ///
     /// # Errors
     ///
     /// Propagates [`MemFault`]s from main memory (null-page accesses).
+    #[inline]
     pub fn read_u8(&mut self, addr: u32) -> Result<(u8, bool), MemFault> {
+        if self.uncached() {
+            return self.mem.read_u8(addr);
+        }
+        self.read_u8_cached(addr)
+    }
+
+    fn read_u8_cached(&mut self, addr: u32) -> Result<(u8, bool), MemFault> {
         // Validate the access against memory first so faulting addresses are
         // never cached.
         let authoritative = self.mem.read_u8(addr)?;
@@ -271,6 +287,7 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Propagates [`MemFault`]s from main memory.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8, tainted: bool) -> Result<(), MemFault> {
         self.note_code_write(addr);
         self.mem.write_u8(addr, value, tainted)?;
@@ -288,10 +305,15 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Faults on misalignment or null-page access.
+    #[inline]
     pub fn read_u16(&mut self, addr: u32) -> Result<(u16, WordTaint), MemFault> {
-        if self.l1.is_none() && self.l2.is_none() {
+        if self.uncached() {
             return self.mem.read_u16(addr);
         }
+        self.read_u16_cached(addr)
+    }
+
+    fn read_u16_cached(&mut self, addr: u32) -> Result<(u16, WordTaint), MemFault> {
         // Alignment is checked by main memory.
         let _ = self.mem.read_u16(addr)?;
         let (b0, t0) = self.read_u8(addr)?;
@@ -307,12 +329,22 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Faults on misalignment or null-page access.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16, taint: WordTaint) -> Result<(), MemFault> {
         // A 2-aligned halfword never straddles a page, so one hook suffices.
         self.note_code_write(addr);
-        if self.l1.is_none() && self.l2.is_none() {
+        if self.uncached() {
             return self.mem.write_u16(addr, value, taint);
         }
+        self.write_u16_cached(addr, value, taint)
+    }
+
+    fn write_u16_cached(
+        &mut self,
+        addr: u32,
+        value: u16,
+        taint: WordTaint,
+    ) -> Result<(), MemFault> {
         self.mem.write_u16(addr, value, taint)?;
         let [b0, b1] = value.to_le_bytes();
         self.write_u8(addr, b0, taint.byte(0))?;
@@ -321,17 +353,23 @@ impl MemorySystem {
 
     /// Reads a little-endian word and its four taint bits.
     ///
-    /// With no caches configured this is one call into the word-granular
-    /// [`TaintedMemory::read_u32`] fast path; with caches it probes the
-    /// hierarchy byte-wise to keep line statistics exact.
+    /// With no caches configured this is the word-granular
+    /// [`TaintedMemory::read_u32`] fast path, inlined into the caller; with
+    /// caches it probes the hierarchy byte-wise to keep line statistics
+    /// exact.
     ///
     /// # Errors
     ///
     /// Faults on misalignment or null-page access.
+    #[inline]
     pub fn read_u32(&mut self, addr: u32) -> Result<(u32, WordTaint), MemFault> {
-        if self.l1.is_none() && self.l2.is_none() {
+        if self.uncached() {
             return self.mem.read_u32(addr);
         }
+        self.read_u32_cached(addr)
+    }
+
+    fn read_u32_cached(&mut self, addr: u32) -> Result<(u32, WordTaint), MemFault> {
         let _ = self.mem.read_u32(addr)?;
         let mut bytes = [0u8; 4];
         let mut taint = WordTaint::CLEAN;
@@ -345,18 +383,28 @@ impl MemorySystem {
 
     /// Writes a little-endian word and its four taint bits.
     ///
-    /// With no caches configured this is one call into the word-granular
-    /// [`TaintedMemory::write_u32`] fast path.
+    /// With no caches configured this is the word-granular
+    /// [`TaintedMemory::write_u32`] fast path, inlined into the caller.
     ///
     /// # Errors
     ///
     /// Faults on misalignment or null-page access.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32, taint: WordTaint) -> Result<(), MemFault> {
         // A 4-aligned word never straddles a page, so one hook suffices.
         self.note_code_write(addr);
-        if self.l1.is_none() && self.l2.is_none() {
+        if self.uncached() {
             return self.mem.write_u32(addr, value, taint);
         }
+        self.write_u32_cached(addr, value, taint)
+    }
+
+    fn write_u32_cached(
+        &mut self,
+        addr: u32,
+        value: u32,
+        taint: WordTaint,
+    ) -> Result<(), MemFault> {
         self.mem.write_u32(addr, value, taint)?;
         for (i, b) in value.to_le_bytes().into_iter().enumerate() {
             self.write_u8(addr + i as u32, b, taint.byte(i))?;
@@ -383,6 +431,7 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Faults on misalignment or null-page access.
+    #[inline]
     pub fn fetch_u32(&self, addr: u32) -> Result<u32, MemFault> {
         self.mem.read_u32(addr).map(|(v, _)| v)
     }
@@ -396,7 +445,7 @@ impl MemorySystem {
     ///
     /// Faults when the range touches the null page.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8], tainted: bool) -> Result<(), MemFault> {
-        if self.l1.is_some() || self.l2.is_some() {
+        if !self.uncached() {
             // Caches want byte-wise write-through so resident lines patch.
             for (i, &b) in data.iter().enumerate() {
                 self.write_u8(addr + i as u32, b, tainted)?;

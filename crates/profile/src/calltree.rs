@@ -21,9 +21,9 @@ struct Node {
 ///
 /// Driven by the retired instruction stream: `jal`/`jalr` push the callee
 /// entry, `jr $ra` pops. The guest is not obligated to keep a disciplined
-/// stack — returns past the root are dropped (counted), depth beyond
-/// [`DEPTH_CAP`] collapses into the top frame (counted), so the tree is a
-/// faithful *model*, never a panic source.
+/// stack — returns past the root are dropped (counted), depth beyond 256
+/// frames (`DEPTH_CAP`) collapses into the top frame (counted), so the tree
+/// is a faithful *model*, never a panic source.
 #[derive(Debug)]
 pub struct CallTree {
     nodes: Vec<Node>,

@@ -19,7 +19,7 @@
 //!   step-latency accounting. The retire stream is identical under both
 //!   engines, so every profile is engine-invariant.
 //! * [`ProfileReport`] — the merge of the above, symbolized through a
-//!   [`SymbolTable`], with a hand-rolled [`to_json`](ProfileReport::to_json)
+//!   [`SymbolTable`], with a hand-rolled [`to_json`](ptaint_trace::ToJson::to_json)
 //!   (pinned field order, counts only) and a human-readable top-N report
 //!   ([`render_text`](ProfileReport::render_text)).
 //!

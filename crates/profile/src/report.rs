@@ -72,7 +72,7 @@ pub struct SyscallRow {
 pub struct ProfileReport {
     /// Total retired instructions.
     pub steps: u64,
-    /// Hottest pcs (top [`HOT_PC_CAP`]; count desc, pc asc on ties).
+    /// Hottest pcs (top 32, `HOT_PC_CAP`; count desc, pc asc on ties).
     pub hot_pcs: Vec<HotPc>,
     /// Retirements by owning symbol (count desc, name asc on ties).
     pub symbols: Vec<SymbolCount>,

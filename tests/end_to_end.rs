@@ -238,6 +238,35 @@ fn a_huge_trace_depth_keeps_every_retire_without_reserving_it() {
     assert_eq!(run.tail.len() as u64, run.outcome.stats.instructions);
 }
 
+/// Only `run_with` records the retire tail; every other run leaves the
+/// ring off. Turning it off changes nothing a run reports: for every suite
+/// scenario (attack and benign worlds) and every Table 3 workload at scale
+/// 1, `Machine::run` and `run_app` equal the tail-recording `run_with` in
+/// their whole `RunOutcome`.
+#[test]
+fn runs_without_a_tail_equal_the_run_that_records_one() {
+    let suite = ptaint_guest::apps::suite().iter().flat_map(|s| {
+        std::iter::once(&s.attack)
+            .chain(&s.benign)
+            .map(move |world| (s.name, s.image.clone(), world.clone()))
+    });
+    let workloads = ptaint_guest::workloads::all().into_iter().map(|w| {
+        let image = ptaint_guest::build(w.source).expect("workload builds");
+        (w.name, image, w.world(1))
+    });
+    for (name, image, world) in suite.chain(workloads) {
+        let machine = Machine::from_image(image.clone()).world(world.clone());
+        let recorded = machine.run_with(&RunConfig::default());
+        assert!(
+            !recorded.tail.is_empty(),
+            "{name}: run_with records the tail"
+        );
+        assert_eq!(machine.run(), recorded.outcome, "{name}: Machine::run");
+        let app = ptaint_guest::apps::run_app(&image, world, DetectionPolicy::PointerTaintedness);
+        assert_eq!(app, recorded.outcome, "{name}: run_app");
+    }
+}
+
 /// Counts the retires and the other events that reach it.
 struct Counting {
     wants_retire: bool,
