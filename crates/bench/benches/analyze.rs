@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use ptaint::Image;
-use ptaint_bench::{best_per_sec, quick};
+use ptaint_bench::{best_per_sec, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 /// Timed repetitions per measurement (after one warmup), best-of.
@@ -53,7 +53,7 @@ fn main() {
 
     let _ = write!(json, ",\"quick\":{}}}", quick());
     json.push('\n');
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyze.json");
-    std::fs::write(path, &json).expect("writes BENCH_analyze.json");
-    println!("analyze: {summary}-> {path}");
+    let path = repo_root().join("BENCH_analyze.json");
+    std::fs::write(&path, &json).expect("writes BENCH_analyze.json");
+    println!("analyze: {summary}-> {}", path.display());
 }

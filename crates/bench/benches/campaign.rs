@@ -24,7 +24,7 @@
 //! smoke runs.
 
 use ptaint::{CampaignSpec, Machine, ToJson};
-use ptaint_bench::{best_per_sec, quick};
+use ptaint_bench::{best_per_sec, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 /// Faulted trials per campaign: full runs average over a broad fault
@@ -130,11 +130,12 @@ fn main() {
         lines.push(format!("{name} trials skip {steps} prefix steps"));
     }
     json.push_str(&format!(",\"quick\":{}}}\n", quick()));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    std::fs::write(path, &json).expect("writes BENCH_campaign.json");
+    let path = repo_root().join("BENCH_campaign.json");
+    std::fs::write(&path, &json).expect("writes BENCH_campaign.json");
     println!(
         "campaign: {} faulted trials/campaign; {} -> {path}",
         trials(),
-        lines.join("; ")
+        lines.join("; "),
+        path = path.display()
     );
 }

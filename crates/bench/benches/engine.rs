@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use ptaint::{Engine, ExitReason, Machine};
-use ptaint_bench::{best_per_sec, quick};
+use ptaint_bench::{best_per_sec, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, null_httpd, wu_ftpd};
 use ptaint_guest::{workloads, CRT0_ASM, LIBC_C, SYSCALL_STUBS_ASM};
 
@@ -188,14 +188,15 @@ fn main() {
         builds,
         quick()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, &json).expect("writes BENCH_engine.json");
+    let path = repo_root().join("BENCH_engine.json");
+    std::fs::write(&path, &json).expect("writes BENCH_engine.json");
     println!(
         "engine: {steps} guest steps; interp {interp:.0} steps/s, \
          cached {cached:.0} steps/s, speedup {:.2}x; Table 3 (scale {}) \
          {table3_steps} guest steps, {table3:.0} steps/s; CVE daemons \
          {assembles:.1} assembles/s, {builds:.1} builds/s -> {path}",
         speedup,
-        table3_scale()
+        table3_scale(),
+        path = path.display()
     );
 }

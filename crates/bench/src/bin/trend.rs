@@ -68,7 +68,7 @@ fn mode(arg: &str, baseline_path: &Path) -> Result<Mode, String> {
 }
 
 fn main() -> ExitCode {
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let root = ptaint_bench::repo_root();
     let baseline_path = root.join("TREND.json");
     let arg = std::env::args().nth(1).unwrap_or_else(|| "print".into());
     let mode = match mode(&arg, &baseline_path) {
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
     };
 
     let mut notes = Vec::new();
-    let current = collect_trend(root, &mut notes);
+    let current = collect_trend(&root, &mut notes);
     for note in &notes {
         eprintln!("trend: note: {note}");
     }

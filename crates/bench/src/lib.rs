@@ -28,6 +28,7 @@
 //! cargo run -p ptaint-bench --bin trend -- check   # gate vs TREND.json
 //! ```
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 pub mod json;
@@ -44,6 +45,18 @@ pub use trend::{
 #[must_use]
 pub fn quick() -> bool {
     std::env::var_os("BENCH_QUICK").is_some()
+}
+
+/// The repository root, where the `BENCH_*.json` summaries and
+/// `TREND.json` live. Cargo sets `CARGO_MANIFEST_DIR` when it runs a bench
+/// or binary, so a stale binary run by cargo from a copy of the tree still
+/// writes into that copy; run by hand, it falls back to the directory the
+/// crate was compiled in.
+#[must_use]
+pub fn repo_root() -> PathBuf {
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| env!("CARGO_MANIFEST_DIR").into(), PathBuf::from)
+        .join("../..")
 }
 
 /// Best-of-`reps` throughput of `f` after one untimed warmup call.

@@ -705,8 +705,9 @@ pub fn run_machine(opts: &Options, machine: &Machine) -> (String, i32) {
     if !opts.quiet {
         let _ = writeln!(report, "--- outcome: {}", outcome.reason);
         let _ = writeln!(report, "--- stats: {}", outcome.stats);
+        let mem = run.cpu.mem();
         let levels: Vec<String> = (1..)
-            .zip(&run.caches)
+            .zip([mem.l1_stats(), mem.l2_stats()])
             .filter_map(|(level, stats)| {
                 stats.map(|c| {
                     format!(

@@ -7,11 +7,10 @@
 
 use std::fmt;
 
-use ptaint_cpu::DetectionPolicy;
 use ptaint_mem::HierarchyConfig;
 use ptaint_os::ExitReason;
 
-use crate::Machine;
+use crate::{Machine, RunConfig};
 
 /// Cache behaviour of one workload.
 #[derive(Debug, Clone)]
@@ -48,27 +47,23 @@ pub struct CacheReport {
 pub fn run_cache_study(scale: u32) -> CacheReport {
     let mut rows = Vec::new();
     for w in ptaint_guest::workloads::all() {
-        let machine = Machine::from_c(w.source)
+        let run = Machine::from_c(w.source)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-            .world(w.world(scale));
-        let (mut cpu, mut os) = ptaint_os::load(
-            machine.image(),
-            w.world(scale),
-            DetectionPolicy::PointerTaintedness,
-            HierarchyConfig::two_level(),
-        );
-        let out = ptaint_os::run_to_exit(&mut cpu, &mut os, Machine::DEFAULT_STEP_LIMIT);
-        assert_eq!(out.reason, ExitReason::Exited(0), "{}", w.name);
-        let l1 = cpu.mem().l1_stats().expect("l1 configured");
-        let l2 = cpu.mem().l2_stats().expect("l2 configured");
-        let (l1_tainted, l2_tainted) = cpu.mem().tainted_lines();
+            .world(w.world(scale))
+            .hierarchy(HierarchyConfig::two_level())
+            .run_with(&RunConfig::default());
+        assert_eq!(run.outcome.reason, ExitReason::Exited(0), "{}", w.name);
+        let mem = run.cpu.mem();
+        let l1 = mem.l1_stats().expect("l1 configured");
+        let l2 = mem.l2_stats().expect("l2 configured");
+        let (l1_tainted, l2_tainted) = mem.tainted_lines();
         rows.push(CacheRow {
             name: w.name,
             l1_hit_rate: l1.hit_rate(),
             l2_hit_rate: l2.hit_rate(),
             l1_tainted_lines: l1_tainted,
             l2_tainted_lines: l2_tainted,
-            tainted_bytes: cpu.mem().memory().tainted_byte_count(),
+            tainted_bytes: mem.memory().tainted_byte_count(),
         });
     }
     CacheReport { rows, scale }

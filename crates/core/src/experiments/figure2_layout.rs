@@ -8,10 +8,11 @@
 
 use std::fmt;
 
-use ptaint_cpu::{Cpu, CpuException, SecurityAlert, StepEvent};
+use ptaint_cpu::SecurityAlert;
 use ptaint_guest::apps::scenario;
 use ptaint_isa::Reg;
-use ptaint_mem::HierarchyConfig;
+
+use crate::{Machine, RunConfig};
 
 /// One rendered word of the layout.
 #[derive(Debug, Clone)]
@@ -43,14 +44,9 @@ pub struct Figure2Layout {
 /// Panics if the attack unexpectedly goes undetected.
 #[must_use]
 pub fn capture_exp1_frame() -> Figure2Layout {
-    let exp1 = scenario("exp1");
-    let (mut cpu, mut os) = ptaint_os::load(
-        &exp1.image,
-        exp1.attack.clone(),
-        ptaint_cpu::DetectionPolicy::PointerTaintedness,
-        HierarchyConfig::flat(),
-    );
-    let alert = run_until_alert(&mut cpu, &mut os);
+    let run = Machine::from_scenario(scenario("exp1")).run_with(&RunConfig::default());
+    let alert = *run.outcome.reason.alert().expect("attack detected");
+    let cpu = &run.cpu;
 
     // At the faulting `jr $31`, `$sp` has been restored to the frame base
     // (exp1's entry sp). The frame below it held, descending:
@@ -82,18 +78,6 @@ pub fn capture_exp1_frame() -> Figure2Layout {
         });
     }
     Figure2Layout { alert, words }
-}
-
-fn run_until_alert(cpu: &mut Cpu, os: &mut ptaint_os::Os) -> SecurityAlert {
-    for _ in 0..50_000_000u64 {
-        match cpu.step() {
-            Ok(StepEvent::SyscallTrap) => os.handle_syscall(cpu),
-            Ok(_) => {}
-            Err(CpuException::Security(alert)) => return alert,
-            Err(other) => panic!("unexpected exception: {other}"),
-        }
-    }
-    panic!("attack was not detected");
 }
 
 impl fmt::Display for Figure2Layout {

@@ -78,23 +78,14 @@ pub fn run_overhead_report(scale: u32) -> OverheadReport {
                 pipeline: true,
                 ..RunConfig::default()
             });
-            (run.outcome, run.pipeline.expect("pipelined run reports"))
+            let cycles = run.pipeline.as_ref().expect("pipelined run reports").cycles;
+            (run, cycles)
         };
-        let (out_off, pipe_off) = pipelined(DetectionPolicy::Off);
-        let (out_full, pipe_full) = pipelined(DetectionPolicy::PointerTaintedness);
+        let (off, cycles_off) = pipelined(DetectionPolicy::Off);
+        let (full, cycles_full) = pipelined(DetectionPolicy::PointerTaintedness);
+        let out_full = &full.outcome;
         assert_eq!(out_full.reason, ExitReason::Exited(0), "{}", w.name);
-        assert_eq!(out_off.reason, out_full.reason, "{}", w.name);
-
-        // Tainted memory footprint at exit (re-run keeping the machine).
-        let (cpu, mut os) = ptaint_os::load(
-            machine.image(),
-            w.world(scale),
-            DetectionPolicy::PointerTaintedness,
-            HierarchyConfig::flat(),
-        );
-        let mut cpu = cpu;
-        let _ = ptaint_os::run_to_exit(&mut cpu, &mut os, Machine::DEFAULT_STEP_LIMIT);
-        let tainted_resident = cpu.mem().memory().tainted_byte_count();
+        assert_eq!(off.outcome.reason, out_full.reason, "{}", w.name);
 
         let software_pct = if out_full.stats.instructions == 0 {
             0.0
@@ -104,11 +95,11 @@ pub fn run_overhead_report(scale: u32) -> OverheadReport {
         rows.push(OverheadRow {
             name: w.name,
             instructions: out_full.stats.instructions,
-            cycles_off: pipe_off.cycles,
-            cycles_full: pipe_full.cycles,
+            cycles_off,
+            cycles_full,
             input_bytes: out_full.tainted_input_bytes,
             software_overhead_pct: software_pct,
-            tainted_resident_bytes: tainted_resident,
+            tainted_resident_bytes: full.cpu.mem().memory().tainted_byte_count(),
         });
     }
     OverheadReport {

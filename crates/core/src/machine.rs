@@ -6,11 +6,11 @@ use std::time::Duration;
 
 use ptaint_asm::Image;
 use ptaint_cpu::pipeline::{Pipeline, PipelineReport};
-use ptaint_cpu::{Cpu, DetectionPolicy, Engine, Steppable, TaintRules, DEFAULT_TRACE_DEPTH};
+use ptaint_cpu::{Cpu, DetectionPolicy, Engine, TaintRules, DEFAULT_TRACE_DEPTH};
 use ptaint_guest::apps::Scenario;
 use ptaint_guest::BuildError;
 use ptaint_inject::{CampaignReport, CampaignSpec, Fault, StateInjector, TrialRun};
-use ptaint_mem::{CacheStats, HierarchyConfig};
+use ptaint_mem::HierarchyConfig;
 use ptaint_os::{
     load_with_observer, resume_to_exit_with, run_to_exit_with, Os, RunLimits, RunOutcome, StepHook,
     SyscallJournal, WorldConfig,
@@ -432,7 +432,9 @@ impl Machine {
     /// without it; with no sink and no profiler, no observer is attached.
     /// This is the one run that records the execution tail
     /// ([`Machine::trace_depth`]): every other run leaves the CPU's retire
-    /// ring off, since nothing reads it.
+    /// ring off, since nothing reads it. It is also the one run that hands
+    /// back the finished machine ([`RunArtifacts::cpu`] and
+    /// [`RunArtifacts::os`]), so end-state readings need no second run.
     #[must_use]
     pub fn run_with(&self, cfg: &RunConfig) -> RunArtifacts {
         let sinks = (cfg.trace.any() || cfg.profile).then(|| -> Box<dyn Observer> {
@@ -446,15 +448,19 @@ impl Machine {
         if cfg.record {
             os.start_recording();
         }
-        let ((outcome, tail, caches), pipeline, sinks) = if cfg.pipeline {
+        let limits = self.limits();
+        let (outcome, pipeline, mut cpu) = if cfg.pipeline {
             let mut pipe = Pipeline::new(cpu);
-            let run = self.drive(&mut pipe, &mut os);
-            (run, Some(pipe.report()), pipe.cpu_mut().take_observer())
+            let outcome = run_to_exit_with(&mut pipe, &mut os, limits, &mut ());
+            (outcome, Some(pipe.report()), pipe.into_cpu())
         } else {
-            (self.drive(&mut cpu, &mut os), None, cpu.take_observer())
+            let outcome = run_to_exit_with(&mut cpu, &mut os, limits, &mut ());
+            (outcome, None, cpu)
         };
+        let tail = self.render_tail(&cpu);
         let journal = cfg.record.then(|| os.take_journal().unwrap_or_default());
-        let (trace, events) = sinks
+        let (trace, events) = cpu
+            .take_observer()
             .map(|sinks| {
                 let sinks: Box<dyn Any> = sinks;
                 let sinks = sinks
@@ -469,25 +475,13 @@ impl Machine {
         RunArtifacts {
             outcome,
             tail,
-            caches,
             trace,
             profile,
             journal,
             pipeline,
+            cpu,
+            os,
         }
-    }
-
-    /// Runs `stepper` to completion and collects what only the live CPU
-    /// holds: the disassembled tail and the cache statistics.
-    fn drive<S: Steppable>(
-        &self,
-        stepper: &mut S,
-        os: &mut Os,
-    ) -> (RunOutcome, Vec<String>, [Option<CacheStats>; 2]) {
-        let outcome = run_to_exit_with(stepper, os, self.limits(), &mut ());
-        let mem = stepper.cpu().mem();
-        let caches = [mem.l1_stats(), mem.l2_stats()];
-        (outcome, self.render_tail(stepper.cpu()), caches)
     }
 
     /// [`Machine::run_with`] with only the trace sinks `cfg` enables:
@@ -743,9 +737,6 @@ pub struct RunArtifacts {
     /// The disassembled execution tail (most recently retired
     /// instructions, oldest first) — the `--trace` view of `ptaint-run`.
     pub tail: Vec<String>,
-    /// The cache model's own statistics, L1 then L2; `None` for a level
-    /// the memory hierarchy does not model.
-    pub caches: [Option<CacheStats>; 2],
     /// What the enabled trace sinks collected (empty when none ran).
     pub trace: TraceReport,
     /// The merged, symbolized profile — per-PC and per-symbol retirement
@@ -758,6 +749,14 @@ pub struct RunArtifacts {
     /// The cycle-level report (detection staging, stalls, IPC), when
     /// [`RunConfig::pipeline`] was set.
     pub pipeline: Option<PipelineReport>,
+    /// The CPU as the run left it, its observer detached: registers at
+    /// the instruction that ended the run, memory with its taint and the
+    /// cache models' own statistics, and `stats()` equal to
+    /// `outcome.stats`. The pipeline hands back the same CPU.
+    pub cpu: Cpu,
+    /// The kernel as the run left it: output streams, sessions and the
+    /// in-memory file system the guest wrote.
+    pub os: Os,
 }
 
 /// The single observer a [`Machine::run_with`] boot attaches: the trace
@@ -1182,6 +1181,18 @@ main:   li $v0, 3
                 )
             };
             assert_eq!(json(&piped), json(&plain), "{label}");
+
+            // Both runs hand back the same finished machine, so end-state
+            // readings may come from either.
+            assert_eq!(plain.cpu.stats(), plain.outcome.stats, "{label}");
+            assert_eq!(piped.cpu.stats(), plain.cpu.stats(), "{label}");
+            let memory = |r: &RunArtifacts| {
+                let memory = r.cpu.mem().memory();
+                (memory.tainted_byte_count(), memory.page_count())
+            };
+            assert_eq!(memory(&piped), memory(&plain), "{label}");
+            assert_eq!(piped.os.stdout(), plain.os.stdout(), "{label}");
+
             assert!(plain.pipeline.is_none(), "{label}");
             let detection = piped.pipeline.unwrap().detection;
             assert!(detection.is_some(), "{label}: pipeline staged the alert");

@@ -131,6 +131,12 @@ impl Pipeline {
         &mut self.cpu
     }
 
+    /// Unwraps the CPU, with everything the run left in it.
+    #[must_use]
+    pub fn into_cpu(self) -> Cpu {
+        self.cpu
+    }
+
     /// The timing report accumulated so far. `cycles` includes pipeline
     /// drain for everything already retired.
     #[must_use]

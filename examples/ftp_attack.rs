@@ -14,8 +14,8 @@
 //! ```
 
 use ptaint::experiments::table2;
-use ptaint::{DetectionPolicy, HierarchyConfig};
-use ptaint_guest::apps::{calibrate_format_pad, wu_ftpd};
+use ptaint::{DetectionPolicy, Machine, RunConfig};
+use ptaint_guest::apps::scenario;
 
 fn main() {
     // 1. The protected run (Table 2).
@@ -23,20 +23,14 @@ fn main() {
     println!("{report}");
 
     // 2. Unprotected: the backdoor lands.
-    let image = ptaint_guest::build(wu_ftpd::SOURCE).expect("builds");
-    let target = wu_ftpd::uid_address(&image);
-    let pad = calibrate_format_pad(&image, |p| wu_ftpd::attack_world(&image, p), target, 48)
-        .expect("calibrates");
-    let (mut cpu, mut os) = ptaint::load(
-        &image,
-        wu_ftpd::attack_world(&image, pad),
-        DetectionPolicy::Off,
-        HierarchyConfig::flat(),
-    );
-    let out = ptaint::run_to_exit(&mut cpu, &mut os, 200_000_000);
+    let attack = Machine::from_scenario(scenario("wu_ftpd"));
+    let run = attack
+        .clone()
+        .policy(DetectionPolicy::Off)
+        .run_with(&RunConfig::default());
     println!("\n== the same attack, unprotected ==");
-    println!("  outcome: {}", out.reason);
-    if let Some(passwd) = os.file("/etc/passwd") {
+    println!("  outcome: {}", run.outcome.reason);
+    if let Some(passwd) = run.os.file("/etc/passwd") {
         println!(
             "  /etc/passwd now contains: {}",
             String::from_utf8_lossy(passwd).trim()
@@ -45,13 +39,7 @@ fn main() {
     }
 
     // 3. Control-only baseline: blind to the attack.
-    let (mut cpu, mut os) = ptaint::load(
-        &image,
-        wu_ftpd::attack_world(&image, pad),
-        DetectionPolicy::ControlOnly,
-        HierarchyConfig::flat(),
-    );
-    let out = ptaint::run_to_exit(&mut cpu, &mut os, 200_000_000);
+    let out = attack.policy(DetectionPolicy::ControlOnly).run();
     println!("\n== the same attack under control-data-only protection ==");
     println!(
         "  outcome: {} (no control data was corrupted, so nothing fired)",

@@ -185,16 +185,9 @@ fn cache_statistics_accumulate_during_real_runs() {
     )
     .unwrap()
     .hierarchy(HierarchyConfig::two_level());
-    // Run manually to inspect the memory system afterwards.
-    let (mut cpu, mut os) = ptaint::load(
-        m.image(),
-        WorldConfig::new(),
-        DetectionPolicy::PointerTaintedness,
-        HierarchyConfig::two_level(),
-    );
-    let out = ptaint::run_to_exit(&mut cpu, &mut os, 10_000_000);
-    assert!(matches!(out.reason, ExitReason::Exited(_)));
-    let l1 = cpu.mem().l1_stats().unwrap();
+    let run = m.run_with(&RunConfig::default());
+    assert!(matches!(run.outcome.reason, ExitReason::Exited(_)));
+    let l1 = run.cpu.mem().l1_stats().unwrap();
     assert!(l1.hits > 1000, "{l1:?}");
     assert!(l1.hit_rate() > 0.5, "{l1:?}");
 }
