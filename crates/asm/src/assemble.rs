@@ -724,8 +724,10 @@ impl<'a> Assembler<'a> {
         let words = ((self.text_cursor - TEXT_BASE) / 4) as usize;
         let mut text = vec![0; words];
         text[..self.prelude.text.len()].copy_from_slice(&self.prelude.text);
-        let mut data = std::mem::take(&mut self.data);
-        data.resize((self.data_cursor - DATA_BASE) as usize, 0);
+        // Pass 1 grew its buffer by doubling; the segment gets exactly its
+        // length, so an image carries no spare capacity.
+        let mut data = vec![0; (self.data_cursor - DATA_BASE) as usize];
+        data[..self.data.len()].copy_from_slice(&self.data);
         Segments {
             text,
             lines: vec![0; words],
@@ -1660,6 +1662,20 @@ mod tests {
         assert!(img.text.is_empty());
         assert!(img.data.is_empty());
         assert_eq!(img.entry, TEXT_BASE);
+    }
+
+    #[test]
+    fn data_segment_has_exactly_its_length() {
+        // 37 bytes of literals, then a `.space` gap that only moves the
+        // cursor: pass 1's doubling buffer would leave spare capacity.
+        let img = asm(".data
+a: .asciiz \"0123456789abcdef0123456789abcdef0123\"
+b: .space 100
+c: .word 7
+");
+        assert_eq!(img.data.len(), 37 + 3 + 100 + 4);
+        assert_eq!(img.data.capacity(), img.data.len());
+        assert_eq!(img.data[140..], 7u32.to_le_bytes());
     }
 
     #[test]

@@ -19,12 +19,25 @@
 //! trials, the step of the rung each trial starts from — the baseline
 //! prefix steps the trials did not re-run.
 //!
+//! Three layer rows time the checkpoints the campaigns fork from, each a
+//! median so that a steady cost reads steady:
+//!
+//! * `ghttpd_fork_ns` — one `MachineSnapshot::fork` plus its drop at the
+//!   last rung of ghttpd's ladder, in nanoseconds;
+//! * `exp1_ladder_over_plain` and `ghttpd_ladder_over_plain` — the time
+//!   `Machine::ladder` takes over a plain run of the same baseline from
+//!   the post-boot snapshot, over alternated pairs in one process: what
+//!   recording the ladder adds to the baseline.
+//!
 //! The machine-readable summary is written to `BENCH_campaign.json` at the
 //! repository root. Set `BENCH_QUICK=1` to shrink the campaigns for CI
 //! smoke runs.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use ptaint::{CampaignSpec, Machine, ToJson};
-use ptaint_bench::{best_per_sec, quick, repo_root};
+use ptaint_bench::{best_per_sec, median, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 /// Faulted trials per campaign: full runs average over a broad fault
@@ -77,6 +90,54 @@ fn skipped_steps(machine: &Machine, spec: &CampaignSpec) -> u64 {
         .sum()
 }
 
+/// Samples of each checkpoint row: alternated ladder/plain pairs, and
+/// timed batches of forks.
+fn samples() -> usize {
+    if quick() {
+        3
+    } else {
+        31
+    }
+}
+
+/// Forks (each dropped at once) per timed batch of [`fork_ns`].
+const FORKS_PER_BATCH: u32 = 100;
+
+/// Median nanoseconds of one `MachineSnapshot::fork` plus its drop at the
+/// last rung of `machine`'s ladder.
+fn fork_ns(machine: &Machine) -> f64 {
+    let (ladder, _) = machine.ladder();
+    let rung = ladder.rungs().last().expect("a ladder holds rung 0");
+    let batches = (0..samples())
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..FORKS_PER_BATCH {
+                drop(black_box(rung.fork()));
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(FORKS_PER_BATCH)
+        })
+        .collect();
+    median(batches)
+}
+
+/// Median over alternated pairs of `Machine::ladder`'s time divided by a
+/// plain run of the same baseline from the post-boot snapshot.
+fn ladder_over_plain(machine: &Machine) -> f64 {
+    let snapshot = machine.snapshot();
+    let secs = |f: &dyn Fn()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    let ratios = (0..samples())
+        .map(|_| {
+            let ladder = secs(&|| drop(black_box(machine.ladder())));
+            ladder / secs(&|| drop(black_box(snapshot.run())))
+        })
+        .collect();
+    median(ratios)
+}
+
 fn main() {
     let spec = CampaignSpec::new(SEED, trials());
     let mut fields = Vec::new();
@@ -117,6 +178,12 @@ fn main() {
         fields.push(("campaign_sharded_trials_per_sec".to_owned(), rate));
         lines.push(format!("ghttpd elided sharded -j{jobs} {rate:.0} trials/s"));
     }
+    let fork = fork_ns(&build("ghttpd"));
+    lines.push(format!("ghttpd last-rung fork {fork:.0} ns"));
+    let over_plain = WORKLOADS.map(|name| (name, ladder_over_plain(&build(name))));
+    for (name, ratio) in over_plain {
+        lines.push(format!("{name} ladder {ratio:.2}x a plain run"));
+    }
     let mut json = format!("{{\"bench\":\"campaign\",\"trials\":{}", trials());
     for (field, rate) in &fields {
         if *rate >= 100.0 {
@@ -128,6 +195,10 @@ fn main() {
     for (name, steps) in skipped {
         json.push_str(&format!(",\"{name}_skipped_steps\":{steps}"));
         lines.push(format!("{name} trials skip {steps} prefix steps"));
+    }
+    json.push_str(&format!(",\"ghttpd_fork_ns\":{fork:.0}"));
+    for (name, ratio) in over_plain {
+        json.push_str(&format!(",\"{name}_ladder_over_plain\":{ratio:.3}"));
     }
     json.push_str(&format!(",\"quick\":{}}}\n", quick()));
     let path = repo_root().join("BENCH_campaign.json");

@@ -4,7 +4,7 @@
 //!
 //! The three benches in `benches/` (`engine`, `campaign`, `analyze`) are
 //! plain `harness = false` programs. Each times its series with
-//! [`best_per_sec`] and writes one machine-readable `BENCH_*.json`
+//! [`best_per_sec`] (or [`median`]s of alternated pairs) and writes one machine-readable `BENCH_*.json`
 //! summary at the repository root; `BENCH_QUICK=1` ([`quick`]) shrinks
 //! them to CI smoke size. This library consolidates those summaries —
 //! together with fixed-seed fault-injection campaign outcome counts —
@@ -59,24 +59,45 @@ pub fn repo_root() -> PathBuf {
         .join("../..")
 }
 
-/// Best-of-`reps` throughput of `f` after one untimed warmup call.
+/// Throughput of `f` in each of `reps` timed batches after one untimed
+/// warmup call.
 ///
 /// Each call of `f` does one batch of work and returns how many units it
 /// did; every timed batch must match the warmup's count (the benched work
-/// is deterministic). Returns that count and the best (least
-/// noise-disturbed) units per second.
-pub fn best_per_sec(reps: u32, mut f: impl FnMut() -> u64) -> (u64, f64) {
+/// is deterministic). Returns that count and the units per second of
+/// each timed batch, in run order.
+pub fn per_sec_samples(reps: u32, mut f: impl FnMut() -> u64) -> (u64, Vec<f64>) {
     let units = f();
-    let mut best = f64::MIN;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let done = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(
-            done, units,
-            "a timed batch did different work than the warmup"
-        );
-        best = best.max(units as f64 / elapsed);
-    }
-    (units, best)
+    let rates = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let done = f();
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(
+                done, units,
+                "a timed batch did different work than the warmup"
+            );
+            units as f64 / elapsed
+        })
+        .collect();
+    (units, rates)
+}
+
+/// Best-of-`reps` throughput of `f` after one untimed warmup call (see
+/// [`per_sec_samples`]): the count and the best (least noise-disturbed)
+/// units per second.
+pub fn best_per_sec(reps: u32, f: impl FnMut() -> u64) -> (u64, f64) {
+    let (units, rates) = per_sec_samples(reps, f);
+    (units, rates.into_iter().fold(f64::MIN, f64::max))
+}
+
+/// The median of `xs` (the upper middle one of an even count).
+///
+/// # Panics
+///
+/// Panics when `xs` is empty.
+#[must_use]
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }

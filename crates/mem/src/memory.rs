@@ -1,17 +1,20 @@
 //! Sparse paged memory with a shadow taintedness bit per byte.
 //!
-//! Pages live in a two-level radix table indexed by address bits: 1024
-//! top-level entries (one per 4 MiB of address space), each an optional
-//! leaf of 1024 page slots allocated on first touch. A lookup is two
-//! indexed loads with no hashing, and iteration visits pages in address
-//! order.
+//! Pages live in an open-addressed hash table keyed by page number: a
+//! multiplicative hash picks the first slot, a linear probe the rest, and
+//! the table stays at most half full, so a lookup almost always reads one
+//! slot. The table holds only the materialized pages (plus as many empty
+//! slots), never a slot per page of the address space.
 //!
 //! Pages are reference-counted ([`Arc`]) so a whole address space can be
 //! forked by copying the table: [`TaintedMemory::fork`] shares every page
 //! between parent and child, and the first write to a shared page copies
-//! it (copy-on-write). Read paths never unshare.
+//! it (copy-on-write). Read paths never unshare. Fork and drop cost one
+//! reference-count update per page, plus the table's few slots.
 
 use std::fmt;
+use std::sync::atomic::Ordering::{Acquire, Relaxed};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64};
 use std::sync::Arc;
 
 use ptaint_isa::PAGE_SIZE;
@@ -19,12 +22,14 @@ use ptaint_isa::PAGE_SIZE;
 use crate::WordTaint;
 
 const PAGE_BYTES: usize = PAGE_SIZE as usize;
+const PAGE_WORDS: usize = PAGE_BYTES / 4;
 const TAINT_WORDS: usize = PAGE_BYTES / 64;
 const PAGE_BITS: u32 = PAGE_SIZE.trailing_zeros();
-/// Address bits consumed by a leaf: one leaf maps 1024 pages (4 MiB).
-const LEAF_BITS: u32 = 10;
-const LEAF_SLOTS: usize = 1 << LEAF_BITS;
-const TOP_SLOTS: usize = 1 << (32 - PAGE_BITS - LEAF_BITS);
+/// Slots in an empty page table: room for 8 pages at half load.
+const MIN_SLOTS: usize = 16;
+/// 2^32 divided by the golden ratio: multiplying by it spreads runs of
+/// consecutive page numbers evenly over the table's slots.
+const FIBONACCI: u32 = 0x9E37_79B9;
 
 /// A memory access fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,113 +66,231 @@ impl fmt::Display for MemFault {
 impl std::error::Error for MemFault {}
 
 /// One 4 KiB page: data bytes plus a taint bit per byte.
-#[derive(Clone)]
+///
+/// The cells are relaxed atomics so that a store into a page no fork
+/// shares writes through a shared reference: `Arc::make_mut` would prove
+/// exclusive access with an atomic read-modify-write on every guest store,
+/// while a relaxed load or store compiles to a plain move.
 struct Page {
-    data: Box<[u8; PAGE_BYTES]>,
-    taint: Box<[u64; TAINT_WORDS]>,
+    /// The bytes as little-endian words.
+    data: [AtomicU32; PAGE_WORDS],
+    taint: [AtomicU64; TAINT_WORDS],
+}
+
+impl Clone for Page {
+    fn clone(&self) -> Page {
+        Page {
+            data: std::array::from_fn(|i| AtomicU32::new(self.data[i].load(Relaxed))),
+            taint: std::array::from_fn(|i| AtomicU64::new(self.taint[i].load(Relaxed))),
+        }
+    }
 }
 
 impl Page {
     fn new() -> Page {
         Page {
-            data: Box::new([0; PAGE_BYTES]),
-            taint: Box::new([0; TAINT_WORDS]),
+            data: [const { AtomicU32::new(0) }; PAGE_WORDS],
+            taint: [const { AtomicU64::new(0) }; TAINT_WORDS],
+        }
+    }
+
+    /// The aligned word holding byte `off`.
+    #[inline]
+    fn word(&self, off: usize) -> u32 {
+        self.data[off / 4].load(Relaxed)
+    }
+
+    #[inline]
+    fn byte(&self, off: usize) -> u8 {
+        (self.word(off) >> (off % 4 * 8)) as u8
+    }
+
+    #[inline]
+    fn set_word(&self, off: usize, value: u32) {
+        self.data[off / 4].store(value, Relaxed);
+    }
+
+    #[inline]
+    fn set_byte(&self, off: usize, value: u8) {
+        let shift = off % 4 * 8;
+        let word = self.word(off) & !(0xff << shift) | u32::from(value) << shift;
+        self.set_word(off, word);
+    }
+
+    /// Writes `bytes` from byte `off` on (within the page), whole words at
+    /// a time between the unaligned ends.
+    fn set_bytes(&self, off: usize, bytes: &[u8]) {
+        let head = (off.next_multiple_of(4) - off).min(bytes.len());
+        let (head_bytes, rest) = bytes.split_at(head);
+        for (i, &b) in head_bytes.iter().enumerate() {
+            self.set_byte(off + i, b);
+        }
+        let mut at = off + head;
+        let mut words = rest.chunks_exact(4);
+        for w in &mut words {
+            self.set_word(at, u32::from_le_bytes(w.try_into().expect("4-byte chunks")));
+            at += 4;
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.set_byte(at + i, b);
         }
     }
 
     #[inline]
     fn taint_bit(&self, off: usize) -> bool {
-        self.taint[off / 64] & (1 << (off % 64)) != 0
+        self.taint[off / 64].load(Relaxed) & (1 << (off % 64)) != 0
+    }
+
+    /// Replaces the shadow bits under `mask` in the shadow word holding
+    /// byte `off` with `bits`.
+    #[inline]
+    fn set_taint_bits(&self, off: usize, mask: u64, bits: u64) {
+        let cell = &self.taint[off / 64];
+        cell.store(cell.load(Relaxed) & !mask | bits & mask, Relaxed);
     }
 
     #[inline]
-    fn set_taint_bit(&mut self, off: usize, tainted: bool) {
-        let (word, bit) = (off / 64, 1u64 << (off % 64));
-        if tainted {
-            self.taint[word] |= bit;
-        } else {
-            self.taint[word] &= !bit;
-        }
+    fn set_taint_bit(&self, off: usize, tainted: bool) {
+        let bit = 1u64 << (off % 64);
+        self.set_taint_bits(off, bit, if tainted { bit } else { 0 });
     }
 
     /// Sets or clears the shadow bits of bytes `off..off + len` (within
     /// the page) one masked shadow word at a time.
-    fn set_taint_span(&mut self, off: usize, len: usize, tainted: bool) {
+    fn set_taint_span(&self, off: usize, len: usize, tainted: bool) {
         let end = off + len;
         let mut at = off;
         while at < end {
-            let (word, shift) = (at / 64, at % 64);
+            let shift = at % 64;
             let bits = (end - at).min(64 - shift);
             let mask = (u64::MAX >> (64 - bits)) << shift;
-            if tainted {
-                self.taint[word] |= mask;
-            } else {
-                self.taint[word] &= !mask;
-            }
+            self.set_taint_bits(at, mask, if tainted { mask } else { 0 });
             at += bits;
         }
     }
 
     fn tainted_bytes(&self) -> u64 {
-        self.taint.iter().map(|w| u64::from(w.count_ones())).sum()
+        self.taint
+            .iter()
+            .map(|w| u64::from(w.load(Relaxed).count_ones()))
+            .sum()
     }
 }
 
-type Leaf = [Option<Arc<Page>>; LEAF_SLOTS];
+/// One page-table slot: a page number and its page, or an empty slot
+/// (`page` is `None`; `page_no` is then meaningless).
+#[derive(Clone)]
+struct Slot {
+    page_no: u32,
+    page: Option<Arc<Page>>,
+}
 
-/// The two-level page table: `top[addr >> 22]` is the leaf for a 4 MiB
-/// region and `leaf[(addr >> 12) & 1023]` the page. Both indices are
-/// bounded by construction, so lookups compile to two indexed loads.
-/// Cloning copies the top level and every touched leaf; the pages
-/// themselves are shared by reference count.
+impl Slot {
+    const EMPTY: Slot = Slot {
+        page_no: 0,
+        page: None,
+    };
+}
+
+/// The page table: an open-addressed hash table keyed by page number,
+/// probed linearly from a multiplicative (Fibonacci) hash and kept at most
+/// half full, so a lookup almost always reads one slot. It holds only the
+/// materialized pages plus empty slots, never one slot per page of the
+/// address space: cloning copies the slots (one reference-count bump per
+/// page) and dropping walks them, both in time proportional to the pages
+/// held. Pages are never removed, so probe chains never break.
 #[derive(Clone)]
 struct PageTable {
-    top: Box<[Option<Box<Leaf>>; TOP_SLOTS]>,
+    /// A power-of-two number of slots, at least [`MIN_SLOTS`].
+    slots: Box<[Slot]>,
+    /// `32 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
     len: usize,
 }
 
 impl PageTable {
     fn new() -> PageTable {
+        PageTable::with_slots(MIN_SLOTS)
+    }
+
+    fn with_slots(n: usize) -> PageTable {
         PageTable {
-            top: Box::new([const { None }; TOP_SLOTS]),
+            slots: vec![Slot::EMPTY; n].into_boxed_slice(),
+            shift: 32 - n.trailing_zeros(),
             len: 0,
         }
     }
 
+    /// The slot holding page `page_no`, or the empty slot where it would
+    /// go.
     #[inline]
-    fn indices(addr: u32) -> (usize, usize) {
-        let page = (addr >> PAGE_BITS) as usize;
-        (page >> LEAF_BITS, page & (LEAF_SLOTS - 1))
+    fn find(&self, page_no: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (page_no.wrapping_mul(FIBONACCI) >> self.shift) as usize;
+        loop {
+            let slot = &self.slots[at];
+            if slot.page.is_none() || slot.page_no == page_no {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     #[inline]
     fn get(&self, addr: u32) -> Option<&Page> {
-        let (hi, lo) = PageTable::indices(addr);
-        self.top[hi].as_ref()?[lo].as_deref()
+        self.slots[self.find(addr >> PAGE_BITS)].page.as_deref()
     }
 
-    /// The slot for `addr`'s page, materializing a zeroed page (and its
-    /// leaf) on first touch.
+    /// The page under `addr`, materializing a zeroed page on first touch.
     #[inline]
     fn get_or_insert(&mut self, addr: u32) -> &mut Arc<Page> {
-        let (hi, lo) = PageTable::indices(addr);
-        let leaf = self.top[hi].get_or_insert_with(|| Box::new([const { None }; LEAF_SLOTS]));
-        let slot = &mut leaf[lo];
-        if slot.is_none() {
-            self.len += 1;
+        let page_no = addr >> PAGE_BITS;
+        let mut at = self.find(page_no);
+        if self.slots[at].page.is_none() {
+            at = self.insert(page_no);
         }
-        slot.get_or_insert_with(|| Arc::new(Page::new()))
+        self.slots[at]
+            .page
+            .as_mut()
+            .expect("a found slot holds its page")
+    }
+
+    /// Puts a fresh zeroed page `page_no` into the table, growing it first
+    /// if that would fill more than half of it; returns its slot.
+    #[cold]
+    #[inline(never)]
+    fn insert(&mut self, page_no: u32) -> usize {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let old = std::mem::replace(self, PageTable::with_slots(2 * self.slots.len()));
+            self.len = old.len;
+            for slot in old.slots.into_vec() {
+                if slot.page.is_some() {
+                    let at = self.find(slot.page_no);
+                    self.slots[at] = slot;
+                }
+            }
+        }
+        let at = self.find(page_no);
+        self.slots[at] = Slot {
+            page_no,
+            page: Some(Arc::new(Page::new())),
+        };
+        self.len += 1;
+        at
+    }
+
+    /// Every materialized page with its page number, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Arc<Page>)> {
+        self.slots
+            .iter()
+            .filter_map(|slot| Some((slot.page_no, slot.page.as_ref()?)))
     }
 
     /// Every materialized page with its page number, in address order.
-    fn iter(&self) -> impl Iterator<Item = (u32, &Arc<Page>)> {
-        self.top.iter().enumerate().flat_map(|(hi, leaf)| {
-            leaf.iter().flat_map(move |leaf| {
-                leaf.iter().enumerate().filter_map(move |(lo, page)| {
-                    Some((((hi << LEAF_BITS) | lo) as u32, page.as_ref()?))
-                })
-            })
-        })
+    fn sorted(&self) -> Vec<(u32, &Arc<Page>)> {
+        let mut pages: Vec<_> = self.iter().collect();
+        pages.sort_unstable_by_key(|&(page_no, _)| page_no);
+        pages
     }
 }
 
@@ -236,9 +359,10 @@ impl TaintedMemory {
 
     /// A copy-on-write fork of this memory: the child shares every page
     /// (data *and* shadow taint) with the parent by reference count, so the
-    /// fork copies the page table (its top level and touched leaves) instead
-    /// of any page bytes. The first write either side makes to a shared
-    /// page unshares just that page (a "COW fault", counted per instance by
+    /// fork copies the page table (a few slots per page) instead of any
+    /// page bytes, and costs time in proportion to the pages held. The
+    /// first write either side makes to a shared page unshares just that
+    /// page (a "COW fault", counted per instance by
     /// [`TaintedMemory::cow_fault_count`]); the child's COW fault counter
     /// starts at zero.
     #[must_use]
@@ -288,12 +412,17 @@ impl TaintedMemory {
     /// unshared first if a fork still holds it. `always`: with a plain
     /// `#[inline]` LLVM keeps it out of line, one call per guest store.
     #[inline(always)]
-    fn page(&mut self, addr: u32) -> &mut Page {
+    fn page(&mut self, addr: u32) -> &Page {
         let arc = self.pages.get_or_insert(addr);
         if Arc::strong_count(arc) > 1 {
             self.cow_faults += 1;
+            *arc = Arc::new(Page::clone(arc));
+        } else {
+            // Order this store after every access of a fork that dropped
+            // its share of the page, as `Arc::make_mut` would.
+            fence(Acquire);
         }
-        Arc::make_mut(arc)
+        arc
     }
 
     /// Reads one byte and its taint bit.
@@ -306,7 +435,7 @@ impl TaintedMemory {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
         Ok(match self.pages.get(addr) {
-            Some(p) => (p.data[off], p.taint_bit(off)),
+            Some(p) => (p.byte(off), p.taint_bit(off)),
             None => (0, false),
         })
     }
@@ -321,7 +450,7 @@ impl TaintedMemory {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
         let page = self.page(addr);
-        page.data[off] = value;
+        page.set_byte(off, value);
         page.set_taint_bit(off, tainted);
         Ok(())
     }
@@ -370,9 +499,8 @@ impl TaintedMemory {
         let off = (addr % PAGE_SIZE) as usize;
         Ok(match self.pages.get(addr) {
             Some(p) => {
-                let bytes: [u8; 4] = p.data[off..off + 4].try_into().unwrap();
-                let bits = ((p.taint[off / 64] >> (off % 64)) & 0xF) as u8;
-                (u32::from_le_bytes(bytes), WordTaint::from_bits(bits))
+                let bits = ((p.taint[off / 64].load(Relaxed) >> (off % 64)) & 0xF) as u8;
+                (p.word(off), WordTaint::from_bits(bits))
             }
             None => (0, WordTaint::CLEAN),
         })
@@ -386,13 +514,10 @@ impl TaintedMemory {
     ///
     /// Faults when `addr` is not 4-aligned or inside the null page.
     pub fn page_words(&self, addr: u32) -> Result<impl Iterator<Item = u32> + '_, MemFault> {
-        static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
         self.check(addr, 4)?;
         let off = (addr % PAGE_SIZE) as usize;
-        let data = self.pages.get(addr).map_or(&ZERO_PAGE, |p| &*p.data);
-        Ok(data[off..]
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunks"))))
+        let page = self.pages.get(addr);
+        Ok((off / 4..PAGE_WORDS).map(move |w| page.map_or(0, |p| p.data[w].load(Relaxed))))
     }
 
     /// Writes a little-endian word together with its four taint bits.
@@ -408,10 +533,9 @@ impl TaintedMemory {
         self.check(addr, 4)?;
         let off = (addr % PAGE_SIZE) as usize;
         let page = self.page(addr);
-        page.data[off..off + 4].copy_from_slice(&value.to_le_bytes());
-        let (word, shift) = (off / 64, off % 64);
-        page.taint[word] =
-            (page.taint[word] & !(0xF_u64 << shift)) | (u64::from(taint.bits()) << shift);
+        page.set_word(off, value);
+        let shift = off % 64;
+        page.set_taint_bits(off, 0xF << shift, u64::from(taint.bits()) << shift);
         Ok(())
     }
 
@@ -436,7 +560,7 @@ impl TaintedMemory {
             let off = (a % PAGE_SIZE) as usize;
             let run = (data.len() - i).min(PAGE_BYTES - off);
             let page = self.page(a);
-            page.data[off..off + run].copy_from_slice(&data[i..i + run]);
+            page.set_bytes(off, &data[i..i + run]);
             page.set_taint_span(off, run, tainted);
             i += run;
         }
@@ -514,18 +638,18 @@ impl TaintedMemory {
     /// Maximal contiguous runs of tainted bytes, as `(base, len)` pairs in
     /// ascending address order.
     ///
-    /// The page table iterates in address order, so the result is
+    /// The pages are walked in address order, so the result is
     /// deterministic for a given memory state — the fault-injection harness
     /// relies on that to pick corruption targets reproducibly from a seed.
     #[must_use]
     pub fn tainted_ranges(&self) -> Vec<(u32, u32)> {
         let mut ranges: Vec<(u32, u32)> = Vec::new();
-        for (pi, page) in self.pages.iter() {
+        for (pi, page) in self.pages.sorted() {
             let base = pi * PAGE_SIZE;
-            for (wi, &word) in page.taint.iter().enumerate() {
+            for (wi, word) in page.taint.iter().enumerate() {
                 // One step per run of set bits, not per bit: skip the clean
                 // run below it, measure it, then clear it.
-                let mut rest = word;
+                let mut rest = word.load(Relaxed);
                 while rest != 0 {
                     let bit = rest.trailing_zeros();
                     let run = (rest >> bit).trailing_ones();

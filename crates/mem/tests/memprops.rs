@@ -123,9 +123,9 @@ proptest! {
 }
 
 /// Addresses the page-table model test draws around: `TEXT_BASE` and
-/// `0x0080_0000` are the first two leaf seams of the two-level table,
-/// `0xFFFF_F000` is the last page, and `0` is where an access running off
-/// that page wraps into the null guard.
+/// `0x0080_0000` are page seams 4 MiB apart, `0xFFFF_F000` is the last
+/// page, and `0` is where an access running off that page wraps into the
+/// null guard.
 const SEAMS: [u32; 4] = [TEXT_BASE, 0x0080_0000, 0xFFFF_F000, 0];
 const WINDOW: i32 = 64;
 /// Longest bulk write or taint-range flip: several 64-byte shadow words,
@@ -221,8 +221,8 @@ fn assert_matches_model(mem: &TaintedMemory, model: &Model) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The two-level page table behaves like a flat byte map across its
-    /// leaf seams and at the top of the address space: random writes
+    /// The page table behaves like a flat byte map across page seams and
+    /// at the top of the address space: random writes
     /// (byte, word, bulk, taint-only) and forks, applied to up to three
     /// timelines, leave every timeline equal to its own reference model —
     /// values, taint, materialized page count and tainted ranges — so no
@@ -290,6 +290,105 @@ proptest! {
         }
         for (mem, model) in &timelines {
             assert_matches_model(mem, model);
+        }
+    }
+}
+
+/// Base of the page-spread window the fork-chain and ordering tests write
+/// into: 160 consecutive pages, more than the table holds before it grows
+/// past 64 pages.
+const SPREAD: u32 = 0x2000_0000;
+const SPREAD_PAGES: u32 = 160;
+
+/// Address `off` (mod a page) into page `page` of the spread window.
+fn spread_addr(page: u32, off: u32) -> u32 {
+    SPREAD + (page % SPREAD_PAGES) * PAGE_SIZE + off % PAGE_SIZE
+}
+
+/// Writes one byte into `mem` and `model` alike.
+fn write_both(mem: &mut TaintedMemory, model: &mut Model, addr: u32, val: u8, t: bool) {
+    mem.write_u8(addr, val, t).unwrap();
+    model.each(addr, 1, |_, b| *b = (val, t));
+}
+
+/// Checks `mem` against `model` at every byte the model holds, and its
+/// page count and tainted ranges.
+fn assert_matches_written(mem: &TaintedMemory, model: &Model) {
+    for (&a, &expected) in &model.bytes {
+        assert_eq!(mem.read_u8(a).unwrap(), expected, "byte at {a:#010x}");
+    }
+    assert_eq!(mem.page_count(), model.pages.len());
+    assert_eq!(mem.tainted_ranges(), model.tainted_ranges());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The checkpoint ladder's shape: each link forks the previous link
+    /// while the origin keeps writing, across up to 160 pages. Every
+    /// timeline stays equal to its own model; a fresh link has its
+    /// source's page count; and the links dropped in any order leave every
+    /// survivor intact and the origin sharing nothing.
+    #[test]
+    fn fork_chains_survive_drops_in_any_order(
+        writes in proptest::collection::vec((0u32..SPREAD_PAGES, any::<u32>(), any::<u8>(), any::<bool>()), 1..160),
+        links in 1usize..10,
+        drop_keys in proptest::collection::vec(any::<u64>(), 10..11))
+    {
+        let mut origin = (TaintedMemory::new(), Model::default());
+        let mut chain: Vec<(TaintedMemory, Model)> = Vec::new();
+        let per_link = writes.len().div_ceil(links);
+        for (link, batch) in writes.chunks(per_link).enumerate() {
+            for &(page, off, val, t) in batch {
+                write_both(&mut origin.0, &mut origin.1, spread_addr(page, off), val, t);
+            }
+            let source = chain.last().unwrap_or(&origin);
+            let fork = (source.0.fork(), source.1.clone());
+            prop_assert_eq!(fork.0.page_count(), source.0.page_count());
+            prop_assert_eq!(fork.0.cow_fault_count(), 0);
+            chain.push(fork);
+            // The newest link diverges from its source on one page.
+            let (page, off, val, t) = batch[0];
+            if link % 2 == 1 {
+                let (mem, model) = chain.last_mut().unwrap();
+                write_both(mem, model, spread_addr(page + 1, off), val ^ 0xff, !t);
+            }
+        }
+        prop_assert!(origin.0.pages_shared() > 0 || origin.0.page_count() == 0);
+        let mut order: Vec<usize> = (0..chain.len()).collect();
+        order.sort_by_key(|&i| drop_keys[i]);
+        let mut alive: Vec<Option<(TaintedMemory, Model)>> = chain.into_iter().map(Some).collect();
+        for i in order {
+            drop(alive[i].take());
+            assert_matches_written(&origin.0, &origin.1);
+            for (mem, model) in alive.iter().flatten() {
+                assert_matches_written(mem, model);
+            }
+        }
+        prop_assert_eq!(origin.0.pages_shared(), 0);
+    }
+
+    /// Tainted ranges come back in ascending address order however the
+    /// pages were first touched (random or descending order) and however
+    /// often the table grew on the way.
+    #[test]
+    fn tainted_ranges_ascend_whatever_the_touch_order(
+        pages in proptest::collection::vec((0u32..SPREAD_PAGES, 0u32..PAGE_SIZE), 1..120),
+        descending in any::<bool>())
+    {
+        let mut touches = pages.clone();
+        if descending {
+            touches.sort_by(|a, b| b.cmp(a));
+        }
+        let mut mem = TaintedMemory::new();
+        let mut model = Model::default();
+        for &(page, off) in &touches {
+            write_both(&mut mem, &mut model, spread_addr(page, off), 1, true);
+        }
+        let fork = mem.fork();
+        for timeline in [&mem, &fork] {
+            assert_matches_written(timeline, &model);
+            prop_assert!(timeline.tainted_ranges().windows(2).all(|w| w[0].0 < w[1].0));
         }
     }
 }
