@@ -6,10 +6,12 @@
 //!   (Experiment 1 + ghttpd under attack) reduced to outcome-class counts.
 //!   Same seed ⇒ byte-identical section; any drift is a behaviour change.
 //! * **analysis** — per-guest static-analysis precision: proven / flagged
-//!   / unresolved site counts for the four pinned guest apps. The
-//!   analyzer is deterministic, so these are exact like the campaign
-//!   counts; a drop in `proven` is a precision regression the gate
-//!   catches even when the lint goldens were (deliberately) regenerated.
+//!   / unresolved site counts for the four pinned guest apps, plus a
+//!   [`proven_digest`] of the exact proven set. The analyzer is
+//!   deterministic, so these are exact like the campaign counts; a drop
+//!   in `proven` is a precision regression the gate catches even when the
+//!   lint goldens were (deliberately) regenerated, and a moved digest is a
+//!   proven set that changed even where its size did not.
 //! * **benches** — every `BENCH_*.json` summary found at the repository
 //!   root, in filename order. These carry wall-clock throughput numbers
 //!   and are the *documented wall-clock fields*: excluded from exact
@@ -23,6 +25,7 @@
 //! were measured in different modes (`quick` flags differ), since quick
 //! smoke numbers are not comparable to full runs.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use ptaint::{CampaignSpec, Machine, OutcomeClass};
@@ -79,19 +82,35 @@ pub fn collect_campaigns() -> Value {
     Value::Obj(rows)
 }
 
+/// The four guest apps whose analysis the trend gate pins.
+const ANALYSIS_GUESTS: [(&str, &str); 4] = [
+    ("exp1", synthetic::EXP1_SOURCE),
+    ("ghttpd", ghttpd::SOURCE),
+    ("null_httpd", null_httpd::SOURCE),
+    ("wu_ftpd", wu_ftpd::SOURCE),
+];
+
+/// 32-bit FNV-1a over the little-endian bytes of the proven pcs in
+/// ascending order. It pins the exact proven set in one number that a
+/// JSON double holds exactly.
+#[must_use]
+pub fn proven_digest(proven: &BTreeSet<u32>) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for pc in proven {
+        for b in pc.to_le_bytes() {
+            h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+        }
+    }
+    h
+}
+
 /// Analyze the four pinned guest apps and reduce each to its precision
-/// counts. Deterministic (the parallel fixpoint merges in wave order), so
-/// the gate compares these exactly.
+/// counts and proven-set digest. Deterministic (the parallel fixpoint
+/// merges in wave order), so the gate compares these exactly.
 #[must_use]
 pub fn collect_analysis() -> Value {
-    let guests: [(&str, &str); 4] = [
-        ("exp1", synthetic::EXP1_SOURCE),
-        ("ghttpd", ghttpd::SOURCE),
-        ("null_httpd", null_httpd::SOURCE),
-        ("wu_ftpd", wu_ftpd::SOURCE),
-    ];
     let mut rows = Vec::new();
-    for (name, source) in guests {
+    for (name, source) in ANALYSIS_GUESTS {
         let image = ptaint_guest::build(source).expect("pinned guest builds");
         let a = ptaint::analyze(&image);
         let s = &a.stats;
@@ -105,6 +124,10 @@ pub fn collect_analysis() -> Value {
             (
                 "unresolved".to_string(),
                 Value::Num(s.unresolved_sites as f64),
+            ),
+            (
+                "proven_digest".to_string(),
+                Value::Num(f64::from(proven_digest(&a.proven))),
             ),
         ]);
         rows.push((name.to_string(), row));
@@ -390,12 +413,32 @@ mod tests {
             proven >= 1300.0,
             "exp1 proven {proven} fell below the summary-analysis target"
         );
-        for name in ["exp1", "ghttpd", "null_httpd", "wu_ftpd"] {
+        for (name, source) in ANALYSIS_GUESTS {
             let row = a.get(name).unwrap();
-            for field in ["sites", "proven", "flagged", "unresolved"] {
+            for field in ["sites", "proven", "flagged", "unresolved", "proven_digest"] {
                 assert!(row.get(field).is_some(), "{name} missing {field}");
             }
+            // The worker count must not move the proven set.
+            let image = ptaint_guest::build(source).unwrap();
+            let digest = row.get("proven_digest").unwrap().as_f64().unwrap();
+            for jobs in [1, 4] {
+                let proven = ptaint::analyze_with(&image, jobs).proven;
+                assert_eq!(
+                    f64::from(proven_digest(&proven)),
+                    digest,
+                    "{name}: -j{jobs} proves a different set"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn proven_digest_is_order_sensitive_fnv1a() {
+        // FNV-1a of the empty input is the offset basis.
+        assert_eq!(proven_digest(&BTreeSet::new()), 0x811c_9dc5);
+        let a = proven_digest(&BTreeSet::from([0x0040_0000, 0x0040_0004]));
+        let b = proven_digest(&BTreeSet::from([0x0040_0000, 0x0040_0008]));
+        assert_ne!(a, b);
     }
 
     #[test]
