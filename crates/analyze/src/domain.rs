@@ -201,12 +201,80 @@ pub const MAX_RET_DEPTH: u8 = 3;
 /// Cap on the cartesian blow-up when combining two constant sets.
 const MAX_PAIRS: usize = 64;
 
+/// A non-empty, sorted, deduplicated set of at most [`MAX_CONSTS`]
+/// constants, stored inline: no constant set ever allocates, so [`Value`]
+/// and [`AbsVal`] are `Copy`. Slots past `len` are zero and never read.
+#[derive(Clone, Copy)]
+pub struct ConstSet {
+    len: u8,
+    vals: [u32; MAX_CONSTS],
+}
+
+impl ConstSet {
+    /// The singleton set.
+    #[must_use]
+    pub fn one(v: u32) -> ConstSet {
+        let mut vals = [0; MAX_CONSTS];
+        vals[0] = v;
+        ConstSet { len: 1, vals }
+    }
+
+    /// The set of an already sorted, deduplicated, non-empty slice of at
+    /// most [`MAX_CONSTS`] constants.
+    fn from_sorted(vs: &[u32]) -> ConstSet {
+        debug_assert!(!vs.is_empty() && vs.len() <= MAX_CONSTS);
+        debug_assert!(vs.windows(2).all(|w| w[0] < w[1]));
+        let mut vals = [0; MAX_CONSTS];
+        vals[..vs.len()].copy_from_slice(vs);
+        ConstSet {
+            len: vs.len() as u8,
+            vals,
+        }
+    }
+
+    /// The constants in ascending order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u32] {
+        &self.vals[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::Deref for ConstSet {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a ConstSet {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for ConstSet {
+    fn eq(&self, other: &ConstSet) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ConstSet {}
+
+impl std::fmt::Debug for ConstSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// Abstract 32-bit value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Value {
-    /// One of finitely many known constants (sorted, deduplicated,
-    /// non-empty, at most [`MAX_CONSTS`] entries).
-    Consts(Vec<u32>),
+    /// One of finitely many known constants (at most [`MAX_CONSTS`]).
+    Consts(ConstSet),
     /// Some address within the given region (magnitude unknown).
     InRegion(Region),
     /// The return address of the `k`-th enclosing caller of the function
@@ -234,14 +302,14 @@ impl Value {
     /// The singleton constant.
     #[must_use]
     pub fn constant(v: u32) -> Value {
-        Value::Consts(vec![v])
+        Value::Consts(ConstSet::one(v))
     }
 
     /// The constants, if this value is a known set.
     #[must_use]
     pub fn consts(&self) -> Option<&[u32]> {
         match self {
-            Value::Consts(vs) => Some(vs),
+            Value::Consts(vs) => Some(vs.as_slice()),
             _ => None,
         }
     }
@@ -255,24 +323,30 @@ impl Value {
         }
     }
 
-    /// Canonicalizes a raw constant list: sort, dedup, and widen to
-    /// [`Value::InRegion`] (all constants in one region) or
+    /// Canonicalizes a raw constant list in place: sort, dedup, and widen
+    /// to [`Value::InRegion`] (all constants in one region) or
     /// [`Value::Unknown`] once the set exceeds [`MAX_CONSTS`].
     #[must_use]
-    pub fn normalize(mut vs: Vec<u32>, lay: &MemLayout) -> Value {
+    pub fn normalize(vs: &mut [u32], lay: &MemLayout) -> Value {
         vs.sort_unstable();
-        vs.dedup();
+        let mut n = 0;
+        for i in 0..vs.len() {
+            if n == 0 || vs[i] != vs[n - 1] {
+                vs[n] = vs[i];
+                n += 1;
+            }
+        }
+        Value::from_sorted(&vs[..n], lay)
+    }
+
+    /// [`Value::normalize`] of an already sorted, deduplicated list.
+    fn from_sorted(vs: &[u32], lay: &MemLayout) -> Value {
         if vs.is_empty() {
-            return Value::Unknown;
-        }
-        if vs.len() <= MAX_CONSTS {
-            return Value::Consts(vs);
-        }
-        let r = lay.classify(vs[0]);
-        if vs.iter().all(|&v| lay.classify(v) == r) {
-            Value::InRegion(r)
-        } else {
             Value::Unknown
+        } else if vs.len() <= MAX_CONSTS {
+            Value::Consts(ConstSet::from_sorted(vs))
+        } else {
+            Value::consts_region(vs, lay).map_or(Value::Unknown, Value::InRegion)
         }
     }
 
@@ -281,9 +355,26 @@ impl Value {
     pub fn join(&self, other: &Value, lay: &MemLayout) -> Value {
         match (self, other) {
             (Value::Consts(a), Value::Consts(b)) => {
-                let mut vs = a.clone();
-                vs.extend_from_slice(b);
-                Value::normalize(vs, lay)
+                if a == b {
+                    return *self;
+                }
+                // Sorted merge of the two sets, deduplicated on the fly.
+                let mut buf = [0u32; 2 * MAX_CONSTS];
+                let (mut i, mut j, mut n) = (0, 0, 0);
+                while i < a.len() || j < b.len() {
+                    let v = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+                        i += 1;
+                        a[i - 1]
+                    } else {
+                        j += 1;
+                        b[j - 1]
+                    };
+                    if n == 0 || buf[n - 1] != v {
+                        buf[n] = v;
+                        n += 1;
+                    }
+                }
+                Value::from_sorted(&buf[..n], lay)
             }
             (Value::Consts(cs), Value::InRegion(r)) | (Value::InRegion(r), Value::Consts(cs)) => {
                 if cs.iter().all(|&v| lay.classify(v) == *r) {
@@ -304,7 +395,13 @@ impl Value {
     #[must_use]
     pub fn map(&self, lay: &MemLayout, f: impl Fn(u32) -> u32) -> Value {
         match self.consts() {
-            Some(vs) => Value::normalize(vs.iter().map(|&v| f(v)).collect(), lay),
+            Some(vs) => {
+                let mut buf = [0u32; MAX_CONSTS];
+                for (o, &v) in buf.iter_mut().zip(vs) {
+                    *o = f(v);
+                }
+                Value::normalize(&mut buf[..vs.len()], lay)
+            }
             None => Value::Unknown,
         }
     }
@@ -315,13 +412,15 @@ impl Value {
     pub fn binop(&self, other: &Value, lay: &MemLayout, f: impl Fn(u32, u32) -> u32) -> Value {
         match (self.consts(), other.consts()) {
             (Some(a), Some(b)) if a.len() * b.len() <= MAX_PAIRS => {
-                let mut vs = Vec::with_capacity(a.len() * b.len());
+                let mut buf = [0u32; MAX_PAIRS];
+                let mut n = 0;
                 for &x in a {
                     for &y in b {
-                        vs.push(f(x, y));
+                        buf[n] = f(x, y);
+                        n += 1;
                     }
                 }
-                Value::normalize(vs, lay)
+                Value::normalize(&mut buf[..n], lay)
             }
             _ => Value::Unknown,
         }
@@ -398,7 +497,7 @@ impl Value {
 }
 
 /// One abstract cell: a taint bound plus a value bound.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbsVal {
     /// Taint bound of the cell.
     pub taint: Taint,
@@ -436,9 +535,55 @@ impl AbsVal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ptaint_isa::PAGE_SIZE;
+
+    /// Every region, in index order.
+    pub(crate) const REGIONS: [Region; Region::COUNT] = [
+        Region::Text,
+        Region::Data,
+        Region::Heap,
+        Region::Stack,
+        Region::ArgStrings,
+        Region::ArgPtrs,
+        Region::Other,
+    ];
+
+    /// A pseudo-random abstract value drawn from one word. Constant sets
+    /// take 1 to 11 members from a pool of twelve stack words and six
+    /// words elsewhere, so joins stay within [`MAX_CONSTS`], widen to a
+    /// region, or widen to `Unknown`.
+    pub(crate) fn sample_value(lay: &MemLayout, w: u64) -> Value {
+        let mut pool: Vec<u32> = (0..12).map(|i| STACK_TOP - 256 - 4 * i).collect();
+        pool.extend([0, 1, 7, DATA_BASE, DATA_BASE + 4, TEXT_BASE]);
+        match w % 6 {
+            0 | 1 => {
+                // Half the sets draw from the stack words only.
+                let span = if (w >> 3) & 1 == 0 {
+                    12
+                } else {
+                    pool.len() as u64
+                };
+                let n = 1 + (w >> 4) % 11;
+                let mut x = w | 1;
+                let mut vs: Vec<u32> = (0..n)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        pool[(x % span) as usize]
+                    })
+                    .collect();
+                Value::normalize(&mut vs, lay)
+            }
+            2 => Value::InRegion(REGIONS[((w >> 3) % 7) as usize]),
+            3 => Value::RetAddr(((w >> 3) % 3) as u8),
+            4 => Value::FrameBase(((w >> 3) % 3) as u8),
+            _ => Value::Unknown,
+        }
+    }
 
     fn lay() -> MemLayout {
         MemLayout {
@@ -524,11 +669,14 @@ mod tests {
     #[test]
     fn const_sets_widen_to_their_region() {
         let l = lay();
-        let stack: Vec<u32> = (0..(MAX_CONSTS as u32 + 1))
+        let mut stack: Vec<u32> = (0..(MAX_CONSTS as u32 + 1))
             .map(|i| STACK_TOP - 64 - 4 * i)
             .collect();
-        assert_eq!(Value::normalize(stack, &l), Value::InRegion(Region::Stack));
-        let mixed: Vec<u32> = (0..(MAX_CONSTS as u32 + 1))
+        assert_eq!(
+            Value::normalize(&mut stack, &l),
+            Value::InRegion(Region::Stack)
+        );
+        let mut mixed: Vec<u32> = (0..(MAX_CONSTS as u32 + 1))
             .map(|i| {
                 if i == 0 {
                     DATA_BASE
@@ -537,7 +685,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(Value::normalize(mixed, &l), Value::Unknown);
+        assert_eq!(Value::normalize(&mut mixed, &l), Value::Unknown);
     }
 
     #[test]
@@ -562,7 +710,7 @@ mod tests {
         // `s[i]` string loop forgets what band it walks (and an unbounded
         // copy havocs the wrong region).
         let l = lay();
-        let i = Value::normalize((0..=MAX_CONSTS as u32).collect(), &l);
+        let i = Value::normalize(&mut (0..=MAX_CONSTS as u32).collect::<Vec<_>>(), &l);
         assert_eq!(i, Value::InRegion(Region::Other));
         let base = Value::constant(DATA_BASE + 16);
         assert_eq!(base.add(&i, &l), Value::InRegion(Region::Data));
@@ -578,12 +726,41 @@ mod tests {
         assert_eq!(i.add(&i, &l), Value::InRegion(Region::Other));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `Value::join` is a semilattice join on random values, constant
+        /// sets past `MAX_CONSTS` included: commutative, associative and
+        /// idempotent.
+        #[test]
+        fn value_join_is_commutative_associative_and_idempotent(
+            ws in (any::<u64>(), any::<u64>(), any::<u64>())
+        ) {
+            let l = lay();
+            let (a, b, c) = (
+                sample_value(&l, ws.0),
+                sample_value(&l, ws.1),
+                sample_value(&l, ws.2),
+            );
+            prop_assert_eq!(a.join(&b, &l), b.join(&a, &l), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(
+                a.join(&b, &l).join(&c, &l),
+                a.join(&b.join(&c, &l), &l),
+                "{:?}, {:?}, {:?}",
+                a,
+                b,
+                c
+            );
+            prop_assert_eq!(a.join(&a, &l), a);
+        }
+    }
+
     #[test]
     fn joins_are_commutative_on_samples() {
         let l = lay();
         let samples = [
             Value::constant(3),
-            Value::Consts(vec![1, 2]),
+            Value::normalize(&mut [2, 1], &l),
             Value::InRegion(Region::Data),
             Value::InRegion(Region::Stack),
             Value::Unknown,

@@ -257,11 +257,11 @@ fn transfer(ctx: &Ctx, st: &mut State, pc: u32, d: &DecodedInsn, fx: &mut Effect
                 RAluOp::Xor if rs == rt => AbsVal::clean_const(0),
                 RAluOp::Or if b.value.singleton() == Some(0) => AbsVal {
                     taint: a.taint.join(b.taint),
-                    value: a.value.clone(),
+                    value: a.value,
                 },
                 RAluOp::Or if a.value.singleton() == Some(0) => AbsVal {
                     taint: a.taint.join(b.taint),
-                    value: b.value.clone(),
+                    value: b.value,
                 },
                 RAluOp::And | RAluOp::Or | RAluOp::Xor | RAluOp::Nor => AbsVal {
                     taint: a.taint.join(b.taint),
@@ -571,7 +571,7 @@ fn store(ctx: &Ctx, st: &mut State, addr: &Value, width: MemWidth, v: &AbsVal, f
             }
             if let (&[a], MemWidth::Word) = (addrs.as_slice(), width) {
                 if a.is_multiple_of(4) {
-                    st.write_slot(ctx, a, v.clone());
+                    st.write_slot(ctx, a, *v);
                     return;
                 }
             }
@@ -580,7 +580,7 @@ fn store(ctx: &Ctx, st: &mut State, addr: &Value, width: MemWidth, v: &AbsVal, f
             let stored = AbsVal {
                 taint: v.taint,
                 value: if width == MemWidth::Word {
-                    v.value.clone()
+                    v.value
                 } else {
                     Value::Unknown
                 },

@@ -29,7 +29,8 @@ pub struct Converged {
     pub entries: BTreeSet<u32>,
     /// Final run per *analyzed* (reachable) function entry. Entries absent
     /// here were never given a context: they are unreachable under the
-    /// analysis' over-approximate control flow.
+    /// analysis' over-approximate control flow. Each run's `ctx_out`,
+    /// `exit` and `anywhere` have moved into the merged maps and are empty.
     pub runs: BTreeMap<u32, FnRun>,
     /// Global analysis facts (SMC pages).
     pub fx: Effects,
@@ -104,7 +105,7 @@ pub fn converge(ctx: &Ctx, jobs: usize) -> Converged {
             budget,
         );
 
-        for (i, run) in results.into_iter().enumerate() {
+        for (i, mut run) in results.into_iter().enumerate() {
             let e = wave[i];
             total_steps += run.steps;
             if run.degraded || total_steps > STEP_BUDGET {
@@ -114,24 +115,26 @@ pub fn converge(ctx: &Ctx, jobs: usize) -> Converged {
             for &d in &run.deps {
                 rdeps.entry(d).or_default().insert(e);
             }
-            for (&callee, cstate) in &run.ctx_out {
+            // The run's outputs move into the shared maps: extraction
+            // reads only its in-states, leaders and call edges.
+            for (callee, cstate) in std::mem::take(&mut run.ctx_out) {
                 match contexts.get_mut(&callee) {
                     Some(existing) => {
-                        if existing.join_into(cstate, ctx) {
+                        if existing.join_into(&cstate, ctx) {
                             work.insert(callee);
                         }
                     }
                     None => {
-                        contexts.insert(callee, cstate.clone());
+                        contexts.insert(callee, cstate);
                         work.insert(callee);
                     }
                 }
             }
-            if let Some(ex) = &run.exit {
+            if let Some(ex) = run.exit.take() {
                 let grew = match exits.get_mut(&e) {
-                    Some(old) => old.join_into(ex, ctx),
+                    Some(old) => old.join_into(&ex, ctx),
                     None => {
-                        exits.insert(e, ex.clone());
+                        exits.insert(e, ex);
                         true
                     }
                 };
@@ -141,11 +144,11 @@ pub fn converge(ctx: &Ctx, jobs: usize) -> Converged {
                     }
                 }
             }
-            if let Some(a) = &run.anywhere {
+            if let Some(a) = run.anywhere.take() {
                 let grew = match acc.as_mut() {
-                    Some(old) => old.join_into(a, ctx),
+                    Some(old) => old.join_into(&a, ctx),
                     None => {
-                        acc = Some(a.clone());
+                        acc = Some(a);
                         true
                     }
                 };

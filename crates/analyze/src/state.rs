@@ -9,8 +9,6 @@
 //! widened pointer, after which the region's defaults lose their values and
 //! absorb the stored taint.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use ptaint_asm::Image;
 use ptaint_isa::{Reg, TEXT_BASE, WORD_BYTES};
 
@@ -171,8 +169,10 @@ pub struct State {
     regs: [AbsVal; 32],
     hi: AbsVal,
     lo: AbsVal,
-    /// Tracked word-aligned memory slots (written via constant addresses).
-    mem: BTreeMap<u32, AbsVal>,
+    /// Tracked word-aligned memory slots (written via constant addresses),
+    /// sorted by address in one flat vector: copying a state is one
+    /// allocation, and joins and translations are linear walks.
+    mem: Vec<(u32, AbsVal)>,
     /// Per-region havoc level: `Some(t)` once a store through a widened
     /// pointer may have hit the region, carrying taint at most `t`.
     havoc: [Option<Taint>; Region::COUNT],
@@ -185,8 +185,8 @@ pub struct State {
     /// these writes onto the caller's state — the MOD part of the callee's
     /// summary — so caller-frame slots the callee never touched keep their
     /// call-site contents instead of absorbing the join of every other
-    /// caller's frame.
-    written: BTreeSet<u32>,
+    /// caller's frame. Sorted.
+    written: Vec<u32>,
     /// Function-local havoc events per region: `Some(t)` once *this
     /// function's* run (not an inherited context) havocked the region with
     /// taint at most `t`. The may-write-anywhere half of the MOD summary:
@@ -201,13 +201,13 @@ impl State {
     pub fn entry(ctx: &Ctx) -> State {
         let zero = AbsVal::clean_const(0);
         let mut st = State {
-            regs: std::array::from_fn(|_| zero.clone()),
-            hi: zero.clone(),
+            regs: [zero; 32],
+            hi: zero,
             lo: zero,
-            mem: BTreeMap::new(),
+            mem: Vec::new(),
             havoc: [None; Region::COUNT],
             agg: [Taint::Clean; Region::COUNT],
-            written: BTreeSet::new(),
+            written: Vec::new(),
             events: [None; Region::COUNT],
         };
         // argc is world-dependent; argv/envp point at the kernel-built
@@ -217,7 +217,7 @@ impl State {
             taint: Taint::Clean,
             value: Value::InRegion(Region::ArgPtrs),
         };
-        st.set(Reg::A1, arg_array.clone());
+        st.set(Reg::A1, arg_array);
         st.set(Reg::A2, arg_array);
         // The loader really sets `$sp = STACK_TOP - 64`, but the analysis
         // works in canonical frame coordinates (see [`CANON_SP`]): taint
@@ -234,7 +234,7 @@ impl State {
     /// Reads a register (`$zero` is always clean zero).
     #[must_use]
     pub fn get(&self, r: Reg) -> AbsVal {
-        self.regs[r.number() as usize].clone()
+        self.regs[r.number() as usize]
     }
 
     /// Writes a register (writes to `$zero` are discarded).
@@ -255,13 +255,13 @@ impl State {
     /// `HI` accessor.
     #[must_use]
     pub fn hi(&self) -> AbsVal {
-        self.hi.clone()
+        self.hi
     }
 
     /// `LO` accessor.
     #[must_use]
     pub fn lo(&self) -> AbsVal {
-        self.lo.clone()
+        self.lo
     }
 
     /// Writes `HI` and `LO`.
@@ -275,22 +275,17 @@ impl State {
     /// containing region.
     #[must_use]
     fn default_slot(&self, ctx: &Ctx, addr: u32) -> AbsVal {
-        let r = ctx.layout.classify(addr);
-        let init = ctx.initial_slot(addr);
-        match self.havoc[r.index()] {
-            Some(t) => AbsVal::opaque(init.taint.join(t)),
-            None => init,
-        }
+        default_under(&self.havoc, ctx, addr)
     }
 
     /// The abstract contents of the word-aligned slot containing `addr`.
     #[must_use]
     pub fn read_slot(&self, ctx: &Ctx, addr: u32) -> AbsVal {
         let wa = addr & !3;
-        self.mem
-            .get(&wa)
-            .cloned()
-            .unwrap_or_else(|| self.default_slot(ctx, wa))
+        match find(&self.mem, wa) {
+            Ok(i) => self.mem[i].1,
+            Err(_) => self.default_slot(ctx, wa),
+        }
     }
 
     /// Region-granular taint bound for loads through a widened pointer
@@ -330,14 +325,18 @@ impl State {
     /// tracked map is full.
     pub fn write_slot(&mut self, ctx: &Ctx, addr: u32, v: AbsVal) {
         let wa = addr & !3;
-        if self.mem.len() >= MAX_TRACKED_SLOTS && !self.mem.contains_key(&wa) {
+        let at = find(&self.mem, wa);
+        if self.mem.len() >= MAX_TRACKED_SLOTS && at.is_err() {
             self.havoc_region(ctx, ctx.layout.classify(wa), v.taint);
             return;
         }
         let r = ctx.layout.classify(wa);
         self.agg[r.index()] = self.agg[r.index()].join(v.taint);
-        self.written.insert(wa);
-        self.mem.insert(wa, v);
+        mark(&mut self.written, wa);
+        match at {
+            Ok(i) => self.mem[i].1 = v,
+            Err(i) => self.mem.insert(i, (wa, v)),
+        }
     }
 
     /// Weakly updates the slot at `addr`: joins `v` into the current
@@ -363,94 +362,90 @@ impl State {
 
     fn havoc_one(&mut self, ctx: &Ctx, r: Region, taint: Taint) {
         let i = r.index();
-        self.havoc[i] = Some(self.havoc[i].unwrap_or(Taint::Clean).join(taint));
+        raise(&mut self.havoc[i], taint);
         self.agg[i] = self.agg[i].join(taint);
-        self.events[i] = Some(self.events[i].unwrap_or(Taint::Clean).join(taint));
-        for (&addr, slot) in self.mem.iter_mut() {
-            if ctx.layout.classify(addr) == r {
+        raise(&mut self.events[i], taint);
+        for (addr, slot) in &mut self.mem {
+            if ctx.layout.classify(*addr) == r {
                 slot.taint = slot.taint.join(taint);
-                slot.value = havocked_value(&slot.value);
+                slot.value = havocked_value(slot.value);
             }
         }
     }
 
     /// A store through a completely unknown pointer: havoc every region.
     pub fn havoc_all(&mut self, taint: Taint) {
-        for h in &mut self.havoc {
-            *h = Some(h.unwrap_or(Taint::Clean).join(taint));
-        }
-        for e in &mut self.events {
-            *e = Some(e.unwrap_or(Taint::Clean).join(taint));
+        for level in self.havoc.iter_mut().chain(&mut self.events) {
+            raise(level, taint);
         }
         for a in &mut self.agg {
             *a = a.join(taint);
         }
-        for slot in self.mem.values_mut() {
+        for (_, slot) in &mut self.mem {
             slot.taint = slot.taint.join(taint);
-            slot.value = havocked_value(&slot.value);
+            slot.value = havocked_value(slot.value);
         }
     }
 
     /// Joins `other` into `self`; returns whether `self` changed (the
     /// fixpoint driver's convergence signal).
+    ///
+    /// Memory is one merge walk over the two sorted slot vectors: a slot
+    /// tracked on one side only joins the other side's default (read
+    /// under that side's havoc before this join), and only the slots whose
+    /// contents grow are written. A slot tracked by `other` alone is
+    /// always added, materialized, and counts as a change.
     pub fn join_into(&mut self, other: &State, ctx: &Ctx) -> bool {
         let lay = &ctx.layout;
         let mut changed = false;
-        for i in 0..32 {
-            let j = self.regs[i].join(&other.regs[i], lay);
-            if j != self.regs[i] {
-                self.regs[i] = j;
-                changed = true;
+        for (mine, theirs) in self.regs.iter_mut().zip(&other.regs) {
+            changed |= join_cell(mine, theirs, lay);
+        }
+        changed |= join_cell(&mut self.hi, &other.hi, lay);
+        changed |= join_cell(&mut self.lo, &other.lo, lay);
+        let my_havoc = self.havoc;
+        let mut theirs = other.mem.iter().peekable();
+        let mut added = Vec::new();
+        for &mut (addr, ref mut mine) in &mut self.mem {
+            while let Some(&(k, b)) = theirs.next_if(|&&(k, _)| k < addr) {
+                added.push((k, default_under(&my_havoc, ctx, k).join(&b, lay)));
             }
+            let b = match theirs.next_if(|&&(k, _)| k == addr) {
+                Some(&(_, b)) => b,
+                None => default_under(&other.havoc, ctx, addr),
+            };
+            changed |= join_cell(mine, &b, lay);
         }
-        let hi = self.hi.join(&other.hi, lay);
-        if hi != self.hi {
-            self.hi = hi;
+        for &(k, b) in theirs {
+            added.push((k, default_under(&my_havoc, ctx, k).join(&b, lay)));
+        }
+        if !added.is_empty() {
             changed = true;
-        }
-        let lo = self.lo.join(&other.lo, lay);
-        if lo != self.lo {
-            self.lo = lo;
-            changed = true;
-        }
-        // Memory: keys missing on one side read that side's default.
-        let keys: Vec<u32> = self.mem.keys().chain(other.mem.keys()).copied().collect();
-        for addr in keys {
-            let a = self.read_slot(ctx, addr);
-            let b = other.read_slot(ctx, addr);
-            let j = a.join(&b, lay);
-            if self.mem.get(&addr) != Some(&j) {
-                self.mem.insert(addr, j);
-                changed = true;
-            }
+            // Two sorted runs: the stable sort merges them in one pass.
+            self.mem.extend(added);
+            self.mem.sort_by_key(|&(a, _)| a);
         }
         for i in 0..Region::COUNT {
-            let h = match (self.havoc[i], other.havoc[i]) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
-            };
-            if h != self.havoc[i] {
-                self.havoc[i] = h;
-                changed = true;
-            }
+            changed |= join_level(&mut self.havoc[i], other.havoc[i]);
             let g = self.agg[i].join(other.agg[i]);
-            if g != self.agg[i] {
-                self.agg[i] = g;
-                changed = true;
+            changed |= g != self.agg[i];
+            self.agg[i] = g;
+            changed |= join_level(&mut self.events[i], other.events[i]);
+        }
+        let mut at = 0;
+        let mut new = Vec::new();
+        for &w in &other.written {
+            while self.written.get(at).is_some_and(|&m| m < w) {
+                at += 1;
             }
-            let e = match (self.events[i], other.events[i]) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
-            };
-            if e != self.events[i] {
-                self.events[i] = e;
-                changed = true;
+            if self.written.get(at) != Some(&w) {
+                new.push(w);
             }
         }
-        for &w in &other.written {
-            if self.written.insert(w) {
-                changed = true;
-            }
+        if !new.is_empty() {
+            changed = true;
+            self.written.extend(new);
+            self.written.sort_unstable();
         }
         changed
     }
@@ -473,81 +468,69 @@ impl State {
     /// nothing, so the translated state is already a translation fixpoint.
     #[must_use]
     pub fn translate(&self, ctx: &Ctx, delta: Option<i64>, ret: RetXfer, fold: StackFold) -> State {
-        let xv = |v: &Value| translate_value(v, ctx, delta, ret);
         let xa = |a: &AbsVal| AbsVal {
             taint: a.taint,
-            value: xv(&a.value),
+            value: translate_value(a.value, ctx, delta, ret),
         };
-        let mut out = State {
-            regs: std::array::from_fn(|i| xa(&self.regs[i])),
-            hi: xa(&self.hi),
-            lo: xa(&self.lo),
-            mem: BTreeMap::new(),
-            havoc: self.havoc,
-            agg: self.agg,
-            written: BTreeSet::new(),
-            events: self.events,
-        };
-        let mut folded: Option<Taint> = None;
         let (lo_keep, hi_keep) = match fold {
             StackFold::Window => (CANON_SP - STACK_FOLD_BELOW, CANON_SP + STACK_FOLD_ABOVE),
             // Empty keep-range: every stack slot folds.
             StackFold::All => (CANON_SP, CANON_SP),
         };
-        for (&addr, slot) in &self.mem {
+        // Where a slot lands: non-stack slots stay put, stack slots shift
+        // by `delta` or are lost (`None`). The shift is one affine offset
+        // and kept slots stay inside the stack band, so ascending input
+        // gives ascending output: the translated vectors stay sorted.
+        let land = |addr: u32| -> Option<u32> {
             if ctx.layout.classify(addr) != Region::Stack {
-                out.mem.insert(addr, xa(slot));
-                continue;
+                return Some(addr);
             }
-            let kept = delta.and_then(|d| {
-                let shifted = i64::from(addr) + d;
-                let s = u32::try_from(shifted).ok()?;
-                (ctx.layout.classify(s) == Region::Stack && (lo_keep..hi_keep).contains(&s))
-                    .then_some(s)
-            });
-            match kept {
-                Some(s) => {
-                    out.mem.insert(s, xa(slot));
-                }
-                None => {
-                    folded = Some(folded.unwrap_or(Taint::Clean).join(slot.taint));
-                }
+            let s = u32::try_from(i64::from(addr) + delta?).ok()?;
+            (ctx.layout.classify(s) == Region::Stack && (lo_keep..hi_keep).contains(&s))
+                .then_some(s)
+        };
+        let mut out = State {
+            regs: self.regs.each_ref().map(xa),
+            hi: xa(&self.hi),
+            lo: xa(&self.lo),
+            mem: Vec::new(),
+            havoc: self.havoc,
+            agg: self.agg,
+            written: Vec::new(),
+            events: self.events,
+        };
+        let mut folded: Option<Taint> = None;
+        let mut mem = Vec::with_capacity(self.mem.len());
+        for &(addr, ref slot) in &self.mem {
+            match land(addr) {
+                Some(s) => mem.push((s, xa(slot))),
+                None => folded = Some(folded.unwrap_or(Taint::Clean).join(slot.taint)),
             }
         }
+        debug_assert!(mem.is_sorted_by_key(|&(a, _)| a));
+        out.mem = mem;
+        let stack = Region::Stack.index();
         if let Some(t) = folded {
-            let i = Region::Stack.index();
-            out.havoc[i] = Some(out.havoc[i].unwrap_or(Taint::Clean).join(t));
-            out.agg[i] = out.agg[i].join(t);
+            raise(&mut out.havoc[stack], t);
+            out.agg[stack] = out.agg[stack].join(t);
         }
+        let mut written = Vec::with_capacity(self.written.len());
         for &addr in &self.written {
-            if ctx.layout.classify(addr) != Region::Stack {
-                out.written.insert(addr);
-                continue;
-            }
-            let kept = delta.and_then(|d| {
-                let s = u32::try_from(i64::from(addr) + d).ok()?;
-                (ctx.layout.classify(s) == Region::Stack && (lo_keep..hi_keep).contains(&s))
-                    .then_some(s)
-            });
-            match kept {
-                Some(s) => {
-                    out.written.insert(s);
-                }
+            match land(addr) {
+                Some(s) => written.push(s),
                 None => {
                     // A write whose coordinate is lost can no longer be
                     // replayed slot-by-slot at a return edge: it degrades
                     // to a stack havoc *event* so callers still see it.
-                    let t = self
-                        .mem
-                        .get(&addr)
-                        .map_or(Taint::Tainted, |slot| slot.taint);
-                    let i = Region::Stack.index();
-                    out.events[i] = Some(out.events[i].unwrap_or(Taint::Clean).join(t));
-                    out.havoc[i] = Some(out.havoc[i].unwrap_or(Taint::Clean).join(t));
-                    out.agg[i] = out.agg[i].join(t);
+                    let t = find(&self.mem, addr).map_or(Taint::Tainted, |i| self.mem[i].1.taint);
+                    raise(&mut out.events[stack], t);
+                    raise(&mut out.havoc[stack], t);
+                    out.agg[stack] = out.agg[stack].join(t);
                 }
             }
         }
+        debug_assert!(written.is_sorted());
+        out.written = written;
         out
     }
 
@@ -576,50 +559,43 @@ impl State {
     /// tokens shift down one level) from a tail composition (the target
     /// ran on this very invocation, so its depths are already ours).
     #[must_use]
-    pub fn apply_return(&self, t: &State, ctx: &Ctx, pop: bool) -> State {
+    pub fn apply_return(mut self, t: &State, ctx: &Ctx, pop: bool) -> State {
         let my_fp = self.get(Reg::FP).value;
-        let subst = |v: &Value| -> Value {
-            if !pop {
-                return v.clone();
-            }
-            match v {
-                Value::FrameBase(0) => my_fp.clone(),
-                Value::FrameBase(k) => Value::FrameBase(k - 1),
-                other => other.clone(),
-            }
-        };
-        let subst_a = |a: &AbsVal| AbsVal {
+        let subst = |a: &AbsVal| AbsVal {
             taint: a.taint,
-            value: subst(&a.value),
+            value: match a.value {
+                Value::FrameBase(0) if pop => my_fp,
+                Value::FrameBase(k) if pop => Value::FrameBase(k - 1),
+                v => v,
+            },
         };
-        let mut out = self.clone();
-        out.regs = std::array::from_fn(|i| subst_a(&t.regs[i]));
-        out.hi = subst_a(&t.hi);
-        out.lo = subst_a(&t.lo);
+        self.regs = t.regs.each_ref().map(subst);
+        self.hi = subst(&t.hi);
+        self.lo = subst(&t.lo);
         for i in 0..Region::COUNT {
-            out.havoc[i] = match (out.havoc[i], t.havoc[i]) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
-            };
-            out.agg[i] = out.agg[i].join(t.agg[i]);
-            out.events[i] = match (out.events[i], t.events[i]) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
-            };
+            join_level(&mut self.havoc[i], t.havoc[i]);
+            self.agg[i] = self.agg[i].join(t.agg[i]);
+            join_level(&mut self.events[i], t.events[i]);
         }
-        for (&addr, slot) in &mut out.mem {
-            if let Some(h) = t.events[ctx.layout.classify(addr).index()] {
-                slot.taint = slot.taint.join(h);
-                slot.value = havocked_value(&slot.value);
+        if t.events.iter().any(Option::is_some) {
+            for (addr, slot) in &mut self.mem {
+                if let Some(h) = t.events[ctx.layout.classify(*addr).index()] {
+                    slot.taint = slot.taint.join(h);
+                    slot.value = havocked_value(slot.value);
+                }
             }
         }
         for &addr in &t.written {
-            let mine = out.read_slot(ctx, addr);
-            let theirs = subst_a(&t.read_slot(ctx, addr));
-            out.mem.insert(addr, mine.join(&theirs, &ctx.layout));
-            out.written.insert(addr);
+            let mine = self.read_slot(ctx, addr);
+            let theirs = subst(&t.read_slot(ctx, addr));
+            let j = mine.join(&theirs, &ctx.layout);
+            match find(&self.mem, addr) {
+                Ok(i) => self.mem[i].1 = j,
+                Err(i) => self.mem.insert(i, (addr, j)),
+            }
+            mark(&mut self.written, addr);
         }
-        out
+        self
     }
 
     /// Clears the function-local effect log — applied to a state crossing
@@ -640,57 +616,109 @@ impl State {
     /// depends on — are preserved exactly.
     #[must_use]
     pub fn fold_for_anywhere(&self, ctx: &Ctx) -> State {
-        let xv = |v: &Value| match v {
-            Value::Consts(cs) if cs.iter().any(|&c| ctx.layout.classify(c) == Region::Stack) => {
-                if cs.iter().all(|&c| ctx.layout.classify(c) == Region::Stack) {
-                    Value::InRegion(Region::Stack)
-                } else {
-                    Value::Unknown
-                }
-            }
-            Value::RetAddr(_) | Value::FrameBase(_) => Value::Unknown,
-            other => other.clone(),
-        };
         let xa = |a: &AbsVal| AbsVal {
             taint: a.taint,
-            value: xv(&a.value),
+            value: match a.value {
+                Value::Consts(cs)
+                    if cs.iter().any(|&c| ctx.layout.classify(c) == Region::Stack) =>
+                {
+                    if cs.iter().all(|&c| ctx.layout.classify(c) == Region::Stack) {
+                        Value::InRegion(Region::Stack)
+                    } else {
+                        Value::Unknown
+                    }
+                }
+                Value::RetAddr(_) | Value::FrameBase(_) => Value::Unknown,
+                other => other,
+            },
         };
+        let is_stack = |addr: &u32| ctx.layout.classify(*addr) == Region::Stack;
         let mut out = State {
-            regs: std::array::from_fn(|i| xa(&self.regs[i])),
+            regs: self.regs.each_ref().map(xa),
             hi: xa(&self.hi),
             lo: xa(&self.lo),
-            mem: BTreeMap::new(),
+            mem: self
+                .mem
+                .iter()
+                .filter(|(a, _)| !is_stack(a))
+                .map(|(a, slot)| (*a, xa(slot)))
+                .collect(),
             havoc: self.havoc,
             agg: self.agg,
-            written: BTreeSet::new(),
+            written: self
+                .written
+                .iter()
+                .copied()
+                .filter(|a| !is_stack(a))
+                .collect(),
             events: self.events,
         };
-        let mut folded: Option<Taint> = None;
-        for (&addr, slot) in &self.mem {
-            if ctx.layout.classify(addr) == Region::Stack {
-                folded = Some(folded.unwrap_or(Taint::Clean).join(slot.taint));
-            } else {
-                out.mem.insert(addr, xa(slot));
-            }
-        }
+        let stack = Region::Stack.index();
+        let folded = self
+            .mem
+            .iter()
+            .filter(|(a, _)| is_stack(a))
+            .map(|(_, slot)| slot.taint)
+            .reduce(Taint::join);
         if let Some(t) = folded {
-            let i = Region::Stack.index();
-            out.havoc[i] = Some(out.havoc[i].unwrap_or(Taint::Clean).join(t));
-            out.agg[i] = out.agg[i].join(t);
+            raise(&mut out.havoc[stack], t);
+            out.agg[stack] = out.agg[stack].join(t);
         }
-        for &addr in &self.written {
-            if ctx.layout.classify(addr) == Region::Stack {
-                let t = self
-                    .mem
-                    .get(&addr)
-                    .map_or(Taint::Tainted, |slot| slot.taint);
-                let i = Region::Stack.index();
-                out.events[i] = Some(out.events[i].unwrap_or(Taint::Clean).join(t));
-            } else {
-                out.written.insert(addr);
-            }
+        for addr in self.written.iter().filter(|a| is_stack(a)) {
+            let t = find(&self.mem, *addr).map_or(Taint::Tainted, |i| self.mem[i].1.taint);
+            raise(&mut out.events[stack], t);
         }
         out
+    }
+}
+
+/// Where the slot `wa` is, or would be inserted, in a sorted slot vector.
+fn find(mem: &[(u32, AbsVal)], wa: u32) -> Result<usize, usize> {
+    mem.binary_search_by_key(&wa, |&(a, _)| a)
+}
+
+/// Adds `wa` to a sorted write log.
+fn mark(written: &mut Vec<u32>, wa: u32) {
+    if let Err(i) = written.binary_search(&wa) {
+        written.insert(i, wa);
+    }
+}
+
+/// Joins `theirs` into `mine`; returns whether `mine` grew.
+fn join_cell(mine: &mut AbsVal, theirs: &AbsVal, lay: &MemLayout) -> bool {
+    if mine == theirs {
+        return false;
+    }
+    let j = mine.join(theirs, lay);
+    let grew = j != *mine;
+    *mine = j;
+    grew
+}
+
+/// Raises a havoc or event level to include `t` (`None` is below every
+/// taint: nothing was havocked).
+fn raise(level: &mut Option<Taint>, t: Taint) {
+    *level = Some(level.unwrap_or(Taint::Clean).join(t));
+}
+
+/// Joins two havoc or event levels into `mine`; returns whether it grew.
+fn join_level(mine: &mut Option<Taint>, theirs: Option<Taint>) -> bool {
+    let Some(t) = theirs else {
+        return false;
+    };
+    let old = *mine;
+    raise(mine, t);
+    *mine != old
+}
+
+/// What a read of the word-aligned slot at `addr` observes when no state
+/// tracks it, under the given per-region havoc levels: loader-initial
+/// contents, degraded by any havoc of the containing region.
+fn default_under(havoc: &[Option<Taint>; Region::COUNT], ctx: &Ctx, addr: u32) -> AbsVal {
+    let init = ctx.initial_slot(addr);
+    match havoc[ctx.layout.classify(addr).index()] {
+        Some(t) => AbsVal::opaque(init.taint.join(t)),
+        None => init,
     }
 }
 
@@ -723,10 +751,9 @@ impl State {
 /// [`Value::FrameBase`] — the saved frame pointer — survives for exactly
 /// the same two reasons: its consumers are pointer-checked (frame-relative
 /// loads and stores), and it too exposes no constants.
-fn havocked_value(v: &Value) -> Value {
+fn havocked_value(v: Value) -> Value {
     match v {
-        Value::RetAddr(k) => Value::RetAddr(*k),
-        Value::FrameBase(k) => Value::FrameBase(*k),
+        Value::RetAddr(_) | Value::FrameBase(_) => v,
         _ => Value::Unknown,
     }
 }
@@ -734,65 +761,67 @@ fn havocked_value(v: &Value) -> Value {
 /// Value part of [`State::translate`]: shifts stack-region constants by
 /// `delta` (degrading to [`Value::Unknown`] when the shift is unknown or
 /// the result escapes the stack band) and maps return-address depths.
-fn translate_value(v: &Value, ctx: &Ctx, delta: Option<i64>, ret: RetXfer) -> Value {
+fn translate_value(v: Value, ctx: &Ctx, delta: Option<i64>, ret: RetXfer) -> Value {
     match v {
         Value::Consts(cs) => {
-            let mut out = Vec::with_capacity(cs.len());
-            for &c in cs {
-                if ctx.layout.classify(c) != Region::Stack {
-                    out.push(c);
-                    continue;
-                }
-                let Some(d) = delta else {
-                    return Value::Unknown;
+            let mut out = [0u32; crate::domain::MAX_CONSTS];
+            for (o, &c) in out.iter_mut().zip(cs.iter()) {
+                *o = if ctx.layout.classify(c) == Region::Stack {
+                    let Some(d) = delta else {
+                        return Value::Unknown;
+                    };
+                    let Ok(s) = u32::try_from(i64::from(c) + d) else {
+                        return Value::Unknown;
+                    };
+                    if ctx.layout.classify(s) != Region::Stack {
+                        return Value::Unknown;
+                    }
+                    s
+                } else {
+                    c
                 };
-                let Ok(s) = u32::try_from(i64::from(c) + d) else {
-                    return Value::Unknown;
-                };
-                if ctx.layout.classify(s) != Region::Stack {
-                    return Value::Unknown;
-                }
-                out.push(s);
             }
-            Value::normalize(out, &ctx.layout)
+            Value::normalize(&mut out[..cs.len()], &ctx.layout)
         }
         Value::RetAddr(k) => match ret {
             RetXfer::Deepen => {
-                if *k >= crate::domain::MAX_RET_DEPTH {
+                if k >= crate::domain::MAX_RET_DEPTH {
                     Value::Unknown
                 } else {
                     Value::RetAddr(k + 1)
                 }
             }
             RetXfer::Pop(pc) => {
-                if *k == 0 {
+                if k == 0 {
                     Value::constant(pc)
                 } else {
                     Value::RetAddr(k - 1)
                 }
             }
-            RetXfer::Keep => Value::RetAddr(*k),
+            RetXfer::Keep => Value::RetAddr(k),
         },
         // Saved-fp depths deepen with the return-address depths, but the
         // `Pop` substitution needs the *caller's* fp value, which only
         // [`State::apply_return`] knows — it maps the depths back down.
         Value::FrameBase(k) => match ret {
             RetXfer::Deepen => {
-                if *k >= crate::domain::MAX_RET_DEPTH {
+                if k >= crate::domain::MAX_RET_DEPTH {
                     Value::Unknown
                 } else {
                     Value::FrameBase(k + 1)
                 }
             }
-            RetXfer::Pop(_) | RetXfer::Keep => Value::FrameBase(*k),
+            RetXfer::Pop(_) | RetXfer::Keep => Value::FrameBase(k),
         },
-        other => other.clone(),
+        other => other,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::tests::{sample_value, REGIONS};
+    use proptest::prelude::*;
     use ptaint_isa::{Instr, DATA_BASE, STACK_TOP};
 
     fn ctx() -> Ctx {
@@ -857,6 +886,150 @@ mod tests {
         let snapshot = a.clone();
         assert!(!a.join_into(&b, &c));
         assert_eq!(a, snapshot);
+    }
+
+    /// The per-key join that [`State::join_into`] replaced, kept as its
+    /// reference: it collects both sides' keys, duplicates included, and
+    /// joins each through two `read_slot` searches.
+    fn join_per_key(this: &mut State, other: &State, ctx: &Ctx) -> bool {
+        let lay = &ctx.layout;
+        let mut changed = false;
+        for i in 0..32 {
+            let j = this.regs[i].join(&other.regs[i], lay);
+            if j != this.regs[i] {
+                this.regs[i] = j;
+                changed = true;
+            }
+        }
+        let hi = this.hi.join(&other.hi, lay);
+        if hi != this.hi {
+            this.hi = hi;
+            changed = true;
+        }
+        let lo = this.lo.join(&other.lo, lay);
+        if lo != this.lo {
+            this.lo = lo;
+            changed = true;
+        }
+        // Memory: keys missing on one side read that side's default.
+        let keys: Vec<u32> = this.mem.iter().chain(&other.mem).map(|&(a, _)| a).collect();
+        for addr in keys {
+            let a = this.read_slot(ctx, addr);
+            let b = other.read_slot(ctx, addr);
+            let j = a.join(&b, lay);
+            match find(&this.mem, addr) {
+                Ok(i) if this.mem[i].1 == j => {}
+                Ok(i) => {
+                    this.mem[i].1 = j;
+                    changed = true;
+                }
+                Err(i) => {
+                    this.mem.insert(i, (addr, j));
+                    changed = true;
+                }
+            }
+        }
+        for i in 0..Region::COUNT {
+            let h = match (this.havoc[i], other.havoc[i]) {
+                (None, None) => None,
+                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
+            };
+            if h != this.havoc[i] {
+                this.havoc[i] = h;
+                changed = true;
+            }
+            let g = this.agg[i].join(other.agg[i]);
+            if g != this.agg[i] {
+                this.agg[i] = g;
+                changed = true;
+            }
+            let e = match (this.events[i], other.events[i]) {
+                (None, None) => None,
+                (a, b) => Some(a.unwrap_or(Taint::Clean).join(b.unwrap_or(Taint::Clean))),
+            };
+            if e != this.events[i] {
+                this.events[i] = e;
+                changed = true;
+            }
+        }
+        for &w in &other.written {
+            if let Err(i) = this.written.binary_search(&w) {
+                this.written.insert(i, w);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Applies generated operations to a state. Each is a kind and one
+    /// random word: register and `HI`/`LO` writes, strong and weak slot
+    /// writes over a shared pool of addresses in every region, region and
+    /// global havocs, untaints and effect-log resets.
+    fn apply(c: &Ctx, st: &mut State, ops: &[(u8, u64)]) {
+        let slots = [
+            DATA_BASE,
+            DATA_BASE + 4,
+            DATA_BASE + 10,
+            c.layout.brk0 + 16,
+            CANON_SP - 8,
+            CANON_SP - 4,
+            CANON_SP,
+            CANON_SP + 12,
+            STACK_TOP + 8,
+            TEXT_BASE,
+            0x100,
+        ];
+        let taint = |w: u64| [Taint::Clean, Taint::Unknown, Taint::Tainted][(w % 3) as usize];
+        for &(kind, w) in ops {
+            let v = AbsVal {
+                taint: taint(w >> 40),
+                value: sample_value(&c.layout, w),
+            };
+            let reg = Reg::new(((w >> 50) % 32) as u8);
+            let addr = slots[((w >> 50) % slots.len() as u64) as usize];
+            let region = REGIONS[((w >> 44) % 7) as usize];
+            match kind {
+                0 | 1 => st.set(reg, v),
+                2 => st.set_hilo(v, AbsVal::opaque(taint(w >> 56))),
+                3 | 4 => st.write_slot(c, addr, v),
+                5 => st.weak_write_slot(c, addr, &v),
+                6 => st.havoc_region(c, region, v.taint),
+                7 => st.havoc_all(v.taint),
+                8 => st.reset_effects(),
+                _ => st.untaint(reg),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The merge-walk join returns the same state and the same
+        /// `changed` flag as the per-key join, on pairs of states grown
+        /// from a shared prefix of operations; and a repeated join
+        /// changes nothing.
+        #[test]
+        fn merge_walk_join_matches_the_per_key_join(
+            shared in proptest::collection::vec((0u8..10, any::<u64>()), 0..16),
+            left in proptest::collection::vec((0u8..10, any::<u64>()), 0..10),
+            right in proptest::collection::vec((0u8..10, any::<u64>()), 0..10)
+        ) {
+            let c = ctx();
+            let mut a = State::entry(&c);
+            apply(&c, &mut a, &shared);
+            let mut b = a.clone();
+            apply(&c, &mut a, &left);
+            apply(&c, &mut b, &right);
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                let mut walked = x.clone();
+                let mut per_key = x.clone();
+                let grew = walked.join_into(y, &c);
+                prop_assert_eq!(grew, join_per_key(&mut per_key, y, &c));
+                prop_assert_eq!(&walked, &per_key);
+                prop_assert!(!walked.join_into(y, &c));
+                prop_assert_eq!(&walked, &per_key);
+            }
+        }
     }
 
     #[test]
