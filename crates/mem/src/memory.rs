@@ -440,12 +440,13 @@ impl TaintedMemory {
         })
     }
 
-    /// Writes one byte and its taint bit.
+    /// Writes one byte and its taint bit. `always`: with a plain
+    /// `#[inline]` LLVM keeps it out of line, one call per guest byte store.
     ///
     /// # Errors
     ///
     /// Faults on a null-page access.
-    #[inline]
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u32, value: u8, tainted: bool) -> Result<(), MemFault> {
         self.check(addr, 1)?;
         let off = (addr % PAGE_SIZE) as usize;
@@ -458,19 +459,31 @@ impl TaintedMemory {
     /// Reads a little-endian halfword; taint bits land in the low half of the
     /// returned [`WordTaint`].
     ///
+    /// Like [`TaintedMemory::read_u32`], one check and one page lookup: a
+    /// 2-aligned halfword never straddles a page, a data word or a shadow
+    /// `u64`.
+    ///
     /// # Errors
     ///
     /// Faults when `addr` is not 2-aligned or inside the null page.
     #[inline]
     pub fn read_u16(&self, addr: u32) -> Result<(u16, WordTaint), MemFault> {
         self.check(addr, 2)?;
-        let (b0, t0) = self.read_u8(addr)?;
-        let (b1, t1) = self.read_u8(addr + 1)?;
-        let taint = WordTaint::CLEAN.with_byte(0, t0).with_byte(1, t1);
-        Ok((u16::from_le_bytes([b0, b1]), taint))
+        let off = (addr % PAGE_SIZE) as usize;
+        Ok(match self.pages.get(addr) {
+            Some(p) => {
+                let bits = ((p.taint[off / 64].load(Relaxed) >> (off % 64)) & 0x3) as u8;
+                (
+                    (p.word(off) >> (off % 4 * 8)) as u16,
+                    WordTaint::from_bits(bits),
+                )
+            }
+            None => (0, WordTaint::CLEAN),
+        })
     }
 
-    /// Writes a little-endian halfword with the low two taint bits of `taint`.
+    /// Writes a little-endian halfword with the low two taint bits of `taint`,
+    /// with one check and one page lookup (see [`TaintedMemory::read_u16`]).
     ///
     /// # Errors
     ///
@@ -478,9 +491,16 @@ impl TaintedMemory {
     #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16, taint: WordTaint) -> Result<(), MemFault> {
         self.check(addr, 2)?;
-        let [b0, b1] = value.to_le_bytes();
-        self.write_u8(addr, b0, taint.byte(0))?;
-        self.write_u8(addr + 1, b1, taint.byte(1))
+        let off = (addr % PAGE_SIZE) as usize;
+        let page = self.page(addr);
+        let shift = off % 4 * 8;
+        page.set_word(
+            off,
+            page.word(off) & !(0xffff << shift) | u32::from(value) << shift,
+        );
+        let shift = off % 64;
+        page.set_taint_bits(off, 0x3 << shift, u64::from(taint.bits()) << shift);
+        Ok(())
     }
 
     /// Reads a little-endian word together with its four taint bits.

@@ -177,6 +177,18 @@ fn seam_addr(seam: usize, delta: i32) -> u32 {
     SEAMS[seam].wrapping_add(delta as u32)
 }
 
+/// The fault an access of `align` bytes at `addr` must raise, if any: the
+/// null-page guard is checked before alignment.
+fn fault(addr: u32, align: u32) -> Result<(), MemFaultKind> {
+    if addr < PAGE_SIZE {
+        Err(MemFaultKind::NullDeref)
+    } else if !addr.is_multiple_of(align) {
+        Err(MemFaultKind::Unaligned)
+    } else {
+        Ok(())
+    }
+}
+
 /// Checks one timeline against its model over every probed address.
 fn assert_matches_model(mem: &TaintedMemory, model: &Model) {
     for seam in 0..SEAMS.len() {
@@ -187,6 +199,19 @@ fn assert_matches_model(mem: &TaintedMemory, model: &Model) {
                 continue;
             }
             assert_eq!(mem.read_u8(a).unwrap(), model.read(a), "byte at {a:#010x}");
+            if a.is_multiple_of(2) {
+                let (half, taint) = mem.read_u16(a).unwrap();
+                let (lo, t0) = model.read(a);
+                let (hi, t1) = model.read(a + 1);
+                assert_eq!(
+                    (half, taint.bits()),
+                    (
+                        u16::from_le_bytes([lo, hi]),
+                        u8::from(t0) | u8::from(t1) << 1
+                    ),
+                    "halfword at {a:#010x}"
+                );
+            }
             if a.is_multiple_of(4) {
                 let (word, taint) = mem.read_u32(a).unwrap();
                 let mut bytes = [0u8; 4];
@@ -223,14 +248,16 @@ proptest! {
 
     /// The page table behaves like a flat byte map across page seams and
     /// at the top of the address space: random writes
-    /// (byte, word, bulk, taint-only) and forks, applied to up to three
-    /// timelines, leave every timeline equal to its own reference model —
-    /// values, taint, materialized page count and tainted ranges — so no
-    /// fork ever aliases its parent or sibling.
+    /// (byte, halfword, word, bulk, taint-only), reads and forks, applied
+    /// to up to three timelines, leave every timeline equal to its own
+    /// reference model — values, taint, materialized page count and
+    /// tainted ranges — so no fork ever aliases its parent or sibling.
+    /// Byte and halfword accesses fault exactly where the model says: in
+    /// the null page first, then at odd halfword addresses.
     #[test]
     fn page_table_matches_a_flat_model(
         ops in proptest::collection::vec(
-            (0u8..6, 0usize..3, 0usize..4, -WINDOW..WINDOW, any::<u32>(), (any::<bool>(), 0u32..MAX_LEN)),
+            (0u8..9, 0usize..3, 0usize..4, -WINDOW..WINDOW, any::<u32>(), (any::<bool>(), 0u32..MAX_LEN)),
             1..64))
     {
         let mut timelines = vec![(TaintedMemory::new(), Model::default())];
@@ -238,13 +265,34 @@ proptest! {
             let addr = seam_addr(seam, delta);
             let who = who % timelines.len();
             let (mem, model) = &mut timelines[who];
-            let null = addr < PAGE_SIZE;
             match kind {
                 0 => {
                     let res = mem.write_u8(addr, val as u8, t);
-                    prop_assert_eq!(res.is_err(), null);
+                    prop_assert_eq!(res.map_err(|f| f.kind), fault(addr, 1));
                     model.each(addr, 1, |_, b| *b = (val as u8, t));
                 }
+                5 => {
+                    let taint = WordTaint::from_bits(val as u8 & 0xF);
+                    let res = mem.write_u16(addr, val as u16, taint);
+                    prop_assert_eq!(res.map_err(|f| f.kind), fault(addr, 2));
+                    if fault(addr, 2).is_ok() {
+                        let bytes = (val as u16).to_le_bytes();
+                        model.each(addr, 2, |a, b| {
+                            let i = (a - addr) as usize;
+                            *b = (bytes[i], taint.byte(i));
+                        });
+                    }
+                }
+                6 => match fault(addr, 2) {
+                    Err(kind) => prop_assert_eq!(mem.read_u16(addr).unwrap_err().kind, kind),
+                    Ok(()) => {
+                        let (half, taint) = mem.read_u16(addr).unwrap();
+                        let (lo, t0) = model.read(addr);
+                        let (hi, t1) = model.read(addr + 1);
+                        prop_assert_eq!(half, u16::from_le_bytes([lo, hi]));
+                        prop_assert_eq!(taint.bits(), u8::from(t0) | u8::from(t1) << 1);
+                    }
+                },
                 1 => {
                     let addr = addr & !3;
                     let taint = WordTaint::from_bits(val as u8 & 0xF);
@@ -279,13 +327,10 @@ proptest! {
                         timelines[2] = fork;
                     }
                 }
-                _ => {
-                    if null {
-                        prop_assert!(mem.read_u8(addr).is_err());
-                    } else {
-                        prop_assert_eq!(mem.read_u8(addr).unwrap(), model.read(addr));
-                    }
-                }
+                _ => match fault(addr, 1) {
+                    Err(kind) => prop_assert_eq!(mem.read_u8(addr).unwrap_err().kind, kind),
+                    Ok(()) => prop_assert_eq!(mem.read_u8(addr).unwrap(), model.read(addr)),
+                },
             }
         }
         for (mem, model) in &timelines {
