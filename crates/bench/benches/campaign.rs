@@ -14,6 +14,11 @@
 //!   boot, fork and clone reuses it; the warmup run pays it, so the series
 //!   measures the ladder and the trials, not analysis.
 //!
+//! Each of the four rows is the best of five campaign runs; the row with
+//! `_median` appended is the median of the same five runs. Best-of swings
+//! up to 1.6x between runs on a shared host; the median is the row to
+//! compare across commits.
+//!
 //! Two deterministic rows count what the ladder saves:
 //! `exp1_skipped_steps` and `ghttpd_skipped_steps` sum, over the seed-7
 //! trials, the step of the rung each trial starts from — the baseline
@@ -37,7 +42,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ptaint::{CampaignSpec, Machine, ToJson};
-use ptaint_bench::{best_per_sec, median, quick, repo_root};
+use ptaint_bench::{best, best_per_sec, median, per_sec_samples, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, synthetic};
 
 /// Faulted trials per campaign: full runs average over a broad fault
@@ -71,10 +76,11 @@ fn build(name: &str) -> Machine {
 
 const WORKLOADS: [&str; 2] = ["exp1", "ghttpd"];
 
-/// Best-of-3 runs/sec of `machine`'s whole campaign, counting the
-/// unfaulted baseline run along with the faulted trials.
-fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> f64 {
-    best_per_sec(3, || machine.run_campaign(spec).records.len() as u64 + 1).1
+/// Best-of-5 and median-of-5 runs/sec of `machine`'s whole campaign,
+/// counting the unfaulted baseline run along with the faulted trials.
+fn trials_per_sec(machine: &Machine, spec: &CampaignSpec) -> (f64, f64) {
+    let (_, rates) = per_sec_samples(5, || machine.run_campaign(spec).records.len() as u64 + 1);
+    (best(&rates), median(rates))
 }
 
 /// Baseline prefix steps `machine`'s campaign trials skip: the sum of the
@@ -146,9 +152,12 @@ fn main() {
     // The plain configuration, then the elided (paper) one.
     for (elide, key, label) in [(false, "", "plain"), (true, "_elided", "elided")] {
         for name in WORKLOADS {
-            let rate = trials_per_sec(&build(name).elide_checks(elide), &spec);
+            let (rate, mid) = trials_per_sec(&build(name).elide_checks(elide), &spec);
             fields.push((format!("{name}{key}_forked_trials_per_sec"), rate));
-            lines.push(format!("{name} {label} {rate:.0} forked trials/s"));
+            fields.push((format!("{name}{key}_forked_trials_per_sec_median"), mid));
+            lines.push(format!(
+                "{name} {label} {rate:.0} forked trials/s (median {mid:.0})"
+            ));
         }
     }
     // The sharded runner (campaign engine v2) on the elided ghttpd

@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use ptaint::{Engine, ExitReason, Machine};
-use ptaint_bench::{best_per_sec, median, per_sec_samples, quick, repo_root};
+use ptaint_bench::{best, best_per_sec, median, per_sec_samples, quick, repo_root};
 use ptaint_guest::apps::{ghttpd, null_httpd, wu_ftpd};
 use ptaint_guest::{workloads, CRT0_ASM, LIBC_C, SYSCALL_STUBS_ASM};
 
@@ -122,8 +122,7 @@ fn table3_steps_per_sec(machines: &[Machine]) -> (u64, f64, f64) {
             })
             .sum()
     });
-    let best = rates.iter().copied().fold(f64::MIN, f64::max);
-    (steps, best, median(rates))
+    (steps, best(&rates), median(rates))
 }
 
 /// The three CVE daemons' sources, as `ptaint-run` rebuilds them.

@@ -88,7 +88,13 @@ pub fn per_sec_samples(reps: u32, mut f: impl FnMut() -> u64) -> (u64, Vec<f64>)
 /// units per second.
 pub fn best_per_sec(reps: u32, f: impl FnMut() -> u64) -> (u64, f64) {
     let (units, rates) = per_sec_samples(reps, f);
-    (units, rates.into_iter().fold(f64::MIN, f64::max))
+    (units, best(&rates))
+}
+
+/// The largest of `xs` (the best of a series of rates).
+#[must_use]
+pub fn best(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::MIN, f64::max)
 }
 
 /// The median of `xs` (the upper middle one of an even count).
